@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from dcograph.construct import (
@@ -39,10 +38,6 @@ EXIT_ROUTE_DISAGREEMENT = 3
 EXIT_BUDGET = 4
 
 _TRANSFORM_OPS = ("complement", "converse", "underlying", "sym", "asym")
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def _read_digraph(args: argparse.Namespace) -> Digraph:
@@ -155,9 +150,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    report = minimal_forbidden(
-        ClassId(args.class_id), n_max=args.nmax, jobs=args.jobs, budget_seconds=args.budget
-    )
+    report = minimal_forbidden(ClassId(args.class_id), n_max=args.nmax, budget_seconds=args.budget)
     print(report.render())
     if report.partial:
         return EXIT_BUDGET
@@ -165,7 +158,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_suite(args.suite, n_max=args.nmax, jobs=args.jobs)
+    report = verify_suite(args.suite, n_max=args.nmax)
     print(report.render())
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
@@ -225,14 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[x.value for x in MINEABLE_CLASSES],
     )
     p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (2..6)")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--budget", type=float, help="time budget in seconds for the n=6 sweep")
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("verify", help="run a verification suite and print its report")
     p.add_argument("--suite", required=True, choices=("hierarchy", "theorems", "closures"))
-    p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (2..5)")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (1..5)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export-dot", help="print the digraph as GraphViz DOT text")

@@ -124,6 +124,20 @@ def evaluate(e: Expression) -> Digraph:
     return Digraph(total, arcs)
 
 
+def compose(op: str, a: Digraph, b: Digraph) -> Digraph:
+    """Binary union/order/series of two digraphs: a's vertices first, then b's shifted."""
+    n = a.n + b.n
+    arcs = list(a.arcs)
+    arcs.extend((u + a.n, v + a.n) for u, v in b.arcs)
+    if op != "union":
+        for u in range(a.n):
+            for v in range(a.n, n):
+                arcs.append((u, v))
+                if op == "series":
+                    arcs.append((v, u))
+    return Digraph(n, arcs)
+
+
 def format_expression(e: Expression) -> str:
     """Canonical text form, `op(child, child, ...)` with leaves as `v`."""
     if e.is_leaf:
@@ -175,7 +189,10 @@ def parse_expression(text: str) -> Expression:
                 return _node(op, children)
         raise fail(f"expected 'v' or one of {OPS}, found {text[pos]!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
     skip_ws()
     if pos < len(text):
         raise fail(f"trailing input {text[pos:]!r}")

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_VERTICES = 64
 MAX_CANONICAL_VERTICES = 8
@@ -480,8 +480,3 @@ def to_dot(g: Digraph, name: str = "G") -> str:
     lines.extend(f"  {u} -> {v};" for u, v in g.arcs)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def all_vertex_subsets(n: int, size: int) -> Iterator[tuple[int, ...]]:
-    """All size-element subsets of 0..n-1 in lexicographic order."""
-    return combinations(range(n), size)

@@ -2,19 +2,18 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from dcograph.core import Digraph
-from dcograph.construct import transitive_tournament
-from dcograph.decompose import di_co_tree, creation_sequence
+from dcograph.decompose import di_co_tree
 from dcograph.patterns import (
     CATALOG,
     PATTERNS,
+    free_of,
     has_anticircuit,
     has_two_switch,
     induced_canon_set,
@@ -26,7 +25,6 @@ from dcograph.recognize import (
     PATTERN_ONLY_CLASSES,
     member_by_patterns_canon,
     member_constructive,
-    oracle_members,
 )
 from dcograph.uclasses import UClassId, enumerate_undirected, member_u
 
@@ -95,55 +93,27 @@ def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
     return best
 
 
-def _labeled_masks(n: int, lo: int, hi: int) -> np.ndarray:
-    """Masks of labeled digraphs for pair-state ids lo..hi-1 (4 states per pair)."""
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    masks = np.zeros_like(ids)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for p, (u, v) in enumerate(pairs):
-        state = (ids >> np.uint64(2 * p)) & np.uint64(3)
-        masks |= (state & np.uint64(1)) << np.uint64(u * n + v)
-        masks |= (state >> np.uint64(1)) << np.uint64(v * n + u)
-    return masks
-
-
-def _canonical_chunk(args: tuple[int, int, int]) -> np.ndarray:
-    n, lo, hi = args
-    return np.unique(canonical_masks(n, _labeled_masks(n, lo, hi)))
-
-
 _ENUM_CACHE: dict[int, list[Digraph]] = {}
 
 
-def enumerate_digraphs(n: int, jobs: int = 1) -> list[Digraph]:
+def enumerate_digraphs(n: int) -> list[Digraph]:
     """All n-vertex digraphs up to isomorphism (n <= 6), canonically ordered.
 
-    n <= 5 canonicalizes the full labeled space; n = 6 extends every 5-vertex
-    representative by one vertex in all 4^5 ways (every 6-vertex digraph is
-    such an extension of its own last-vertex deletion, up to isomorphism).
+    Extends every (n-1)-vertex representative by one vertex in all 4^(n-1)
+    ways: every n-vertex digraph is such an extension of its own last-vertex
+    deletion, up to isomorphism. Each representative carries the minimum mask
+    over its isomorphism class.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"enumeration supports 1..6 vertices, got {n}")
     if n in _ENUM_CACHE:
         return list(_ENUM_CACHE[n])
-    if n <= 5:
-        total = 4 ** (n * (n - 1) // 2)
-        chunk = max(1 << 16, total // max(jobs, 1) + 1)
-        tasks = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_canonical_chunk, tasks))
-        else:
-            parts = [_canonical_chunk(t) for t in tasks]
-        canon = np.unique(np.concatenate(parts))
-        reps = [Digraph.from_mask(n, int(m)) for m in canon]
+    if n == 1:
+        reps = [Digraph.edgeless(1)]
     else:
-        base = np.array([g.mask for g in enumerate_digraphs(5, jobs=jobs)], dtype=np.uint64)
-        embedded = _apply_remap(_embed_tables(5, 6), base)
-        ext = _extension_masks(6)
-        candidates = (embedded[:, None] | ext[None, :]).ravel()
-        canon = np.unique(canonical_masks(6, candidates))
-        reps = [Digraph.from_mask(6, int(m)) for m in canon]
+        base = np.array([g.mask for g in enumerate_digraphs(n - 1)], dtype=np.uint64)
+        canon = np.unique(canonical_masks(n, _one_vertex_extensions(n, base)))
+        reps = [Digraph.from_mask(n, int(m)) for m in canon]
     _ENUM_CACHE[n] = reps
     return list(reps)
 
@@ -156,6 +126,12 @@ def _embed_tables(small: int, big: int) -> list[tuple[int, int, np.ndarray]]:
         if u != v
     }
     return _remap_tables(bit_map, small * small)
+
+
+def _one_vertex_extensions(n: int, base: np.ndarray) -> np.ndarray:
+    """Every (n-1)-vertex mask in base with new vertex n-1 attached in all 4^(n-1) ways."""
+    embedded = _apply_remap(_embed_tables(n - 1, n), base)
+    return (embedded[:, None] | _extension_masks(n)[None, :]).ravel()
 
 
 def _extension_masks(n: int) -> np.ndarray:
@@ -189,45 +165,10 @@ def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
 # -- bulk membership ----------------------------------------------------------
 
 
-@dataclass
-class MemberTable:
-    """Representatives per size and member canonical-form sets per class."""
-
-    n_max: int
-    reps: list[list[Digraph]]
-    members: dict[ClassId, list[set[bytes]]]
-
-    def is_member(self, x: ClassId, g: Digraph) -> bool:
-        return g.canonical_form() in self.members[x][g.n - 1]
-
-
 def _class_membership(g: Digraph, x: ClassId) -> bool:
     if x in PATTERN_ONLY_CLASSES:
-        if x is ClassId.TD:
-            return not has_two_switch(g) and not _contains_canon(g, "D5")
-        return not has_anticircuit(g) and not _contains_canon(g, "D1") and not _contains_canon(g, "K2bidir")
+        return member_by_patterns_canon(induced_canon_set(g), x, g)
     return member_constructive(g, x)
-
-
-def _contains_canon(g: Digraph, pattern_name: str) -> bool:
-    p = PATTERNS[pattern_name]
-    return p.n <= g.n and p.canonical_form() in induced_canon_set(g)
-
-
-def member_table(n_max: int = 5, classes: Sequence[ClassId] | None = None, jobs: int = 1) -> MemberTable:
-    """Membership of every representative with <= n_max vertices, per class."""
-    if not 1 <= n_max <= 5:
-        raise ValueError("member_table supports n_max in 1..5")
-    chosen = list(classes) if classes is not None else list(ClassId)
-    reps = [enumerate_digraphs(n, jobs=jobs) for n in range(1, n_max + 1)]
-    members: dict[ClassId, list[set[bytes]]] = {x: [set() for _ in range(n_max)] for x in chosen}
-    for level in reps:
-        for g in level:
-            canon = g.canonical_form()
-            for x in chosen:
-                if _class_membership(g, x):
-                    members[x][g.n - 1].add(canon)
-    return MemberTable(n_max=n_max, reps=reps, members=members)
 
 
 # -- reports ------------------------------------------------------------------
@@ -322,7 +263,7 @@ def is_minimal_obstruction(g: Digraph, x: ClassId) -> bool:
 
 
 def minimal_forbidden(
-    x: ClassId, n_max: int = 5, jobs: int = 1, budget_seconds: float | None = None
+    x: ClassId, n_max: int = 5, budget_seconds: float | None = None
 ) -> ObstructionReport:
     """Mine all minimal non-members with <= n_max vertices and diff against the catalog.
 
@@ -340,7 +281,7 @@ def minimal_forbidden(
     found: list[Digraph] = []
     for n in range(1, min(n_max, 5) + 1):
         level: set[bytes] = set()
-        for g in enumerate_digraphs(n, jobs=jobs):
+        for g in enumerate_digraphs(n):
             if _class_membership(g, x):
                 level.add(g.canonical_form())
             elif n >= 2 and all(
@@ -390,17 +331,14 @@ def _mine_six(x: ClassId, members5: set[bytes], deadline: float | None) -> list[
     if base.size == 0:
         return []
     member_masks = np.sort(base)
-    embedded = _apply_remap(_embed_tables(5, 6), base)
-    ext = _extension_masks(6)
     del_tables = _deletion_tables(6)
     out: list[Digraph] = []
     seen: set[bytes] = set()
     batch = 200
-    for start in range(0, embedded.size, batch):
+    for start in range(0, base.size, batch):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded
-        cands = (embedded[start : start + batch, None] | ext[None, :]).ravel()
-        cands = np.unique(cands)
+        cands = np.unique(_one_vertex_extensions(6, base[start : start + batch]))
         keep = np.ones(cands.size, dtype=bool)
         # deleting the attached vertex 5 returns the base member, so only
         # deletions of the original five vertices need checking
@@ -498,7 +436,7 @@ def _reachability(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) -> dic
     return reach
 
 
-def verify_hierarchy(n_max: int = 5, directed: bool = True, jobs: int = 1) -> VerifyReport:
+def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     """Check every claimed edge (strict inclusion) and non-path pair (incomparability).
 
     Witnesses are searched among all digraphs (or undirected graphs) with at
@@ -508,7 +446,7 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True, jobs: int = 1) -> Ve
     if directed:
         suite = "hierarchy-directed"
         nodes, edges = DIRECTED_HIERARCHY_NODES, DIRECTED_HIERARCHY_EDGES
-        reps: list = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n, jobs=jobs)]
+        reps: list = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
         membership = lambda g, name: _class_membership(g, ClassId(name))
     else:
         suite = "hierarchy-undirected"
@@ -581,13 +519,7 @@ class TheoremSpec:
 
 
 def _free(*names: str) -> Callable[[Digraph], bool]:
-    pats = tuple((PATTERNS[name].n, PATTERNS[name].canonical_form()) for name in names)
-
-    def pred(g: Digraph) -> bool:
-        canons = induced_canon_set(g)
-        return all(c not in canons for pn, c in pats if pn <= g.n)
-
-    return pred
+    return lambda g: free_of(induced_canon_set(g), names)
 
 
 def _member(x: ClassId) -> Callable[[Digraph], bool]:
@@ -616,20 +548,11 @@ def _transitive_and(q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:
 
 
 def _source_elimination(g: Digraph) -> bool:
-    # on tournaments: repeatedly peel the vertex beating all remaining ones
+    # on tournaments: repeatedly peel the vertex beating all remaining ones;
+    # sink elimination is this on the converse
     cur = g
     while cur.n > 1:
         hits = [v for v in range(cur.n) if cur.out_degree(v) == cur.n - 1]
-        if not hits:
-            return False
-        cur = cur.delete_vertex(hits[0])
-    return True
-
-
-def _sink_elimination(g: Digraph) -> bool:
-    cur = g
-    while cur.n > 1:
-        hits = [v for v in range(cur.n) if cur.in_degree(v) == cur.n - 1]
         if not hits:
             return False
         cur = cur.delete_vertex(hits[0])
@@ -743,7 +666,7 @@ _register(
     ("acyclic", lambda g: g.is_acyclic()),
     ("no directed triangle", _free("D5")),
     ("source elimination", _source_elimination),
-    ("sink elimination", _sink_elimination),
+    ("sink elimination", lambda g: _source_elimination(g.converse())),
 )
 # restating no-anticircuit via small patterns plus two-switch-freeness needs
 # the directed triangle: resolving the vertex coincidences of an anticircuit
@@ -765,15 +688,15 @@ _register(
 )
 
 
-def _universe(kind: str, n_max: int, jobs: int) -> tuple[list[Digraph], int, str]:
+def _universe(kind: str, n_max: int) -> tuple[list[Digraph], int, str]:
     if kind == "digraphs":
         return (
-            [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n, jobs=jobs)],
+            [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)],
             n_max, "digraphs",
         )
     if kind == "oriented":
         return (
-            [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n, jobs=jobs)
+            [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)
              if g.is_oriented()],
             n_max, "oriented digraphs",
         )
@@ -787,13 +710,13 @@ def _universe(kind: str, n_max: int, jobs: int) -> tuple[list[Digraph], int, str
     raise ValueError(f"unknown universe {kind!r}")
 
 
-def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None, jobs: int = 1) -> VerifyReport:
+def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> VerifyReport:
     """Cross-check every registered characterization pointwise on its universe."""
     chosen = list(names) if names is not None else list(THEOREMS)
     report = VerifyReport(suite="theorems")
     for key in chosen:
         spec = THEOREMS[key]
-        graphs, eff, noun = _universe(spec.universe, n_max, jobs)
+        graphs, eff, noun = _universe(spec.universe, n_max)
         base_label, base_pred = spec.items[0]
         for label, pred in spec.items[1:]:
             counterexample = None
@@ -818,10 +741,10 @@ def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None, jobs: in
 # -- closure suite --------------------------------------------------------------
 
 
-def verify_closures(n_max: int = 5, jobs: int = 1) -> VerifyReport:
+def verify_closures(n_max: int = 5) -> VerifyReport:
     """Complement/converse closure facts for the core classes and obstruction families."""
     report = VerifyReport(suite="closures")
-    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n, jobs=jobs)]
+    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
     total = len(graphs)
 
     for x in (ClassId.DC, ClassId.DT):
@@ -886,10 +809,10 @@ def verify_closures(n_max: int = 5, jobs: int = 1) -> VerifyReport:
 # -- projection suite -----------------------------------------------------------
 
 
-def verify_projections(n_max: int = 5, jobs: int = 1) -> VerifyReport:
+def verify_projections(n_max: int = 5) -> VerifyReport:
     """Underlying/symmetric/asymmetric projection facts plus the expression round-trip."""
     report = VerifyReport(suite="projections")
-    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n, jobs=jobs)]
+    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
 
     untests: tuple[tuple[str, ClassId, UClassId], ...] = (
         ("DC: underlying graph is a cograph", ClassId.DC, UClassId.C),
@@ -951,16 +874,16 @@ def verify_projections(n_max: int = 5, jobs: int = 1) -> VerifyReport:
     return report
 
 
-def verify_suite(name: str, n_max: int = 5, jobs: int = 1) -> VerifyReport:
+def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
     """Dispatch a named verification suite; hierarchy covers both figures."""
     if not 1 <= n_max <= 5:
         raise ValueError("verify_suite supports n_max in 1..5")
     if name == "hierarchy":
-        directed = verify_hierarchy(n_max=n_max, directed=True, jobs=jobs)
+        directed = verify_hierarchy(n_max=n_max, directed=True)
         undirected = verify_hierarchy(n_max=n_max, directed=False)
         return VerifyReport(suite="hierarchy", rows=directed.rows + undirected.rows)
     if name == "theorems":
-        return verify_theorems(n_max=n_max, jobs=jobs)
+        return verify_theorems(n_max=n_max)
     if name == "closures":
-        return verify_closures(n_max=n_max, jobs=jobs)
+        return verify_closures(n_max=n_max)
     raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, or closures")

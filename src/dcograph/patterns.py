@@ -4,36 +4,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
+from dcograph.construct import compose
 from dcograph.core import Digraph, format_edge_list
 
 
 def _dg(n: int, *arcs: tuple[int, int]) -> Digraph:
-    return Digraph(n, arcs)
-
-
-def _series(a: Digraph, b: Digraph) -> Digraph:
-    return _compose(a, b, forward=True, backward=True)
-
-
-def _order(a: Digraph, b: Digraph) -> Digraph:
-    return _compose(a, b, forward=True, backward=False)
-
-
-def _union(a: Digraph, b: Digraph) -> Digraph:
-    return _compose(a, b, forward=False, backward=False)
-
-
-def _compose(a: Digraph, b: Digraph, forward: bool, backward: bool) -> Digraph:
-    n = a.n + b.n
-    arcs = list(a.arcs)
-    arcs.extend((u + a.n, v + a.n) for u, v in b.arcs)
-    for u in range(a.n):
-        for v in range(a.n, n):
-            if forward:
-                arcs.append((u, v))
-            if backward:
-                arcs.append((v, u))
     return Digraph(n, arcs)
 
 
@@ -55,13 +32,13 @@ D5 = _dg(3, (0, 1), (1, 2), (2, 0))
 D8 = _dg(4, (0, 1), (2, 1), (2, 3))
 D6 = D8.complement()
 D7 = _dg(4, (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2))
-D9 = _series(I2, I2)
-D10 = _series(P2ARROW, I2)
-D11 = _series(P2ARROW, P2ARROW)
-D12 = _order(I2, I2)
-D13 = _order(I2, K2BIDIR)
-D14 = _order(K2BIDIR, I2)
-D15 = _order(K2BIDIR, K2BIDIR)
+D9 = compose("series", I2, I2)
+D10 = compose("series", P2ARROW, I2)
+D11 = compose("series", P2ARROW, P2ARROW)
+D12 = compose("order", I2, I2)
+D13 = compose("order", I2, K2BIDIR)
+D14 = compose("order", K2BIDIR, I2)
+D15 = compose("order", K2BIDIR, K2BIDIR)
 CO_D9 = D9.complement()
 CO_D10 = D10.complement()
 CO_D11 = D11.complement()
@@ -69,15 +46,15 @@ CO_D11 = D11.complement()
 # Weakly-quasi-threshold obstructions built from the four 2/3-vertex seeds.
 _Y1 = K2BIDIR
 _Y2 = P2ARROW
-_Y3 = _union(K2BIDIR, _dg(1))
-_Y4 = _union(P2ARROW, _dg(1))
-Q1 = _series(_Y2, _Y2)
-Q2 = _order(_Y1, _Y1)
-Q3 = _series(_Y3, _Y3)
-Q4 = _series(_Y2, _Y3)
-Q5 = _order(_Y1, _Y4)
-Q6 = _order(_Y4, _Y1)
-Q7 = _order(_Y4, _Y4)
+_Y3 = compose("union", K2BIDIR, _dg(1))
+_Y4 = compose("union", P2ARROW, _dg(1))
+Q1 = compose("series", _Y2, _Y2)
+Q2 = compose("order", _Y1, _Y1)
+Q3 = compose("series", _Y3, _Y3)
+Q4 = compose("series", _Y2, _Y3)
+Q5 = compose("order", _Y1, _Y4)
+Q6 = compose("order", _Y4, _Y1)
+Q7 = compose("order", _Y4, _Y4)
 CO_Q1 = Q1.complement()
 CO_Q2 = Q2.complement()
 CO_Q3 = Q3.complement()
@@ -89,9 +66,9 @@ CO_Q7 = Q7.complement()
 # Star-pair obstructions: disjoint unions of in-stars and out-stars.
 _IN_STAR = _dg(3, (0, 1), (2, 1))
 _OUT_STAR = _dg(3, (1, 0), (1, 2))
-D21 = _union(_IN_STAR, _IN_STAR)
-D22 = _union(_OUT_STAR, _OUT_STAR)
-D23 = _union(_OUT_STAR, _IN_STAR)
+D21 = compose("union", _IN_STAR, _IN_STAR)
+D22 = compose("union", _OUT_STAR, _OUT_STAR)
+D23 = compose("union", _OUT_STAR, _IN_STAR)
 
 PATTERNS: dict[str, Digraph] = {
     "D1": D1, "D2": D2, "D3": D3, "D4": D4, "D5": D5, "D6": D6, "D7": D7,
@@ -105,6 +82,10 @@ PATTERNS: dict[str, Digraph] = {
     "P2arrow": P2ARROW, "K2bidir": K2BIDIR, "I2": I2, "I3": I3,
     "K3bidir": K3BIDIR, "P3bidir": P3BIDIR, "coP3bidir": CO_P3BIDIR,
 }
+
+# canonical forms record the vertex count, so a pattern larger than the
+# digraph it is looked up in never matches
+_FORMS: dict[str, bytes] = {name: p.canonical_form() for name, p in PATTERNS.items()}
 
 _D1_8 = ("D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8")
 _D1_15 = _D1_8 + ("D9", "D10", "D11", "D12", "D13", "D14", "D15")
@@ -191,6 +172,11 @@ def induced_canon_set(g: Digraph) -> frozenset[bytes]:
     out = frozenset(forms)
     _SUBCANON_CACHE[key] = out
     return out
+
+
+def free_of(sub_canons: frozenset[bytes], names: Iterable[str]) -> bool:
+    """True iff none of the named patterns is in sub_canons, an induced_canon_set(g)."""
+    return all(_FORMS[name] not in sub_canons for name in names)
 
 
 @dataclass(frozen=True)

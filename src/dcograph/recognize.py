@@ -7,8 +7,8 @@ from typing import Callable, Iterable
 from dcograph.construct import (
     Expression,
     bidirectional_complete,
+    compose,
     edgeless,
-    evaluate,
     leaf,
     order,
     series,
@@ -21,6 +21,7 @@ from dcograph.patterns import (
     CATALOG,
     PATTERNS,
     contains_induced,
+    free_of,
     has_anticircuit,
     has_two_switch,
     match_partial,
@@ -283,10 +284,8 @@ def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] 
 
 def member_by_patterns_canon(sub_canons: frozenset[bytes], x: ClassId, g: Digraph) -> bool:
     """Pattern-route membership using a precomputed induced-subdigraph canon set."""
-    for name in CATALOG[x.value]:
-        pattern = PATTERNS[name]
-        if pattern.n <= g.n and pattern.canonical_form() in sub_canons:
-            return False
+    if not free_of(sub_canons, CATALOG[x.value]):
+        return False
     if x is ClassId.TD and has_two_switch(g):
         return False
     if x is ClassId.FD and has_anticircuit(g):
@@ -346,19 +345,6 @@ _SIDE_BUILDERS: dict[str, Callable[[int], Digraph]] = {
 }
 
 
-def _compose2(op: str, a: Digraph, b: Digraph) -> Digraph:
-    n = a.n + b.n
-    arcs = list(a.arcs)
-    arcs.extend((u + a.n, v + a.n) for u, v in b.arcs)
-    if op != "union":
-        for u in range(a.n):
-            for v in range(a.n, n):
-                arcs.append((u, v))
-                if op == "series":
-                    arcs.append((v, u))
-    return Digraph(n, arcs)
-
-
 def _side_digraphs(kind: str, size: int, levels: list[dict[bytes, Digraph]]) -> list[Digraph]:
     if kind == "G":
         return list(levels[size - 1].values())
@@ -405,6 +391,6 @@ def oracle_level(x: ClassId, n: int) -> dict[bytes, Digraph]:
                     b_size = k - a_size
                     for a in _side_digraphs(left_kind, a_size, levels):
                         for b in _side_digraphs(right_kind, b_size, levels):
-                            add(_compose2(op, a, b))
+                            add(compose(op, a, b))
         levels.append(found)
     return dict(levels[n - 1])

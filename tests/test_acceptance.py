@@ -12,7 +12,6 @@ still breaks the build.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -39,8 +38,6 @@ from dcograph.recognize import (
     oracle_members,
 )
 from dcograph.uclasses import UClassId, enumerate_undirected, member_u
-
-_JOBS = min(8, os.cpu_count() or 1)
 
 # anchor cardinalities for classes whose whole catalog fits in five vertices
 _ANCHORS = {ClassId.DC: 8, ClassId.OC: 4, ClassId.DT: 18, ClassId.DTP: 15, ClassId.OT: 6}
@@ -123,7 +120,7 @@ def test_criterion_01_obstruction_set_reproduction() -> None:
     started = time.monotonic()
     ok = True
     for x in MINEABLE_CLASSES:
-        report = minimal_forbidden(x, n_max=5, jobs=_JOBS)
+        report = minimal_forbidden(x, n_max=5)
         names = CATALOG[x.value]
         reachable = sorted(n for n in names if PATTERNS[n].n <= 5)
         beyond = sorted(n for n in names if PATTERNS[n].n > 5)
@@ -144,7 +141,7 @@ def test_criterion_02_route_agreement() -> None:
     checked = 0
     for n in range(1, 6):
         oracle = {x: oracle_members(x, n) for x in GRAMMAR_CLASSES}
-        for g in enumerate_digraphs(n, jobs=_JOBS):
+        for g in enumerate_digraphs(n):
             canons = induced_canon_set(g)
             key = g.canonical_form()
             for x in GRAMMAR_CLASSES:
@@ -178,21 +175,21 @@ def test_criterion_03_six_vertex_minimality() -> None:
 
 
 def test_criterion_04_theorem_suite() -> None:
-    report = verify_theorems(n_max=5, jobs=_JOBS)
+    report = verify_theorems(n_max=5)
     failures = {row.subject for row in report.rows if row.verdict != "ok"}
     _verdict(4, "characterization theorems", not failures)
     assert failures == _EXPECTED_THEOREM_FAILURES, failures
 
 
 def test_criterion_05_closure_properties() -> None:
-    report = verify_closures(n_max=5, jobs=_JOBS)
+    report = verify_closures(n_max=5)
     ok = report.ok()
     _verdict(5, "closure properties", ok)
     assert ok, [row.subject for row in report.rows if row.verdict != "ok"]
 
 
 def test_criterion_06_hierarchy_figures() -> None:
-    directed = verify_hierarchy(n_max=5, directed=True, jobs=_JOBS)
+    directed = verify_hierarchy(n_max=5, directed=True)
     undirected = verify_hierarchy(n_max=5, directed=False)
     directed_failures = {r.subject for r in directed.rows if r.verdict != "ok"}
     undirected_failures = {r.subject for r in undirected.rows if r.verdict != "ok"}
@@ -236,7 +233,7 @@ def test_criterion_08_orientation_correspondence() -> None:
 
 
 def test_criterion_09_projections_and_round_trip() -> None:
-    report = verify_projections(n_max=5, jobs=_JOBS)
+    report = verify_projections(n_max=5)
     ok = report.ok()
     _verdict(9, "projections and expression round-trip", ok)
     assert ok, [row.subject for row in report.rows if row.verdict != "ok"]

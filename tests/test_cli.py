@@ -104,7 +104,7 @@ def test_creation_seq_golden() -> None:
 
 
 def test_mine_golden_and_exit_zero() -> None:
-    proc = run_cli("mine", "--class", "OC", "--nmax", "4", "--jobs", "1")
+    proc = run_cli("mine", "--class", "OC", "--nmax", "4")
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("class OC: 4 minimal obstructions at n <= 4")
@@ -117,21 +117,21 @@ def test_mine_golden_and_exit_zero() -> None:
 
 
 def test_verify_closures_exit_zero() -> None:
-    proc = run_cli("verify", "--suite", "closures", "--nmax", "4", "--jobs", "1")
+    proc = run_cli("verify", "--suite", "closures", "--nmax", "4")
     assert proc.returncode == 0
     assert proc.stdout.startswith("suite closures: 7 checks, 0 failures")
 
 
 def test_verify_hierarchy_reports_missing_witnesses() -> None:
-    proc = run_cli("verify", "--suite", "hierarchy", "--nmax", "3", "--jobs", "1")
+    proc = run_cli("verify", "--suite", "hierarchy", "--nmax", "3")
     assert proc.returncode == 1
     assert "\tfail\t" in proc.stdout
 
 
 def test_verify_theorems_exit_tracks_first_counterexample() -> None:
-    clean = run_cli("verify", "--suite", "theorems", "--nmax", "2", "--jobs", "1")
+    clean = run_cli("verify", "--suite", "theorems", "--nmax", "2")
     assert clean.returncode == 0
-    dirty = run_cli("verify", "--suite", "theorems", "--nmax", "3", "--jobs", "1")
+    dirty = run_cli("verify", "--suite", "theorems", "--nmax", "3")
     assert dirty.returncode == 1
     assert "two-pattern variant" in dirty.stdout
 
@@ -173,8 +173,21 @@ def test_verify_nmax_out_of_range_exits_two() -> None:
     assert proc.returncode == 2
 
 
+def test_deeply_nested_expression_exits_two() -> None:
+    deep = "union(v, " * 1500 + "v" + ")" * 1500
+    proc = run_cli("classify", "--expr", deep)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_removed_jobs_flag_is_a_usage_error() -> None:
+    proc = run_cli("verify", "--suite", "closures", "--nmax", "2", "--jobs", "1")
+    assert proc.returncode == 2
+
+
 def test_budget_cutoff_exits_four() -> None:
-    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", "--jobs", "1", "--budget", "1e-9")
+    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", "--budget", "1e-9")
     assert proc.returncode == 4
     assert "partial" in proc.stdout
 

@@ -15,11 +15,13 @@ from dcograph.patterns import (
     TWO_SWITCH,
     catalog,
     contains_induced,
+    free_of,
     has_anticircuit,
     has_two_switch,
     induced_canon_set,
     is_free,
     match_partial,
+    write_pattern_fixtures,
 )
 from dcograph.recognize import ClassId, member_by_patterns
 
@@ -79,6 +81,14 @@ def test_induced_canon_set_tracks_occurrences() -> None:
     assert PATTERNS["K2bidir"].canonical_form() not in canons
 
 
+def test_free_of_agrees_with_occurrence_search(reps_small) -> None:
+    for g in reps_small:
+        canons = induced_canon_set(g)
+        for names in CATALOG.values():
+            expected = is_free(g, tuple(PATTERNS[n] for n in names))
+            assert free_of(canons, names) == expected, (g, names)
+
+
 def test_two_switch_partial_pattern() -> None:
     g = Digraph(4, [(0, 1), (2, 3)])
     roles = match_partial(g, TWO_SWITCH)
@@ -114,6 +124,17 @@ def test_committed_fixture_files_match_patterns() -> None:
         path = os.path.join(FIXTURE_DIR, f"{name}.edges")
         with open(path, encoding="ascii") as fh:
             assert parse_edge_list(fh.read()) == p, name
+
+
+def test_written_fixtures_reproduce_committed_files(tmp_path) -> None:
+    paths = write_pattern_fixtures(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f for f in os.listdir(FIXTURE_DIR) if f.endswith(".edges")
+    )
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path, "rb") as fresh, open(os.path.join(FIXTURE_DIR, name), "rb") as committed:
+            assert fresh.read() == committed.read(), name
 
 
 @pytest.mark.parametrize("name", ["Q3", "Q7", "coQ3", "coQ7", "D21", "D22", "D23"])

@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("verify", help="run a verification suite and print its report")
-    p.add_argument("--suite", required=True, choices=("hierarchy", "theorems", "closures"))
+    p.add_argument("--suite", required=True, choices=("hierarchy", "theorems", "closures", "projections"))
     p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (1..5)")
     p.set_defaults(func=_cmd_verify)
 

@@ -226,7 +226,7 @@ class Digraph:
 
     def underlying_components(self) -> list[tuple[int, ...]]:
         """Connected components of the underlying graph, each sorted, in order of minimum vertex."""
-        return _components_from_rows(self.n, self._neighbor_rows())
+        return [_bits(c) for c in _component_masks((1 << self.n) - 1, self._neighbor_rows())]
 
     def co_components(self) -> list[tuple[int, ...]]:
         """Components of the complement's underlying graph."""
@@ -306,25 +306,27 @@ class Digraph:
         return f"Digraph({self.n}, {list(self.arcs)!r})"
 
 
-def _components_from_rows(n: int, rows: list[int]) -> list[tuple[int, ...]]:
-    seen = 0
-    comps: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        frontier = 1 << start
+def _bits(s: int) -> tuple[int, ...]:
+    """The members of a vertex bit set, ascending."""
+    return tuple(v for v in range(s.bit_length()) if s >> v & 1)
+
+
+def _component_masks(s: int, rows: list[int]) -> list[int]:
+    """Components of the graph with neighbour rows `rows` on the vertex bit set s, as bit sets by minimum vertex."""
+    comps: list[int] = []
+    while s:
         comp = 0
+        frontier = s & -s
         while frontier:
             comp |= frontier
             nxt = 0
-            bits = frontier
-            while bits:
-                v = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
                 nxt |= rows[v]
-            frontier = nxt & ~comp
-        seen |= comp
-        comps.append(tuple(v for v in range(n) if comp >> v & 1))
+            frontier = nxt & s & ~comp
+        comps.append(comp)
+        s &= ~comp
     return comps
 
 
@@ -393,7 +395,7 @@ class UndirectedGraph:
         for u, v in self._edges:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return _components_from_rows(self.n, rows)
+        return [_bits(c) for c in _component_masks((1 << self.n) - 1, rows)]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

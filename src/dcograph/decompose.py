@@ -1,11 +1,104 @@
-"""Splitting digraphs into union/series/order parts and threshold creation sequences."""
+"""The di-co-tree of a digraph, the grammar classes it decides, and threshold creation sequences."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from enum import Enum
+from functools import cached_property, lru_cache
+from typing import Iterable
 
-from dcograph.core import Digraph, _components_from_rows
+from dcograph.core import Digraph, _bits, _component_masks
 from dcograph.construct import Expression, leaf, order, series, union
+
+
+class ClassId(Enum):
+    DC = "DC"
+    OC = "OC"
+    DTP = "DTP"
+    OTP = "OTP"
+    DCTP = "DCTP"
+    OCTP = "OCTP"
+    DT = "DT"
+    OT = "OT"
+    DWQT = "DWQT"
+    OWQT = "OWQT"
+    DCWQT = "DCWQT"
+    OCWQT = "OCWQT"
+    DSC = "DSC"
+    OSC = "OSC"
+    DCSC = "DCSC"
+    OCSC = "OCSC"
+    TT = "TT"
+    TD = "TD"
+    FD = "FD"
+    EDGELESS = "EdgelessD"
+    BIDIR_COMPLETE = "BidirComplete"
+    TWO_BIDIR_CLIQUES = "TwoBidirCliques"
+    BIDIR_COMPLETE_BIPARTITE = "BidirCompleteBipartite"
+    SERIES_OF_STABLE_SETS = "SeriesOfStableSets"
+    UNION_OF_BIDIR_CLIQUES = "UnionOfBidirCliques"
+
+
+GRAMMAR_CLASSES: tuple[ClassId, ...] = (
+    ClassId.DC, ClassId.OC, ClassId.DTP, ClassId.OTP, ClassId.DCTP,
+    ClassId.OCTP, ClassId.DT, ClassId.OT, ClassId.DWQT, ClassId.OWQT,
+    ClassId.DCWQT, ClassId.OCWQT, ClassId.DSC, ClassId.OSC, ClassId.DCSC,
+    ClassId.OCSC,
+)
+
+ANY = ("any",)
+FORBIDDEN = ("forbidden",)
+
+
+def _one(rest: str) -> tuple[str, str]:
+    return ("one", rest)
+
+
+# split-op -> rule, evaluated on maximal-split parts: ANY part may be a member,
+# FORBIDDEN admits no split, ("one", kind) lets at most one part be a member
+# and needs every other part to be of the rest kind
+RULES: dict[ClassId, dict[str, tuple[str, ...]]] = {
+    ClassId.DC: {"union": ANY, "order": ANY, "series": ANY},
+    ClassId.OC: {"union": ANY, "order": ANY, "series": FORBIDDEN},
+    ClassId.DTP: {"union": ANY, "order": _one("singleton"), "series": _one("singleton")},
+    ClassId.OTP: {"union": ANY, "order": _one("singleton"), "series": FORBIDDEN},
+    ClassId.DCTP: {"union": _one("singleton"), "order": _one("singleton"), "series": ANY},
+    ClassId.OCTP: {"union": _one("singleton"), "order": _one("singleton"), "series": FORBIDDEN},
+    ClassId.DT: {"union": _one("singleton"), "order": _one("singleton"), "series": _one("singleton")},
+    ClassId.OT: {"union": _one("singleton"), "order": _one("singleton"), "series": FORBIDDEN},
+    ClassId.DWQT: {"union": ANY, "order": _one("edgeless"), "series": _one("edgeless")},
+    ClassId.OWQT: {"union": ANY, "order": _one("edgeless"), "series": FORBIDDEN},
+    ClassId.DCWQT: {"union": _one("bidir-complete"), "order": _one("bidir-complete"), "series": ANY},
+    ClassId.OCWQT: {"union": _one("transitive-tournament"), "order": _one("singleton"), "series": FORBIDDEN},
+    ClassId.DSC: {"union": _one("edgeless"), "order": _one("edgeless"), "series": _one("edgeless")},
+    ClassId.OSC: {"union": _one("edgeless"), "order": _one("edgeless"), "series": FORBIDDEN},
+    ClassId.DCSC: {"union": _one("bidir-complete"), "order": _one("bidir-complete"), "series": _one("bidir-complete")},
+    ClassId.OCSC: {"union": _one("transitive-tournament"), "order": _one("singleton"), "series": FORBIDDEN},
+}
+
+# Rest kinds as bits. A leaf is of every kind; a node whose children are all
+# leaves is of its operation's kind (an edgeless digraph is a union of leaves,
+# a bidirectional complete one a series, a transitive tournament an order).
+_REST_BIT = {"singleton": 1, "edgeless": 2, "bidir-complete": 4, "transitive-tournament": 8}
+_LEAF_REST = 15
+_ALL_LEAVES_REST = {"union": 2, "series": 4, "order": 8}
+
+
+def _rule_bits(op: str) -> tuple[int, dict[int, int]]:
+    """For one operation: the class bits ruled ANY, and per rest-kind bit the class bits ruled ("one", kind)."""
+    any_bits = 0
+    one_bits: dict[int, int] = {}
+    for i, x in enumerate(GRAMMAR_CLASSES):
+        rule = RULES[x][op]
+        if rule == ANY:
+            any_bits |= 1 << i
+        elif rule != FORBIDDEN:
+            kind = _REST_BIT[rule[1]]
+            one_bits[kind] = one_bits.get(kind, 0) | 1 << i
+    return any_bits, one_bits
+
+
+_RULE_BITS = {op: _rule_bits(op) for op in ("union", "order", "series")}
+_BUILD = {"union": union, "order": order, "series": series}
 
 
 @dataclass(frozen=True)
@@ -16,84 +109,134 @@ class Split:
     parts: tuple[tuple[int, ...], ...]
 
 
-_SPLIT_CACHE: dict[tuple[int, int], Split] = {}
+@dataclass
+class _Tree:
+    """The di-co-tree of one digraph in breadth-first order, read bottom-up.
+
+    Node 0 is the root and each node's children are the consecutive nodes
+    `kids[i]`. `classes` has bit i set iff the digraph is in GRAMMAR_CLASSES[i].
+    A digraph with a prime node anywhere keeps only its root split: it is in
+    no grammar class and has no tree.
+    """
+
+    split: Split | None
+    classes: int
+    ops: tuple[str, ...]
+    kids: tuple[range, ...]
+
+    @cached_property
+    def expression(self) -> Expression | None:
+        if not self.ops:
+            return None
+        exprs: list[Expression] = [leaf()] * len(self.ops)
+        for i in reversed(range(len(self.ops))):
+            if self.ops[i] != "leaf":
+                exprs[i] = _BUILD[self.ops[i]](*(exprs[c] for c in self.kids[i]))
+        return exprs[0]
 
 
-def maximal_split(g: Digraph) -> Split:
-    """Split into maximal parts joined by one operation, or report prime.
+def _split(s: int, out_rows: list[int], adj: list[int], co_adj: list[int], sym: list[int]) -> tuple[str, list[int]]:
+    """Split the vertex bit set s into maximal parts joined by one operation, or report prime.
 
     Tries union (components of the underlying graph), then series (components
     of the complement's underlying graph), then order: components of the
     auxiliary graph M with {u,v} adjacent iff the pair is symmetric (both arcs
     or neither). Cross-M-component pairs carry exactly one arc by construction;
-    a linear arrangement is derived from one representative pair per component
-    pair and then verified against every cross pair.
+    the components are ranked by how much of the rest one vertex of each beats,
+    and every vertex is then checked to beat exactly the later components.
     """
+    parts = _component_masks(s, adj)
+    if len(parts) > 1:
+        return "union", parts
+    parts = _component_masks(s, co_adj)
+    if len(parts) > 1:
+        return "series", parts
+    blocks = _component_masks(s, sym)
+    if len(blocks) < 2:
+        return "prime", [s]
+    ordered = sorted(blocks, key=lambda b: -(out_rows[(b & -b).bit_length() - 1] & s & ~b).bit_count())
+    later = s
+    for block in ordered:
+        later &= ~block
+        if any(out_rows[u] & s & ~block != later for u in _bits(block)):
+            return "prime", [s]
+    return "order", ordered
+
+
+def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tuple[int, int]:
+    """Grammar-class and rest-kind bits of a node from those of its children."""
+    any_bits, one_bits = _RULE_BITS[op]
+    classes = any_bits
+    for c in child_classes:
+        classes &= c
+    for kind, bits in one_bits.items():
+        loose = [c for c, r in zip(child_classes, child_rests) if not r & kind]
+        if not loose:
+            classes |= bits
+        elif len(loose) == 1:
+            classes |= bits & loose[0]
+    return classes, _ALL_LEAVES_REST[op] if all(r == _LEAF_REST for r in child_rests) else 0
+
+
+# the trees of the most recent digraphs; a bound keeps long-lived processes small
+_MEMO_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tree(g: Digraph) -> _Tree:
+    """Decompose g once; every split, membership and certificate question reads this."""
+    n = g.n
+    full = (1 << n) - 1
+    conv = g.converse()
+    out_rows = [g.out_row(u) for u in range(n)]
+    in_rows = [conv.out_row(u) for u in range(n)]
+    # neighbour rows of the underlying graph, of its complement, and of M;
+    # bits outside the set being split are masked off there
+    adj = [o | i for o, i in zip(out_rows, in_rows)]
+    co_adj = [~(o & i) for o, i in zip(out_rows, in_rows)]
+    sym = [~(o ^ i) for o, i in zip(out_rows, in_rows)]
+
+    ops: list[str] = []
+    kids: list[range] = []
+    sets = [full]
+    for s in sets:  # grows as it goes: children follow their parent
+        if s & s - 1 == 0:
+            ops.append("leaf")
+            kids.append(range(0))
+            continue
+        op, parts = _split(s, out_rows, adj, co_adj, sym)
+        ops.append(op)
+        kids.append(range(len(sets), len(sets) + len(parts)))
+        sets.extend(parts)
+        if op == "prime":
+            break
+    split = Split(ops[0], tuple(_bits(sets[c]) for c in kids[0])) if n > 1 else None
+    if ops[-1] == "prime":
+        return _Tree(split, 0, (), ())
+
+    classes = [(1 << len(GRAMMAR_CLASSES)) - 1] * len(ops)
+    rests = [_LEAF_REST] * len(ops)
+    for i in reversed(range(len(ops))):
+        if ops[i] != "leaf":
+            classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in kids[i]], [rests[c] for c in kids[i]])
+    return _Tree(split, classes[0], tuple(ops), tuple(kids))
+
+
+def maximal_split(g: Digraph) -> Split:
+    """Split into maximal parts joined by one operation, or report prime (see `_split`)."""
     if g.n < 2:
         raise ValueError("splits need at least 2 vertices")
-    key = (g.n, g.mask)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _maximal_split_uncached(g)
-    _SPLIT_CACHE[key] = out
-    return out
-
-
-def _maximal_split_uncached(g: Digraph) -> Split:
-    comps = g.underlying_components()
-    if len(comps) > 1:
-        return Split("union", tuple(comps))
-    co_comps = g.co_components()
-    if len(co_comps) > 1:
-        return Split("series", tuple(co_comps))
-
-    n = g.n
-    conv_mask = g.converse().mask
-    sym_pairs = ~(g.mask ^ conv_mask)  # bit u*n+v set iff pair status symmetric
-    m_rows = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and sym_pairs >> u * n + v & 1:
-                m_rows[u] |= 1 << v
-    blocks = _components_from_rows(n, m_rows)
-    if len(blocks) < 2:
-        return Split("prime", (tuple(range(n)),))
-
-    # order blocks by how many other blocks their representative arc beats
-    beats = [0] * len(blocks)
-    for i in range(len(blocks)):
-        for j in range(len(blocks)):
-            if i != j and g.has_arc(blocks[i][0], blocks[j][0]):
-                beats[i] += 1
-    ranked = sorted(range(len(blocks)), key=lambda i: -beats[i])
-    if len({beats[i] for i in ranked}) != len(blocks):
-        return Split("prime", (tuple(range(n)),))
-    ordered = [blocks[i] for i in ranked]
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            for u in ordered[i]:
-                for v in ordered[j]:
-                    if not g.has_arc(u, v) or g.has_arc(v, u):
-                        return Split("prime", (tuple(range(n)),))
-    return Split("order", tuple(ordered))
+    return _tree(g).split  # type: ignore[return-value]
 
 
 def di_co_tree(g: Digraph) -> Expression | None:
     """A construction expression evaluating to a digraph isomorphic to g, or None."""
-    if g.n == 1:
-        return leaf()
-    split = maximal_split(g)
-    if split.op == "prime":
-        return None
-    children = []
-    for part in split.parts:
-        child = di_co_tree(g.induced(part))
-        if child is None:
-            return None
-        children.append(child)
-    build = {"union": union, "series": series, "order": order}[split.op]
-    return build(*children)
+    return _tree(g).expression
+
+
+def grammar_classes(g: Digraph) -> int:
+    """Bit i set iff g is in GRAMMAR_CLASSES[i], read bottom-up from its di-co-tree."""
+    return _tree(g).classes
 
 
 @dataclass(frozen=True)

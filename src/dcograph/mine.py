@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from dcograph.construct import evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import di_co_tree
 from dcograph.patterns import (
@@ -23,7 +24,6 @@ from dcograph.recognize import (
     GRAMMAR_CLASSES,
     MICRO_CLASSES,
     PATTERN_ONLY_CLASSES,
-    member_by_patterns_canon,
     member_constructive,
 )
 from dcograph.uclasses import UClassId, enumerate_undirected, member_u
@@ -167,7 +167,10 @@ def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
 
 def _class_membership(g: Digraph, x: ClassId) -> bool:
     if x in PATTERN_ONLY_CLASSES:
-        return member_by_patterns_canon(induced_canon_set(g), x, g)
+        # the partial-pattern scan rejects most small digraphs, so it runs
+        # before the induced canon set is built
+        partial = has_two_switch if x is ClassId.TD else has_anticircuit
+        return not partial(g) and free_of(induced_canon_set(g), CATALOG[x.value])
     return member_constructive(g, x)
 
 
@@ -864,11 +867,7 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
 
     def round_trip(g: Digraph) -> bool:
         tree = di_co_tree(g)
-        if tree is None:
-            return False
-        from dcograph.construct import evaluate
-
-        return evaluate(tree).isomorphic_to(g)
+        return tree is not None and evaluate(tree).isomorphic_to(g)
 
     check("DC: expression round-trip rebuilds the digraph", round_trip, ClassId.DC)
     return report
@@ -886,4 +885,6 @@ def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
         return verify_theorems(n_max=n_max)
     if name == "closures":
         return verify_closures(n_max=n_max)
-    raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, or closures")
+    if name == "projections":
+        return verify_projections(n_max=n_max)
+    raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, closures, or projections")

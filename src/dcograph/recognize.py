@@ -1,7 +1,6 @@
 """Membership recognizers: constructive split rules, forbidden patterns, grammar oracle."""
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Iterable
 
 from dcograph.construct import (
@@ -9,14 +8,20 @@ from dcograph.construct import (
     bidirectional_complete,
     compose,
     edgeless,
-    leaf,
-    order,
-    series,
     transitive_tournament,
-    union,
 )
 from dcograph.core import Digraph
-from dcograph.decompose import maximal_split
+# the grammar lives with the di-co-tree that evaluates it; ANY, FORBIDDEN and
+# RULES are re-exported here for callers of this module
+from dcograph.decompose import (
+    ANY,
+    FORBIDDEN,
+    GRAMMAR_CLASSES,
+    RULES,
+    ClassId,
+    di_co_tree,
+    grammar_classes,
+)
 from dcograph.patterns import (
     CATALOG,
     PATTERNS,
@@ -27,42 +32,6 @@ from dcograph.patterns import (
     match_partial,
     ANTICIRCUIT,
     TWO_SWITCH,
-)
-
-
-class ClassId(Enum):
-    DC = "DC"
-    OC = "OC"
-    DTP = "DTP"
-    OTP = "OTP"
-    DCTP = "DCTP"
-    OCTP = "OCTP"
-    DT = "DT"
-    OT = "OT"
-    DWQT = "DWQT"
-    OWQT = "OWQT"
-    DCWQT = "DCWQT"
-    OCWQT = "OCWQT"
-    DSC = "DSC"
-    OSC = "OSC"
-    DCSC = "DCSC"
-    OCSC = "OCSC"
-    TT = "TT"
-    TD = "TD"
-    FD = "FD"
-    EDGELESS = "EdgelessD"
-    BIDIR_COMPLETE = "BidirComplete"
-    TWO_BIDIR_CLIQUES = "TwoBidirCliques"
-    BIDIR_COMPLETE_BIPARTITE = "BidirCompleteBipartite"
-    SERIES_OF_STABLE_SETS = "SeriesOfStableSets"
-    UNION_OF_BIDIR_CLIQUES = "UnionOfBidirCliques"
-
-
-GRAMMAR_CLASSES: tuple[ClassId, ...] = (
-    ClassId.DC, ClassId.OC, ClassId.DTP, ClassId.OTP, ClassId.DCTP,
-    ClassId.OCTP, ClassId.DT, ClassId.OT, ClassId.DWQT, ClassId.OWQT,
-    ClassId.DCWQT, ClassId.OCWQT, ClassId.DSC, ClassId.OSC, ClassId.DCSC,
-    ClassId.OCSC,
 )
 
 MICRO_CLASSES: tuple[ClassId, ...] = (
@@ -88,61 +57,8 @@ class RouteDisagreement(Exception):
         )
 
 
-# -- part-kind predicates -----------------------------------------------------
-
-
-def _is_singleton(g: Digraph) -> bool:
-    return g.n == 1
-
-
-def _is_edgeless(g: Digraph) -> bool:
-    return g.is_edgeless()
-
-
-def _is_bidir_complete(g: Digraph) -> bool:
-    return g.is_bidirectional_complete()
-
-
 def _is_tt(g: Digraph) -> bool:
     return g.is_tournament() and g.is_acyclic()
-
-
-_REST_PRED: dict[str, Callable[[Digraph], bool]] = {
-    "singleton": _is_singleton,
-    "edgeless": _is_edgeless,
-    "bidir-complete": _is_bidir_complete,
-    "transitive-tournament": _is_tt,
-}
-
-ANY = ("any",)
-FORBIDDEN = ("forbidden",)
-
-
-def _one(rest: str) -> tuple[str, str]:
-    return ("one", rest)
-
-
-# split-op -> rule, evaluated on maximal-split parts
-RULES: dict[ClassId, dict[str, tuple[str, ...]]] = {
-    ClassId.DC: {"union": ANY, "order": ANY, "series": ANY},
-    ClassId.OC: {"union": ANY, "order": ANY, "series": FORBIDDEN},
-    ClassId.DTP: {"union": ANY, "order": _one("singleton"), "series": _one("singleton")},
-    ClassId.OTP: {"union": ANY, "order": _one("singleton"), "series": FORBIDDEN},
-    ClassId.DCTP: {"union": _one("singleton"), "order": _one("singleton"), "series": ANY},
-    ClassId.OCTP: {"union": _one("singleton"), "order": _one("singleton"), "series": FORBIDDEN},
-    ClassId.DT: {"union": _one("singleton"), "order": _one("singleton"), "series": _one("singleton")},
-    ClassId.OT: {"union": _one("singleton"), "order": _one("singleton"), "series": FORBIDDEN},
-    ClassId.DWQT: {"union": ANY, "order": _one("edgeless"), "series": _one("edgeless")},
-    ClassId.OWQT: {"union": ANY, "order": _one("edgeless"), "series": FORBIDDEN},
-    ClassId.DCWQT: {"union": _one("bidir-complete"), "order": _one("bidir-complete"), "series": ANY},
-    ClassId.OCWQT: {"union": _one("transitive-tournament"), "order": _one("singleton"), "series": FORBIDDEN},
-    ClassId.DSC: {"union": _one("edgeless"), "order": _one("edgeless"), "series": _one("edgeless")},
-    ClassId.OSC: {"union": _one("edgeless"), "order": _one("edgeless"), "series": FORBIDDEN},
-    ClassId.DCSC: {"union": _one("bidir-complete"), "order": _one("bidir-complete"), "series": _one("bidir-complete")},
-    ClassId.OCSC: {"union": _one("transitive-tournament"), "order": _one("singleton"), "series": FORBIDDEN},
-}
-
-_MEMBER_CACHE: dict[tuple[int, int, ClassId], bool] = {}
 
 
 def _is_symmetric(g: Digraph) -> bool:
@@ -156,7 +72,7 @@ def _micro_member(g: Digraph, x: ClassId) -> bool:
         return g.is_bidirectional_complete()
     if x is ClassId.UNION_OF_BIDIR_CLIQUES:
         return _is_symmetric(g) and all(
-            g.induced(c).is_bidirectional_complete() for c in g.underlying_components()
+            g.has_arc(u, v) for c in g.underlying_components() for u in c for v in c if u != v
         )
     if x is ClassId.TWO_BIDIR_CLIQUES:
         return (
@@ -171,89 +87,24 @@ def _micro_member(g: Digraph, x: ClassId) -> bool:
 
 
 def member_constructive(g: Digraph, x: ClassId) -> bool:
-    """Membership via the class's recursive construction, on maximal splits."""
+    """Membership via the class's construction, read from the digraph's one di-co-tree."""
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer; use member_by_patterns")
     if x is ClassId.TT:
         return _is_tt(g)
     if x in MICRO_CLASSES:
         return _micro_member(g, x)
-    key = (g.n, g.mask, x)
-    hit = _MEMBER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _member_rec(g, x)
-    _MEMBER_CACHE[key] = out
-    return out
-
-
-def _member_rec(g: Digraph, x: ClassId) -> bool:
-    if g.n == 1:
-        return True
-    split = maximal_split(g)
-    if split.op == "prime":
-        return False
-    rule = RULES[x][split.op]
-    if rule == FORBIDDEN:
-        return False
-    parts = [g.induced(p) for p in split.parts]
-    if rule == ANY:
-        return all(member_constructive(p, x) for p in parts)
-    rest_pred = _REST_PRED[rule[1]]
-    exceptional = [p for p in parts if not rest_pred(p)]
-    if len(exceptional) > 1:
-        return False
-    if not exceptional:
-        return True
-    return member_constructive(exceptional[0], x)
-
-
-def _rest_expression(g: Digraph, rest: str) -> Expression:
-    """Expression for a part that satisfies a rest-kind predicate."""
-    if g.n == 1:
-        return leaf()
-    leaves = [leaf() for _ in range(g.n)]
-    if rest == "edgeless":
-        return union(*leaves)
-    if rest == "bidir-complete":
-        return series(*leaves)
-    if rest == "transitive-tournament":
-        return order(*leaves)
-    raise AssertionError(f"non-singleton rest part for kind {rest}")
+    return bool(grammar_classes(g) >> GRAMMAR_CLASSES.index(x) & 1)
 
 
 def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:
-    """A construction expression conforming to the class grammar, or None."""
-    if x in PATTERN_ONLY_CLASSES:
-        raise ValueError(f"{x.value} has no constructive recognizer; use member_by_patterns")
-    if x is ClassId.TT:
-        if not _is_tt(g):
-            return None
-        return leaf() if g.n == 1 else order(*[leaf() for _ in range(g.n)])
-    if x in MICRO_CLASSES:
-        if not _micro_member(g, x):
-            return None
-        from dcograph.decompose import di_co_tree
+    """A construction expression conforming to the class grammar, or None.
 
-        return di_co_tree(g)
-    if not member_constructive(g, x):
-        return None
-    if g.n == 1:
-        return leaf()
-    split = maximal_split(g)
-    rule = RULES[x][split.op]
-    build = {"union": union, "order": order, "series": series}[split.op]
-    parts = [g.induced(p) for p in split.parts]
-    if rule == ANY:
-        children = [constructive_certificate(p, x) for p in parts]
-    else:
-        rest_pred = _REST_PRED[rule[1]]
-        children = [
-            constructive_certificate(p, x) if not rest_pred(p) else _rest_expression(p, rule[1])
-            for p in parts
-        ]
-    assert all(c is not None for c in children)
-    return build(*children)  # type: ignore[arg-type]
+    The di-co-tree certifies every constructive class: a part of a rest kind
+    decomposes into leaves joined by that kind's operation, which the grammar
+    admits as the rest side.
+    """
+    return di_co_tree(g) if member_constructive(g, x) else None
 
 
 # -- pattern route ------------------------------------------------------------

@@ -122,6 +122,12 @@ def test_verify_closures_exit_zero() -> None:
     assert proc.stdout.startswith("suite closures: 7 checks, 0 failures")
 
 
+def test_verify_projections_suite_is_reachable() -> None:
+    proc = run_cli("verify", "--suite", "projections", "--nmax", "3")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("suite projections:")
+
+
 def test_verify_hierarchy_reports_missing_witnesses() -> None:
     proc = run_cli("verify", "--suite", "hierarchy", "--nmax", "3")
     assert proc.returncode == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from dcograph.decompose import (
     replay_arcs,
 )
 from dcograph.patterns import PATTERNS
-from dcograph.recognize import ClassId, member_constructive
+from dcograph.recognize import GRAMMAR_CLASSES, ClassId, member_constructive
 
 
 def test_split_identifies_each_operation() -> None:
@@ -58,14 +60,26 @@ def test_order_split_respects_arc_direction() -> None:
     assert split.parts == ((2,), (0,), (1,))
 
 
-def test_di_co_tree_round_trip_on_small_members(reps_small) -> None:
-    for g in reps_small:
-        tree = di_co_tree(g)
-        if member_constructive(g, ClassId.DC):
+def test_di_co_tree_round_trip_on_small_members(reps_small, reps_by_n) -> None:
+    # canonical labels up to four vertices, then every five-vertex
+    # representative under one random relabelling, which moves the vertex ids
+    # the tree's nodes carry; each is checked against the representative g
+    rng = random.Random(1907)
+    cases = [(g, g) for g in reps_small]
+    for g in reps_by_n[5]:
+        perm = list(range(5))
+        rng.shuffle(perm)
+        cases.append((g.relabel(perm), g))
+    for h, g in cases:
+        tree = di_co_tree(h)
+        if member_constructive(h, ClassId.DC):
             assert tree is not None
-            assert evaluate(tree).isomorphic_to(g)
+            assert evaluate(tree).isomorphic_to(h)
         else:
             assert tree is None
+        assert [member_constructive(h, x) for x in GRAMMAR_CLASSES] == [
+            member_constructive(g, x) for x in GRAMMAR_CLASSES
+        ], h
 
 
 def test_creation_sequence_matches_threshold_membership(reps_small) -> None:

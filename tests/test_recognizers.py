@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dcograph.construct import Expression, evaluate
+from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
+from dcograph.decompose import maximal_split
 from dcograph.patterns import PATTERNS, induced_canon_set
 from dcograph.recognize import (
+    _ORACLE_SPEC,
+    _SIDE_BUILDERS,
     ANY,
     FORBIDDEN,
     GRAMMAR_CLASSES,
@@ -137,3 +142,49 @@ def test_oracle_matches_constructive_at_five_vertices_for_one_class(reps_by_n) -
     members = oracle_members(ClassId.OC, 5)
     expected = {g.canonical_form() for g in reps_by_n[5] if member_constructive(g, ClassId.OC)}
     assert members == expected
+
+
+def _draw_member(data, x: ClassId, n: int) -> Digraph:
+    """A member of x on n vertices, built by the literal grammar in _ORACLE_SPEC."""
+    spec = _ORACLE_SPEC[x]
+    if n == 1:
+        return Digraph(1)
+    if spec["base"] != "dot" and data.draw(st.booleans()):
+        return _SIDE_BUILDERS[spec["base"]](n)  # type: ignore[index]
+    op = data.draw(st.sampled_from([op for op in ("union", "order", "series") if spec[op] is not None]))
+    left, right = data.draw(st.sampled_from(spec[op])) if op == "order" else spec[op]  # type: ignore[misc]
+    if left == "dot":
+        size = 1
+    elif right == "dot":
+        size = n - 1
+    else:
+        size = data.draw(st.integers(min_value=1, max_value=n - 1))
+
+    def side(kind: str, k: int) -> Digraph:
+        if kind == "G":
+            return _draw_member(data, x, k)
+        return Digraph(1) if kind == "dot" else _SIDE_BUILDERS[kind](k)
+
+    return compose(op, side(left, size), side(right, n - size))
+
+
+def _degree_pairs(g: Digraph) -> list[tuple[int, int]]:
+    return sorted((g.out_degree(v), g.in_degree(v)) for v in range(g.n))
+
+
+@given(st.sampled_from(GRAMMAR_CLASSES), st.integers(min_value=9, max_value=40), st.data())
+def test_constructive_route_above_the_pattern_route(x: ClassId, n: int, data) -> None:
+    # classify cross-checks nothing above eight vertices, so relabelled
+    # grammar members are checked through their certificates instead
+    g = _draw_member(data, x, n).relabel(data.draw(st.permutations(range(n))))
+    assert {x, ClassId.DC} <= classify(g, GRAMMAR_CLASSES)
+    parts = maximal_split(g).parts
+    assert sorted(v for part in parts for v in part) == list(range(n))
+    cert = constructive_certificate(g, x)
+    assert cert is not None and _conforms(cert, x)
+    rebuilt = evaluate(cert)
+    assert (rebuilt.n, rebuilt.arc_count) == (g.n, g.arc_count)
+    assert _degree_pairs(rebuilt) == _degree_pairs(g)
+    # a disjoint directed triangle is prime, so no grammar class survives it
+    planted = compose("union", g, PATTERNS["D5"])
+    assert not any(member_constructive(planted, y) for y in GRAMMAR_CLASSES)

@@ -1,14 +1,15 @@
 """Immutable bit-matrix digraphs, undirected graphs, isomorphism, and edge-list IO."""
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
 MAX_VERTICES = 64
 MAX_CANONICAL_VERTICES = 8
 
-# (n, mask) -> (canonical bytes, vertex order achieving it)
-_CANON_CACHE: dict[tuple[int, int], tuple[bytes, tuple[int, ...]]] = {}
+# entries kept by every per-digraph memo; a bound keeps long-lived processes small
+_MEMO_SIZE = 1 << 15
 
 
 class EdgeListError(ValueError):
@@ -234,53 +235,16 @@ class Digraph:
 
     # -- isomorphism --------------------------------------------------------
 
-    def _canonize(self) -> tuple[bytes, tuple[int, ...]]:
-        key = (self.n, self._mask)
-        hit = _CANON_CACHE.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        if n > MAX_CANONICAL_VERTICES:
-            raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_VERTICES}")
-        sym = self._mask & self.converse()._mask
-        invariant = [
-            (self.out_degree(v), self.in_degree(v), (sym >> v * n & (1 << n) - 1).bit_count())
-            for v in range(n)
-        ]
-        # Isomorphisms preserve the degree triple, so only orderings that keep
-        # the sorted triple sequence can achieve the minimum.
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for v in range(n):
-            groups.setdefault(invariant[v], []).append(v)
-        group_lists = [groups[k] for k in sorted(groups)]
-        arcs = self.arcs
-        best_mask = -1
-        best_order: tuple[int, ...] = ()
-        for parts in product(*(permutations(g) for g in group_lists)):
-            order: tuple[int, ...] = sum(parts, ())
-            pos = [0] * n
-            for i, v in enumerate(order):
-                pos[v] = i
-            mask = 0
-            for u, v in arcs:
-                mask |= 1 << pos[u] * n + pos[v]
-            if best_mask < 0 or mask < best_mask:
-                best_mask = mask
-                best_order = order
-        out = (bytes([n]) + best_mask.to_bytes((n * n + 7) // 8, "big"), best_order)
-        _CANON_CACHE[key] = out
-        return out
-
     def canonical_form(self) -> bytes:
         """Deterministic bytes equal for two digraphs iff they are isomorphic (n <= 8)."""
-        return self._canonize()[0]
+        return _canonize(self.n, self._mask)[0]
 
     def isomorphism_to(self, other: Digraph) -> tuple[int, ...] | None:
         """A vertex bijection carrying self onto other, or None."""
         if self.n != other.n:
             return None
-        ca, oa = self._canonize()
-        cb, ob = other._canonize()
+        ca, oa = _canonize(self.n, self._mask)
+        cb, ob = _canonize(other.n, other._mask)
         if ca != cb:
             return None
         mapping = [0] * self.n
@@ -328,6 +292,40 @@ def _component_masks(s: int, rows: list[int]) -> list[int]:
         comps.append(comp)
         s &= ~comp
     return comps
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _canonize(n: int, mask: int) -> tuple[bytes, tuple[int, ...]]:
+    """Canonical bytes of the n-vertex digraph with this mask, and a vertex order achieving them."""
+    if n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_VERTICES}")
+    g = Digraph.from_mask(n, mask)
+    sym = mask & g.converse()._mask
+    invariant = [
+        (g.out_degree(v), g.in_degree(v), (sym >> v * n & (1 << n) - 1).bit_count())
+        for v in range(n)
+    ]
+    # Isomorphisms preserve the degree triple, so only orderings that keep
+    # the sorted triple sequence can achieve the minimum.
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for v in range(n):
+        groups.setdefault(invariant[v], []).append(v)
+    group_lists = [groups[k] for k in sorted(groups)]
+    arcs = g.arcs
+    best_mask = -1
+    best_order: tuple[int, ...] = ()
+    for parts in product(*(permutations(cell) for cell in group_lists)):
+        order: tuple[int, ...] = sum(parts, ())
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        relabelled = 0
+        for u, v in arcs:
+            relabelled |= 1 << pos[u] * n + pos[v]
+        if best_mask < 0 or relabelled < best_mask:
+            best_mask = relabelled
+            best_order = order
+    return bytes([n]) + best_mask.to_bytes((n * n + 7) // 8, "big"), best_order
 
 
 class UndirectedGraph:

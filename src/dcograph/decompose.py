@@ -6,7 +6,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from dcograph.core import Digraph, _bits, _component_masks
+from dcograph.core import _MEMO_SIZE, Digraph, _bits, _component_masks
 from dcograph.construct import Expression, leaf, order, series, union
 
 
@@ -176,10 +176,6 @@ def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tup
         elif len(loose) == 1:
             classes |= bits & loose[0]
     return classes, _ALL_LEAVES_REST[op] if all(r == _LEAF_REST for r in child_rests) else 0
-
-
-# the trees of the most recent digraphs; a bound keeps long-lived processes small
-_MEMO_SIZE = 1 << 15
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import Digraph
+from dcograph.core import _MEMO_SIZE, Digraph
 from dcograph.decompose import di_co_tree
 from dcograph.patterns import (
     CATALOG,
@@ -248,21 +249,52 @@ class ObstructionReport:
 
 MINEABLE_CLASSES: tuple[ClassId, ...] = GRAMMAR_CLASSES + (ClassId.TT,) + MICRO_CLASSES
 
-_DEL_CANON: dict[tuple[int, int], tuple[bytes, ...]] = {}
-
-
-def _deletion_canons(g: Digraph) -> tuple[bytes, ...]:
-    key = (g.n, g.mask)
-    if key not in _DEL_CANON:
-        _DEL_CANON[key] = tuple(g.delete_vertex(v).canonical_form() for v in range(g.n))
-    return _DEL_CANON[key]
-
 
 def is_minimal_obstruction(g: Digraph, x: ClassId) -> bool:
     """True when g is outside the class but every single-vertex deletion is inside."""
     if _class_membership(g, x):
         return False
     return all(_class_membership(g.delete_vertex(v), x) for v in range(g.n))
+
+
+def _mine_level(
+    x: ClassId, n: int, members: np.ndarray, deadline: float | None = None
+) -> tuple[np.ndarray, list[Digraph]]:
+    """The n-vertex members and minimal obstructions, from the (n-1)-vertex members.
+
+    members holds the sorted canonical masks of the (n-1)-vertex members. The
+    class is assumed hereditary: then every n-vertex member and every minimal
+    obstruction has all its single-vertex deletions inside the class, so it is
+    a one-vertex extension of some member whose other deletions are members
+    too. Only those extensions are tested for membership. Returns the sorted
+    canonical masks of the n-vertex members and the minimal obstructions, each
+    carrying the minimum mask over its isomorphism class. The deadline is
+    checked before each batch.
+    """
+    del_tables = _deletion_tables(n)
+    seen: set[int] = set()
+    inside: list[int] = []
+    obstructions: list[Digraph] = []
+    batch = 200
+    for start in range(0, members.size, batch):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
+        cands = np.unique(_one_vertex_extensions(n, members[start : start + batch]))
+        # deleting the attached vertex n-1 returns the base member, so only
+        # deletions of vertices 0..n-2 need checking
+        for d in range(n - 1):
+            deleted = canonical_masks(n - 1, _apply_remap(del_tables[d], cands))
+            cands = cands[np.isin(deleted, members)]
+        for m in np.unique(canonical_masks(n, cands)).tolist():
+            if m in seen:
+                continue
+            seen.add(m)
+            g = Digraph.from_mask(n, m)
+            if _class_membership(g, x):
+                inside.append(m)
+            else:
+                obstructions.append(g)
+    return np.array(sorted(inside), dtype=np.uint64), obstructions
 
 
 def minimal_forbidden(
@@ -273,6 +305,10 @@ def minimal_forbidden(
     A digraph is a minimal obstruction when it is outside the class but every
     single-vertex deletion is inside. Membership comes from the constructive
     recognizer only, so the catalog under test never influences the search.
+    Each size is mined from the members of the size below (`_mine_level`),
+    which assumes the class is hereditary. The time budget is checked only
+    during the n = 6 level; when it runs out, that level's obstructions are
+    dropped and the report is partial.
     """
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer to mine against")
@@ -280,25 +316,17 @@ def minimal_forbidden(
         raise ValueError("minimal_forbidden supports n_max in 2..6")
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
 
-    member_canon: list[set[bytes]] = [set()]  # per size, canonical forms of members
+    # level 1: the single vertex, whose canonical mask is 0
+    members = np.array([0] if _class_membership(Digraph.edgeless(1), x) else [], dtype=np.uint64)
     found: list[Digraph] = []
-    for n in range(1, min(n_max, 5) + 1):
-        level: set[bytes] = set()
-        for g in enumerate_digraphs(n):
-            if _class_membership(g, x):
-                level.add(g.canonical_form())
-            elif n >= 2 and all(
-                c in member_canon[n - 1] for c in _deletion_canons(g)
-            ):
-                found.append(g)
-        member_canon.append(level)
-
     partial = False
-    if n_max == 6:
+    for n in range(2, n_max + 1):
         try:
-            found.extend(_mine_six(x, member_canon[5], deadline))
+            members, obstructions = _mine_level(x, n, members, deadline if n == 6 else None)
         except BudgetExceeded:
             partial = True
+            break
+        found.extend(obstructions)
 
     found.sort(key=lambda g: (g.n, g.mask))
     found_forms = {g.canonical_form() for g in found}
@@ -317,50 +345,6 @@ def minimal_forbidden(
         class_id=x, n_max=n_max, found=found, confirmed=confirmed,
         missing=missing, extra=extra, out_of_reach=out_of_reach, partial=partial,
     )
-
-
-def _mine_six(x: ClassId, members5: set[bytes], deadline: float | None) -> list[Digraph]:
-    """Six-vertex minimal obstructions by extending 5-vertex members.
-
-    Every minimal 6-vertex obstruction has all deletions inside the class, so
-    it is a one-vertex extension of some 5-vertex member representative.
-    """
-    # enumerate_digraphs reps carry bulk-canonical masks, so their masks are
-    # directly comparable with canonical_masks output
-    base = np.array(
-        [g.mask for g in enumerate_digraphs(5) if g.canonical_form() in members5],
-        dtype=np.uint64,
-    )
-    if base.size == 0:
-        return []
-    member_masks = np.sort(base)
-    del_tables = _deletion_tables(6)
-    out: list[Digraph] = []
-    seen: set[bytes] = set()
-    batch = 200
-    for start in range(0, base.size, batch):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
-        cands = np.unique(_one_vertex_extensions(6, base[start : start + batch]))
-        keep = np.ones(cands.size, dtype=bool)
-        # deleting the attached vertex 5 returns the base member, so only
-        # deletions of the original five vertices need checking
-        for d in range(5):
-            deleted = canonical_masks(5, _apply_remap(del_tables[d], cands[keep]))
-            inside = np.isin(deleted, member_masks)
-            idx = np.flatnonzero(keep)
-            keep[idx[~inside]] = False
-            if not keep.any():
-                break
-        for m in cands[keep]:
-            g = Digraph.from_mask(6, int(m))
-            if _class_membership(g, x):
-                continue
-            canon = g.canonical_form()
-            if canon not in seen:
-                seen.add(canon)
-                out.append(Digraph.from_mask(6, int(canonical_masks(6, np.array([m], dtype=np.uint64))[0])))
-    return out
 
 
 # -- tournament enumeration ----------------------------------------------------
@@ -529,17 +513,13 @@ def _member(x: ClassId) -> Callable[[Digraph], bool]:
     return lambda g: _class_membership(g, x)
 
 
-_UN_MEMBER_CACHE: dict[tuple[int, int, UClassId], bool] = {}
+@lru_cache(maxsize=_MEMO_SIZE)
+def _un_member(g: Digraph, u: UClassId) -> bool:
+    return member_u(g.underlying(), u)
 
 
 def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
-    def pred(g: Digraph) -> bool:
-        key = (g.n, g.mask, u)
-        if key not in _UN_MEMBER_CACHE:
-            _UN_MEMBER_CACHE[key] = member_u(g.underlying(), u)
-        return _UN_MEMBER_CACHE[key]
-
-    return pred
+    return lambda g: _un_member(g, u)
 
 
 def _both(p: Callable[[Digraph], bool], q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from dcograph.construct import compose
-from dcograph.core import Digraph, format_edge_list
+from dcograph.core import _MEMO_SIZE, Digraph, format_edge_list
 
 
 def _dg(n: int, *arcs: tuple[int, int]) -> Digraph:
@@ -132,13 +133,13 @@ def catalog(class_name: str) -> tuple[Digraph, ...]:
 def contains_induced(g: Digraph, pattern: Digraph) -> tuple[int, ...] | None:
     """Occurrence witness: tuple w with w[p] = vertex of g playing pattern vertex p, or None.
 
-    Enumerates vertex subsets with a degree-signature prefilter, then matches
-    by canonical form; the first (lexicographically smallest) subset wins.
+    Enumerates vertex subsets, skips those whose arc count differs from the
+    pattern's, then matches by canonical form; the first (lexicographically
+    smallest) subset wins.
     """
     k = pattern.n
     if k > g.n:
         return None
-    target = pattern.canonical_form()
     pat_arc_count = pattern.arc_count
     for subset in combinations(range(g.n), k):
         sub = g.induced(subset)
@@ -156,22 +157,14 @@ def is_free(g: Digraph, patterns: tuple[Digraph, ...]) -> bool:
     return all(contains_induced(g, p) is None for p in patterns)
 
 
-_SUBCANON_CACHE: dict[tuple[int, int], frozenset[bytes]] = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def induced_canon_set(g: Digraph) -> frozenset[bytes]:
     """Canonical forms of all induced subdigraphs of g (g.n <= 8); memoized."""
-    key = (g.n, g.mask)
-    hit = _SUBCANON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    forms: set[bytes] = set()
-    for k in range(1, g.n + 1):
-        for subset in combinations(range(g.n), k):
-            forms.add(g.induced(subset).canonical_form())
-    out = frozenset(forms)
-    _SUBCANON_CACHE[key] = out
-    return out
+    return frozenset(
+        g.induced(subset).canonical_form()
+        for k in range(1, g.n + 1)
+        for subset in combinations(range(g.n), k)
+    )
 
 
 def free_of(sub_canons: frozenset[bytes], names: Iterable[str]) -> bool:

@@ -1,14 +1,19 @@
-"""Enumeration and mining: counts, catalog reproduction, determinism."""
+"""Enumeration and mining: counts, catalog reproduction, determinism, bounded memos."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from dcograph.patterns import CATALOG, PATTERNS, contains_induced
+from dcograph.core import _canonize
+from dcograph.decompose import _tree
+from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set
 from dcograph.recognize import ClassId
 from dcograph.mine import (
     MINEABLE_CLASSES,
+    _class_membership,
+    _mine_level,
+    _un_member,
     canonical_masks,
     enumerate_digraphs,
     enumerate_tournaments,
@@ -59,6 +64,27 @@ def test_mining_reproduces_each_catalog(x: ClassId) -> None:
     beyond = [n for n in CATALOG[x.value] if PATTERNS[n].n > 5]
     assert sorted(report.confirmed) == sorted(reachable)
     assert sorted(report.out_of_reach) == sorted(beyond)
+
+
+@pytest.mark.parametrize("x", MINEABLE_CLASSES, ids=lambda x: x.value)
+def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
+    # the levels extend members only, so they are complete exactly when the
+    # class is hereditary; check that against every digraph up to 5 vertices
+    members = np.array([0], dtype=np.uint64)
+    assert [g.mask for g in reps_by_n[1] if _class_membership(g, x)] == [0]
+    for n in range(2, 6):
+        members, obstructions = _mine_level(x, n, members)
+        expected = [g.mask for g in reps_by_n[n] if _class_membership(g, x)]
+        assert members.tolist() == expected, n
+        if n <= 4:
+            minimal = [g.mask for g in reps_by_n[n] if is_minimal_obstruction(g, x)]
+            assert sorted(g.mask for g in obstructions) == minimal, n
+
+
+def test_per_digraph_memos_are_bounded() -> None:
+    for memo in (_canonize, induced_canon_set, _un_member, _tree):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, memo.__name__
 
 
 def test_mined_sets_are_antichains() -> None:

@@ -94,6 +94,19 @@ def series(*children: Expression) -> Expression:
     return _node("series", children)
 
 
+def _cross_arcs(kind: str, starts: list[int]) -> list[tuple[int, int]]:
+    """Arcs an order/series node adds between its children, child i being starts[i]..starts[i+1]-1."""
+    if kind == "union":
+        return []
+    forward = [
+        (u, v)
+        for i in range(len(starts) - 1)
+        for u in range(starts[i], starts[i + 1])
+        for v in range(starts[i + 1], starts[-1])
+    ]
+    return forward + [(v, u) for u, v in forward] if kind == "series" else forward
+
+
 def evaluate(e: Expression) -> Digraph:
     """Build the digraph an expression denotes; leaves number depth-first left to right."""
     total = e.leaf_count
@@ -110,14 +123,7 @@ def evaluate(e: Expression) -> Digraph:
             starts.append(cur)
             cur = emit(c, cur)
         starts.append(cur)
-        if node.kind != "union":
-            for i in range(len(node.children)):
-                for j in range(i + 1, len(node.children)):
-                    for u in range(starts[i], starts[i + 1]):
-                        for v in range(starts[j], starts[j + 1]):
-                            arcs.append((u, v))
-                            if node.kind == "series":
-                                arcs.append((v, u))
+        arcs.extend(_cross_arcs(node.kind, starts))
         return cur
 
     emit(e, 0)
@@ -129,12 +135,7 @@ def compose(op: str, a: Digraph, b: Digraph) -> Digraph:
     n = a.n + b.n
     arcs = list(a.arcs)
     arcs.extend((u + a.n, v + a.n) for u, v in b.arcs)
-    if op != "union":
-        for u in range(a.n):
-            for v in range(a.n, n):
-                arcs.append((u, v))
-                if op == "series":
-                    arcs.append((v, u))
+    arcs.extend(_cross_arcs(op, [0, a.n, n]))
     return Digraph(n, arcs)
 
 

@@ -353,15 +353,8 @@ class UndirectedGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._edges))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edges
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self._edges if v in e)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(a + b - v for a, b in self._edges if v in (a, b)))

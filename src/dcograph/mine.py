@@ -25,6 +25,7 @@ from dcograph.recognize import (
     GRAMMAR_CLASSES,
     MICRO_CLASSES,
     PATTERN_ONLY_CLASSES,
+    member_by_patterns,
     member_constructive,
 )
 from dcograph.uclasses import UClassId, enumerate_undirected, member_u
@@ -168,10 +169,7 @@ def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
 
 def _class_membership(g: Digraph, x: ClassId) -> bool:
     if x in PATTERN_ONLY_CLASSES:
-        # the partial-pattern scan rejects most small digraphs, so it runs
-        # before the induced canon set is built
-        partial = has_two_switch if x is ClassId.TD else has_anticircuit
-        return not partial(g) and free_of(induced_canon_set(g), CATALOG[x.value])
+        return member_by_patterns(g, x)
     return member_constructive(g, x)
 
 

@@ -1,4 +1,4 @@
-"""Forbidden-pattern catalog: small digraphs, induced-containment search, partial patterns."""
+"""Forbidden-pattern catalog: small digraphs, induced-containment search, row tests, partial patterns."""
 from __future__ import annotations
 
 import os
@@ -130,6 +130,11 @@ def catalog(class_name: str) -> tuple[Digraph, ...]:
     return tuple(PATTERNS[p] for p in CATALOG[class_name])
 
 
+def _out_rows(g: Digraph) -> list[int]:
+    n, full = g.n, (1 << g.n) - 1
+    return [g.mask >> u * n & full for u in range(n)]
+
+
 def contains_induced(g: Digraph, pattern: Digraph) -> tuple[int, ...] | None:
     """Occurrence witness: tuple w with w[p] = vertex of g playing pattern vertex p, or None.
 
@@ -150,6 +155,36 @@ def contains_induced(g: Digraph, pattern: Digraph) -> tuple[int, ...] | None:
             continue
         return tuple(subset[iso[p]] for p in range(k))
     return None
+
+
+def contains_small(g: Digraph, pattern: Digraph) -> bool:
+    """True iff the 2- or 3-vertex pattern occurs as an induced subdigraph of g; O(n^2) on rows.
+
+    Vertices u, v, w play pattern vertices 0, 1, 2 iff each pair has the kind of the pattern's pair.
+    """
+    if not 2 <= pattern.n <= 3:
+        raise ValueError(f"row containment needs a 2- or 3-vertex pattern, got {pattern.n}")
+    rows, cols = _out_rows(g), _out_rows(g.converse())
+    everyone = (1 << g.n) - 1
+
+    def pairs(a: int, b: int) -> list[int]:
+        # per u, the v != u whose pair with u has the kind of the pattern pair (a, b)
+        ab, ba = pattern.has_arc(a, b), pattern.has_arc(b, a)
+        return [
+            (row if ab else ~row) & (col if ba else ~col) & everyone & ~(1 << u)
+            for u, (row, col) in enumerate(zip(rows, cols))
+        ]
+
+    if pattern.n == 2:
+        return any(pairs(0, 1))
+    p01, p02, p12 = pairs(0, 1), pairs(0, 2), pairs(1, 2)
+    for u, vs in enumerate(p01):
+        while vs:
+            v = (vs & -vs).bit_length() - 1
+            vs &= vs - 1
+            if p02[u] & p12[v]:
+                return True
+    return False
 
 
 def is_free(g: Digraph, patterns: tuple[Digraph, ...]) -> bool:
@@ -174,57 +209,41 @@ def free_of(sub_canons: frozenset[bytes], names: Iterable[str]) -> bool:
 
 @dataclass(frozen=True)
 class PartialPattern:
-    """Role-based arc constraints: required and forbidden ordered pairs over 4 roles."""
+    """Roles (p, q, r, s): arcs p->q, r->s; p->s, r->q absent unless the roles coincide.
+
+    p != r and q != s always; all_distinct makes all four roles pairwise distinct.
+    """
 
     name: str
-    roles: tuple[str, str, str, str]
-    required: tuple[tuple[int, int], ...]
-    forbidden: tuple[tuple[int, int], ...]
-    distinct: tuple[tuple[int, int], ...]
+    all_distinct: bool
 
 
-# Roles w,x,y,z all pairwise distinct; arcs (w,x),(y,z) in, (w,z),(y,x) out.
-TWO_SWITCH = PartialPattern(
-    name="2-switch",
-    roles=("w", "x", "y", "z"),
-    required=((0, 1), (2, 3)),
-    forbidden=((0, 3), (2, 1)),
-    distinct=tuple((i, j) for i in range(4) for j in range(i + 1, 4)),
-)
+# w->x and y->z with w->z and y->x absent, w,x,y,z pairwise distinct.
+TWO_SWITCH = PartialPattern(name="2-switch", all_distinct=True)
 
-# Roles x,y,z,w with only x != z and y != w; other coincidences allowed.
-ANTICIRCUIT = PartialPattern(
-    name="alternating-4-anticircuit",
-    roles=("x", "y", "z", "w"),
-    required=((0, 1), (2, 3)),
-    forbidden=((0, 3), (2, 1)),
-    distinct=((0, 2), (1, 3)),
-)
+# x->y and z->w with x->w and z->y absent, x != z and y != w.
+ANTICIRCUIT = PartialPattern(name="alternating-4-anticircuit", all_distinct=False)
 
 
 def match_partial(g: Digraph, pp: PartialPattern) -> tuple[int, ...] | None:
-    """First role assignment satisfying the partial pattern, or None.
+    """First role assignment (p, q, r, s) satisfying the partial pattern, or None.
 
-    Iterates over ordered arc pairs for the two required arcs, so the cost is
-    O(m^2) rather than O(n^4). A required arc whose endpoints coincide can
-    never be satisfied (no loops); a forbidden pair that coincides is vacuous.
+    Runs over the arcs p->q in order and r ascending, and takes s as the
+    lowest vertex of row[r] the constraints leave, so the assignment is the
+    first in lexicographic order of the two arcs; the cost is O(n*m).
     """
-    arcs = g.arcs
-    # both partial patterns share the required-arc shape ((0,1),(2,3))
-    assert pp.required == ((0, 1), (2, 3))
-    for a in arcs:
-        for b in arcs:
-            assignment = (a[0], a[1], b[0], b[1])
-            if any(assignment[i] == assignment[j] for i, j in pp.distinct):
+    rows = _out_rows(g)
+    for p, q in g.arcs:
+        # r->s with s != q and, unless s == p, p->s absent
+        heads = ~rows[p] & ~(1 << q)
+        if pp.all_distinct:
+            heads &= ~(1 << p)
+        for r in range(g.n):
+            if r == p or rows[r] >> q & 1 or (pp.all_distinct and r == q):
                 continue
-            ok = True
-            for u, v in pp.forbidden:
-                s, t = assignment[u], assignment[v]
-                if s != t and g.has_arc(s, t):
-                    ok = False
-                    break
-            if ok:
-                return assignment
+            s = rows[r] & heads
+            if s:
+                return (p, q, r, (s & -s).bit_length() - 1)
     return None
 
 

@@ -26,9 +26,7 @@ from dcograph.patterns import (
     CATALOG,
     PATTERNS,
     contains_induced,
-    free_of,
-    has_anticircuit,
-    has_two_switch,
+    contains_small,
     match_partial,
     ANTICIRCUIT,
     TWO_SWITCH,
@@ -111,7 +109,16 @@ def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:
 
 
 def member_by_patterns(g: Digraph, x: ClassId) -> bool:
-    """Membership by freeness from the class catalog (plus TD/FD partial patterns)."""
+    """Membership by freeness from the class catalog (plus TD/FD partial patterns).
+
+    TD and FD, whose catalog patterns have 2-3 vertices, are decided on rows at any n.
+    """
+    if x in PATTERN_ONLY_CLASSES:
+        # the partial-pattern scan rejects most digraphs, so it runs first
+        partial = TWO_SWITCH if x is ClassId.TD else ANTICIRCUIT
+        return match_partial(g, partial) is None and not any(
+            contains_small(g, PATTERNS[name]) for name in CATALOG[x.value]
+        )
     return violating_occurrence(g, x) is None
 
 
@@ -131,17 +138,6 @@ def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] 
         if roles is not None:
             return (ANTICIRCUIT.name, roles)
     return None
-
-
-def member_by_patterns_canon(sub_canons: frozenset[bytes], x: ClassId, g: Digraph) -> bool:
-    """Pattern-route membership using a precomputed induced-subdigraph canon set."""
-    if not free_of(sub_canons, CATALOG[x.value]):
-        return False
-    if x is ClassId.TD and has_two_switch(g):
-        return False
-    if x is ClassId.FD and has_anticircuit(g):
-        return False
-    return True
 
 
 PATTERN_ROUTE_MAX_N = 8

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 
 from dcograph.core import UndirectedGraph
+from dcograph.patterns import contains_induced
 
 
 class UClassId(Enum):
@@ -72,31 +72,10 @@ FORB_U: dict[UClassId, tuple[str, ...]] = {
 }
 
 
-def contains_induced_u(g: UndirectedGraph, pattern: UndirectedGraph) -> bool:
-    """True iff some vertex subset of g induces a graph isomorphic to pattern."""
-    k = pattern.n
-    if k > g.n:
-        return False
-    target = pattern.canonical_form()
-    pat_degrees = sorted(pattern.degree(v) for v in range(k))
-    for subset in combinations(range(g.n), k):
-        sub = g.induced(subset)
-        if sub.edge_count != pattern.edge_count:
-            continue
-        if sorted(sub.degree(v) for v in range(k)) != pat_degrees:
-            continue
-        if sub.canonical_form() == target:
-            return True
-    return False
-
-
-def is_free_u(g: UndirectedGraph, patterns: tuple[str, ...]) -> bool:
-    return not any(contains_induced_u(g, UPATTERNS[p]) for p in patterns)
-
-
 def member_u(g: UndirectedGraph, x: UClassId) -> bool:
     """Membership by freeness from the class's forbidden induced subgraphs."""
-    return is_free_u(g, FORB_U[x])
+    d = g.to_digraph()
+    return all(contains_induced(d, UPATTERNS[p].to_digraph()) is None for p in FORB_U[x])
 
 
 _U_LEVELS: list[list[UndirectedGraph]] = [[UndirectedGraph(1)]]

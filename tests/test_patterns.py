@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcograph.construct import transitive_tournament
 from dcograph.core import Digraph, parse_edge_list
 from dcograph.mine import is_minimal_obstruction
 from dcograph.patterns import (
@@ -13,8 +17,10 @@ from dcograph.patterns import (
     CATALOG,
     PATTERNS,
     TWO_SWITCH,
+    PartialPattern,
     catalog,
     contains_induced,
+    contains_small,
     free_of,
     has_anticircuit,
     has_two_switch,
@@ -23,7 +29,8 @@ from dcograph.patterns import (
     match_partial,
     write_pattern_fixtures,
 )
-from dcograph.recognize import ClassId, member_by_patterns
+from dcograph.recognize import GRAMMAR_CLASSES, ClassId, member_by_patterns
+from test_recognizers import _draw_member
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "patterns")
 
@@ -117,6 +124,110 @@ def test_pattern_route_spot_checks() -> None:
     assert not member_by_patterns(PATTERNS["D5"], ClassId.TD)
     assert not member_by_patterns(PATTERNS["D1"], ClassId.FD)
     assert member_by_patterns(Digraph(4, [(0, 1), (0, 2), (0, 3)]), ClassId.FD)
+
+
+# -- row tests against references ----------------------------------------------
+
+# The arc-pair interpreter that match_partial replaced, kept as its reference:
+# roles (p, q, r, s) over ordered arc pairs p->q, r->s, with the role pairs
+# that must differ and the role pairs that must not be arcs unless they coincide.
+_INTERPRETER_RULES = {
+    TWO_SWITCH.name: (tuple(combinations(range(4), 2)), ((0, 3), (2, 1))),
+    ANTICIRCUIT.name: (((0, 2), (1, 3)), ((0, 3), (2, 1))),
+}
+
+_SMALL_FORMS = {name: p.canonical_form() for name, p in PATTERNS.items() if p.n <= 3}
+
+
+def _interpret(g: Digraph, pp: PartialPattern) -> tuple[int, ...] | None:
+    distinct, forbidden = _INTERPRETER_RULES[pp.name]
+    arcs = g.arcs
+    for a in arcs:
+        for b in arcs:
+            roles = a + b
+            if any(roles[i] == roles[j] for i, j in distinct):
+                continue
+            if any(roles[i] != roles[j] and g.has_arc(roles[i], roles[j]) for i, j in forbidden):
+                continue
+            return roles
+    return None
+
+
+def _small_forms(g: Digraph) -> set[bytes]:
+    """Canonical forms of the 2- and 3-vertex induced subdigraphs; contains_induced matches by them."""
+    return {
+        g.induced(s).canonical_form() for k in (2, 3) for s in combinations(range(g.n), k)
+    }
+
+
+def _pair_formula(g: Digraph, pp: PartialPattern) -> bool:
+    """Existence without roles: rows of some w != y each hold a vertex the other lacks.
+
+    For the two-switch that vertex must also differ from the other row's owner.
+    """
+    rows = [g.out_row(u) for u in range(g.n)]
+    for w in range(g.n):
+        for y in range(g.n):
+            only_w, only_y = rows[w] & ~rows[y], rows[y] & ~rows[w]
+            if pp.all_distinct:
+                only_w, only_y = only_w & ~(1 << y), only_y & ~(1 << w)
+            if w != y and only_w and only_y:
+                return True
+    return False
+
+
+def _assert_rows_match_references(g: Digraph, forms: frozenset[bytes] | set[bytes]) -> None:
+    """forms: canonical forms of (at least) every 2- and 3-vertex induced subdigraph of g."""
+    for pp in (TWO_SWITCH, ANTICIRCUIT):
+        assert match_partial(g, pp) == _interpret(g, pp), (pp.name, g)
+    for name, form in _SMALL_FORMS.items():
+        assert contains_small(g, PATTERNS[name]) == (form in forms), (name, g)
+
+
+def _draw_digraph(data, min_n: int, max_n: int) -> Digraph:
+    """A relabelled grammar member or transitive tournament, one with one pair flipped, or a random digraph."""
+    n = data.draw(st.integers(min_value=min_n, max_value=max_n))
+    kind = data.draw(st.sampled_from(("member", "near miss", "random")))
+    if kind == "random":
+        rng = data.draw(st.randoms(use_true_random=False))
+        density = data.draw(st.sampled_from((0.1, 0.5, 0.9)))
+        return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density])
+    x = data.draw(st.sampled_from(GRAMMAR_CLASSES + (ClassId.TT,)))
+    g = transitive_tournament(n) if x is ClassId.TT else _draw_member(data, x, n)
+    g = g.relabel(data.draw(st.permutations(range(n))))
+    if kind == "member":
+        return g
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    v = data.draw(st.integers(min_value=0, max_value=n - 2))
+    v += v >= u
+    return Digraph.from_mask(n, g.mask ^ 1 << u * n + v)
+
+
+def test_rows_match_references_up_to_five_vertices(reps_by_n) -> None:
+    for n in range(1, 6):
+        for g in reps_by_n[n]:
+            # memoized, and shared with the catalog-route tests
+            _assert_rows_match_references(g, induced_canon_set(g))
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_rows_match_references_on_six_to_24_vertices(data) -> None:
+    g = _draw_digraph(data, 6, 24)
+    _assert_rows_match_references(g, _small_forms(g))
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_partial_patterns_match_pair_formula_on_25_to_64_vertices(data) -> None:
+    g = _draw_digraph(data, 25, 64)
+    for pp in (TWO_SWITCH, ANTICIRCUIT):
+        assert (match_partial(g, pp) is not None) == _pair_formula(g, pp), (pp.name, g)
+
+
+def test_contains_small_rejects_larger_patterns() -> None:
+    with pytest.raises(ValueError):
+        contains_small(PATTERNS["D8"], PATTERNS["D8"])
 
 
 def test_committed_fixture_files_match_patterns() -> None:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from dcograph.mine import verify_hierarchy
+from dcograph.patterns import contains_induced
 from dcograph.recognize import ClassId, member_constructive
 from dcograph.uclasses import (
     FORB_U,
     UPATTERNS,
     UClassId,
-    contains_induced_u,
     enumerate_undirected,
     member_u,
 )
@@ -60,8 +60,8 @@ def test_complement_pairs(a, b) -> None:
 
 def test_pattern_containment_spot_checks() -> None:
     p4 = UPATTERNS["P4"]
-    assert contains_induced_u(p4, UPATTERNS["P3"])
-    assert not contains_induced_u(p4, UPATTERNS["K3"])
+    assert contains_induced(p4.to_digraph(), UPATTERNS["P3"].to_digraph()) is not None
+    assert contains_induced(p4.to_digraph(), UPATTERNS["K3"].to_digraph()) is None
     assert member_u(UPATTERNS["K3"], UClassId.C)
     assert not member_u(p4, UClassId.C)
 

@@ -16,6 +16,7 @@ class EdgeListError(ValueError):
     """Raised when edge-list text is malformed."""
 
 
+@lru_cache(maxsize=MAX_VERTICES)
 def _full_offdiag(n: int) -> int:
     mask = (1 << n * n) - 1
     for v in range(n):
@@ -147,12 +148,17 @@ class Digraph:
             raise ValueError("induced subdigraph needs at least one vertex")
         if sub[0] < 0 or sub[-1] >= self.n:
             raise ValueError(f"vertices {sub} out of range for n={self.n}")
-        k = len(sub)
+        n, k = self.n, len(sub)
+        rank = dict(zip(sub, range(k)))
+        keep = sum(1 << v for v in sub)
         mask = 0
         for i, u in enumerate(sub):
-            for j, v in enumerate(sub):
-                if u != v and self._mask >> u * self.n + v & 1:
-                    mask |= 1 << i * k + j
+            # each arc u->v into a kept v lands at column rank[v] of row i
+            row = self._mask >> u * n & keep
+            while row:
+                low = row & -row
+                mask |= 1 << i * k + rank[low.bit_length() - 1]
+                row ^= low
         return Digraph.from_mask(k, mask)
 
     def delete_vertex(self, v: int) -> Digraph:

@@ -1,10 +1,10 @@
-"""Forbidden-pattern catalog: small digraphs, induced-containment search, row tests, partial patterns."""
+"""Forbidden-pattern catalog: small digraphs, induced-containment search, copy table, row tests, partial patterns."""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 from dcograph.construct import compose
@@ -200,6 +200,50 @@ def induced_canon_set(g: Digraph) -> frozenset[bytes]:
         for k in range(1, g.n + 1)
         for subset in combinations(range(g.n), k)
     )
+
+
+@lru_cache(maxsize=1)
+def _copy_table() -> dict[int, dict[int, tuple[str, ...]]]:
+    """Size k -> labelled k-vertex mask -> names of the PATTERNS it is a copy of.
+
+    Built on first use from every vertex permutation of every pattern. Aliased
+    patterns (D11/Q1, D15/Q2, D12/coQ2, coD11/coQ1) share their masks, so one
+    mask can name two patterns.
+    """
+    table: dict[int, dict[int, tuple[str, ...]]] = {}
+    for name, p in PATTERNS.items():
+        k, arcs = p.n, p.arcs
+        copies = table.setdefault(k, {})
+        for perm in permutations(range(k)):
+            mask = sum(1 << perm[u] * k + perm[v] for u, v in arcs)
+            names = copies.get(mask, ())
+            if name not in names:
+                copies[mask] = names + (name,)
+    return table
+
+
+def patterns_in(g: Digraph) -> frozenset[str]:
+    """Names of the PATTERNS that occur induced in g, from one pass over its 2-6-vertex subsets.
+
+    Each subset's labelled mask is read from g's out-rows and looked up in the
+    table of labelled pattern copies; no subset is canonicalised. The pass costs
+    C(n, 2) + ... + C(n, 6) lookups, so it is meant for g.n <= 8.
+    """
+    rows = _out_rows(g)
+    found: set[str] = set()
+    for k, copies in _copy_table().items():
+        # shifting in each pair bit from the first ends in the mask of the
+        # subset labelled in reverse, itself one of the copies in the table
+        for subset in combinations(range(g.n), k):
+            mask = 0
+            for u in subset:
+                row = rows[u]
+                for v in subset:
+                    mask = mask << 1 | row >> v & 1
+            names = copies.get(mask)
+            if names:
+                found.update(names)
+    return frozenset(found)
 
 
 def free_of(sub_canons: frozenset[bytes], names: Iterable[str]) -> bool:

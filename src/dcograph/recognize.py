@@ -28,6 +28,7 @@ from dcograph.patterns import (
     contains_induced,
     contains_small,
     match_partial,
+    patterns_in,
     ANTICIRCUIT,
     TWO_SWITCH,
 )
@@ -144,15 +145,22 @@ PATTERN_ROUTE_MAX_N = 8
 
 
 def classify(g: Digraph, classes: Iterable[ClassId] | None = None) -> set[ClassId]:
-    """All classes g belongs to; runs both routes and insists they agree when both can run."""
+    """All classes g belongs to; runs both routes and insists they agree when both can run.
+
+    Up to PATTERN_ROUTE_MAX_N vertices the pattern route reads every catalog
+    from one patterns_in(g) pass, made on the first class that needs it.
+    """
     out = set()
+    present: frozenset[str] | None = None
     for x in classes if classes is not None else list(ClassId):
         if x in PATTERN_ONLY_CLASSES:
             verdict = member_by_patterns(g, x)
         else:
             verdict = member_constructive(g, x)
             if g.n <= PATTERN_ROUTE_MAX_N:
-                by_patterns = member_by_patterns(g, x)
+                if present is None:
+                    present = patterns_in(g)
+                by_patterns = present.isdisjoint(CATALOG[x.value])
                 if by_patterns != verdict:
                     raise RouteDisagreement(x, g, verdict, by_patterns)
         if verdict:

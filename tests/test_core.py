@@ -94,6 +94,24 @@ def test_induced_on_all_vertices_is_identity(g: Digraph) -> None:
     assert g.induced(range(g.n)) == g
 
 
+def _induced_pairs(g: Digraph, vertices: list[int]) -> int:
+    """Reference induced mask: one bit test per ordered pair of kept vertices."""
+    sub = sorted(set(vertices))
+    k, mask = len(sub), 0
+    for i, u in enumerate(sub):
+        for j, v in enumerate(sub):
+            if u != v and g.mask >> u * g.n + v & 1:
+                mask |= 1 << i * k + j
+    return mask
+
+
+@given(digraphs(max_n=64), st.data())
+def test_induced_rows_match_pair_reference(g: Digraph, data) -> None:
+    vertices = data.draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=1))
+    sub = g.induced(vertices)
+    assert (sub.n, sub.mask) == (len(set(vertices)), _induced_pairs(g, vertices))
+
+
 def test_delete_vertex_matches_induced() -> None:
     g = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     for v in range(4):

@@ -27,6 +27,7 @@ from dcograph.patterns import (
     induced_canon_set,
     is_free,
     match_partial,
+    patterns_in,
     write_pattern_fixtures,
 )
 from dcograph.recognize import GRAMMAR_CLASSES, ClassId, member_by_patterns
@@ -136,7 +137,8 @@ _INTERPRETER_RULES = {
     ANTICIRCUIT.name: (((0, 2), (1, 3)), ((0, 3), (2, 1))),
 }
 
-_SMALL_FORMS = {name: p.canonical_form() for name, p in PATTERNS.items() if p.n <= 3}
+_ALL_FORMS = {name: p.canonical_form() for name, p in PATTERNS.items()}
+_SMALL_FORMS = {name: form for name, form in _ALL_FORMS.items() if PATTERNS[name].n <= 3}
 
 
 def _interpret(g: Digraph, pp: PartialPattern) -> tuple[int, ...] | None:
@@ -223,6 +225,35 @@ def test_partial_patterns_match_pair_formula_on_25_to_64_vertices(data) -> None:
     g = _draw_digraph(data, 25, 64)
     for pp in (TWO_SWITCH, ANTICIRCUIT):
         assert (match_partial(g, pp) is not None) == _pair_formula(g, pp), (pp.name, g)
+
+
+def _named_in(g: Digraph) -> frozenset[str]:
+    """Reference for patterns_in: every name whose canonical form is an induced subdigraph's."""
+    canons = induced_canon_set(g)
+    return frozenset(name for name, form in _ALL_FORMS.items() if form in canons)
+
+
+def test_patterns_in_matches_canon_sets_up_to_five_vertices(reps_by_n) -> None:
+    for n in range(1, 6):
+        for g in reps_by_n[n]:
+            assert patterns_in(g) == _named_in(g), g
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_patterns_in_matches_canon_sets_on_six_to_eight_vertices(data) -> None:
+    g = _draw_digraph(data, 6, 8)
+    assert patterns_in(g) == _named_in(g), g
+
+
+def test_patterns_in_names_every_pattern_and_its_alias() -> None:
+    aliases = {"D11": "Q1", "D15": "Q2", "D12": "coQ2", "coD11": "coQ1"}
+    aliases.update({b: a for a, b in aliases.items()})
+    for name, p in PATTERNS.items():
+        found = patterns_in(p)
+        assert name in found, name
+        # a pattern contains none of its own size but itself and its alias
+        assert {m for m in found if PATTERNS[m].n == p.n} == {name, aliases.get(name, name)}, name
 
 
 def test_contains_small_rejects_larger_patterns() -> None:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcograph import recognize
 from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import maximal_split
@@ -133,6 +138,52 @@ def test_classify_returns_closed_upward_sets() -> None:
 def test_route_disagreement_carries_context() -> None:
     exc = RouteDisagreement(ClassId.DC, Digraph(1), True, False)
     assert "DC" in str(exc) and "constructive=True" in str(exc)
+
+
+def test_cross_check_reads_patterns_in(monkeypatch) -> None:
+    # a pattern pass that misses the directed triangle must make classify
+    # disagree with the constructive route, which rejects the prime D5
+    real = recognize.patterns_in
+    monkeypatch.setattr(recognize, "patterns_in", lambda g: real(g) - {"D5"})
+    with pytest.raises(RouteDisagreement):
+        classify(PATTERNS["D5"])
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(GRAMMAR_CLASSES), st.integers(min_value=5, max_value=8), st.booleans(), st.data())
+def test_classify_runs_no_occurrence_search_up_to_eight_vertices(
+    x: ClassId, n: int, flip: bool, data
+) -> None:
+    g = _draw_member(data, x, n).relabel(data.draw(st.permutations(range(n))))
+    if flip:
+        u, v = data.draw(st.permutations(range(n)))[:2]
+        g = Digraph.from_mask(n, g.mask ^ 1 << u * n + v)
+    # the occurrence search decides every class, as classify's cross-check used to
+    expected = {y for y in ClassId if member_by_patterns(g, y)}
+
+    def no_search(*args):
+        raise AssertionError("classify ran the occurrence search")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recognize, "contains_induced", no_search)
+        assert classify(g) == expected
+
+
+def test_copy_table_is_built_on_first_use_only() -> None:
+    # classify above the pattern route's size, after the CLI's imports, must
+    # not build the table of labelled pattern copies
+    code = (
+        "import dcograph.cli\n"
+        "from dcograph import patterns, recognize\n"
+        "from dcograph.construct import transitive_tournament\n"
+        "recognize.classify(transitive_tournament(24))\n"
+        "print(patterns._copy_table.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_oracle_matches_constructive_at_five_vertices_for_one_class(reps_by_n) -> None:

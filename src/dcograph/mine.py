@@ -3,23 +3,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import _MEMO_SIZE, Digraph
+from dcograph.core import Digraph
 from dcograph.decompose import di_co_tree
-from dcograph.patterns import (
-    CATALOG,
-    PATTERNS,
-    free_of,
-    has_anticircuit,
-    has_two_switch,
-    induced_canon_set,
-)
+from dcograph.patterns import CATALOG, PATTERNS, has_anticircuit, has_two_switch, patterns_in
 from dcograph.recognize import (
     ClassId,
     GRAMMAR_CLASSES,
@@ -306,12 +298,14 @@ def minimal_forbidden(
     Each size is mined from the members of the size below (`_mine_level`),
     which assumes the class is hereditary. The time budget is checked only
     during the n = 6 level; when it runs out, that level's obstructions are
-    dropped and the report is partial.
+    dropped and the report is partial. A negative or NaN budget is a ValueError.
     """
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer to mine against")
     if not 2 <= n_max <= 6:
         raise ValueError("minimal_forbidden supports n_max in 2..6")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_seconds}")
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
 
     # level 1: the single vertex, whose canonical mask is 0
@@ -431,7 +425,7 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     if directed:
         suite = "hierarchy-directed"
         nodes, edges = DIRECTED_HIERARCHY_NODES, DIRECTED_HIERARCHY_EDGES
-        reps: list = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
+        reps: list = _universe("digraphs", n_max)[0]
         membership = lambda g, name: _class_membership(g, ClassId(name))
     else:
         suite = "hierarchy-undirected"
@@ -439,21 +433,18 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
         reps = [g for n in range(1, n_max + 1) for g in enumerate_undirected(n)]
         membership = lambda g, name: member_u(g, UClassId(name))
 
-    order = [(g, g.canonical_form()) for g in reps]
-    mem: dict[str, set[bytes]] = {name: set() for name in nodes}
-    for g, canon in order:
+    # the representatives are pairwise non-isomorphic, so a position names a class
+    mem: dict[str, set[int]] = {name: set() for name in nodes}
+    for i, g in enumerate(reps):
         for name in nodes:
             if membership(g, name):
-                mem[name].add(canon)
+                mem[name].add(i)
 
-    def first_in(diff: set[bytes]):
-        for g, canon in order:
-            if canon in diff:
-                return g
-        return None
+    def first_in(diff: set[int]):
+        return reps[min(diff)] if diff else None
 
     report = VerifyReport(suite=suite)
-    total = len(order)
+    total = len(reps)
     for a, b in edges:
         leak = first_in(mem[a] - mem[b])
         if leak is None:
@@ -504,20 +495,15 @@ class TheoremSpec:
 
 
 def _free(*names: str) -> Callable[[Digraph], bool]:
-    return lambda g: free_of(induced_canon_set(g), names)
+    return lambda g: patterns_in(g).isdisjoint(names)
 
 
 def _member(x: ClassId) -> Callable[[Digraph], bool]:
     return lambda g: _class_membership(g, x)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _un_member(g: Digraph, u: UClassId) -> bool:
-    return member_u(g.underlying(), u)
-
-
 def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
-    return lambda g: _un_member(g, u)
+    return lambda g: member_u(g.underlying(), u)
 
 
 def _both(p: Callable[[Digraph], bool], q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:
@@ -725,7 +711,7 @@ def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> Verif
 def verify_closures(n_max: int = 5) -> VerifyReport:
     """Complement/converse closure facts for the core classes and obstruction families."""
     report = VerifyReport(suite="closures")
-    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
+    graphs = _universe("digraphs", n_max)[0]
     total = len(graphs)
 
     for x in (ClassId.DC, ClassId.DT):
@@ -793,7 +779,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
 def verify_projections(n_max: int = 5) -> VerifyReport:
     """Underlying/symmetric/asymmetric projection facts plus the expression round-trip."""
     report = VerifyReport(suite="projections")
-    graphs = [g for n in range(1, n_max + 1) for g in enumerate_digraphs(n)]
+    graphs = _universe("digraphs", n_max)[0]
 
     untests: tuple[tuple[str, ClassId, UClassId], ...] = (
         ("DC: underlying graph is a cograph", ClassId.DC, UClassId.C),

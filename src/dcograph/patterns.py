@@ -5,7 +5,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable
 
 from dcograph.construct import compose
 from dcograph.core import _MEMO_SIZE, Digraph, format_edge_list
@@ -83,10 +82,6 @@ PATTERNS: dict[str, Digraph] = {
     "P2arrow": P2ARROW, "K2bidir": K2BIDIR, "I2": I2, "I3": I3,
     "K3bidir": K3BIDIR, "P3bidir": P3BIDIR, "coP3bidir": CO_P3BIDIR,
 }
-
-# canonical forms record the vertex count, so a pattern larger than the
-# digraph it is looked up in never matches
-_FORMS: dict[str, bytes] = {name: p.canonical_form() for name, p in PATTERNS.items()}
 
 _D1_8 = ("D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8")
 _D1_15 = _D1_8 + ("D9", "D10", "D11", "D12", "D13", "D14", "D15")
@@ -194,7 +189,7 @@ def is_free(g: Digraph, patterns: tuple[Digraph, ...]) -> bool:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def induced_canon_set(g: Digraph) -> frozenset[bytes]:
-    """Canonical forms of all induced subdigraphs of g (g.n <= 8); memoized."""
+    """Canonical forms of all induced subdigraphs of g (g.n <= 8); memoized. The tests' reference for patterns_in."""
     return frozenset(
         g.induced(subset).canonical_form()
         for k in range(1, g.n + 1)
@@ -222,8 +217,9 @@ def _copy_table() -> dict[int, dict[int, tuple[str, ...]]]:
     return table
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def patterns_in(g: Digraph) -> frozenset[str]:
-    """Names of the PATTERNS that occur induced in g, from one pass over its 2-6-vertex subsets.
+    """Names of the PATTERNS that occur induced in g, from one pass over its 2-6-vertex subsets; memoized.
 
     Each subset's labelled mask is read from g's out-rows and looked up in the
     table of labelled pattern copies; no subset is canonicalised. The pass costs
@@ -244,11 +240,6 @@ def patterns_in(g: Digraph) -> frozenset[str]:
             if names:
                 found.update(names)
     return frozenset(found)
-
-
-def free_of(sub_canons: frozenset[bytes], names: Iterable[str]) -> bool:
-    """True iff none of the named patterns is in sub_canons, an induced_canon_set(g)."""
-    return all(_FORMS[name] not in sub_canons for name in names)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ theorem suite keeps a two-pattern restatement of the anticircuit property
 that D5 refutes, and the hierarchy figures claim strict inclusions and
 incomparabilities whose witnesses either need six vertices or do not exist at
 all. The assertions below lock in those exact failure sets, so any drift
-still breaks the build.
+still breaks the build. Criteria 1, 4, 5, 6 and 9 also compare the full
+rendered reports with the expected text in tests/golden/.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from dcograph.core import Digraph
 from dcograph.decompose import creation_sequence_raw, replay_arcs
 from dcograph.mine import (
     MINEABLE_CLASSES,
+    VerifyReport,
     enumerate_digraphs,
     is_minimal_obstruction,
     minimal_forbidden,
@@ -29,7 +32,7 @@ from dcograph.mine import (
     verify_projections,
     verify_theorems,
 )
-from dcograph.patterns import CATALOG, PATTERNS, free_of, induced_canon_set
+from dcograph.patterns import CATALOG, PATTERNS, patterns_in
 from dcograph.recognize import (
     GRAMMAR_CLASSES,
     ClassId,
@@ -97,6 +100,15 @@ _EXPECTED_UNDIRECTED_FAILURES = {
 }
 
 
+# the text `dcograph mine --class X --nmax 5` and `dcograph verify --suite S
+# --nmax 5` print, one file per class and per suite
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+def _matches_golden(name: str, text: str) -> bool:
+    return text + "\n" == (_GOLDEN / f"{name}.txt").read_text(encoding="ascii")
+
+
 _REPORTER = None
 
 
@@ -126,6 +138,7 @@ def test_criterion_01_obstruction_set_reproduction() -> None:
         ok = ok and not report.missing and not report.extra and not report.partial
         ok = ok and sorted(report.confirmed) == reachable
         ok = ok and sorted(report.out_of_reach) == beyond
+        ok = ok and _matches_golden(f"mine_{x.value}", report.render())
         if x in _ANCHORS:
             ok = ok and len(report.confirmed) == _ANCHORS[x] == len(names)
     elapsed = time.monotonic() - started
@@ -141,11 +154,11 @@ def test_criterion_02_route_agreement() -> None:
     for n in range(1, 6):
         oracle = {x: oracle_members(x, n) for x in GRAMMAR_CLASSES}
         for g in enumerate_digraphs(n):
-            canons = induced_canon_set(g)
+            present = patterns_in(g)
             key = g.canonical_form()
             for x in GRAMMAR_CLASSES:
                 constructive = member_constructive(g, x)
-                patterns = free_of(canons, CATALOG[x.value])
+                patterns = present.isdisjoint(CATALOG[x.value])
                 checked += 1
                 if not (constructive == patterns == (key in oracle[x])):
                     disagreements += 1
@@ -178,11 +191,12 @@ def test_criterion_04_theorem_suite() -> None:
     failures = {row.subject for row in report.rows if row.verdict != "ok"}
     _verdict(4, "characterization theorems", not failures)
     assert failures == _EXPECTED_THEOREM_FAILURES, failures
+    assert _matches_golden("verify_theorems", report.render())
 
 
 def test_criterion_05_closure_properties() -> None:
     report = verify_closures(n_max=5)
-    ok = report.ok()
+    ok = report.ok() and _matches_golden("verify_closures", report.render())
     _verdict(5, "closure properties", ok)
     assert ok, [row.subject for row in report.rows if row.verdict != "ok"]
 
@@ -195,6 +209,8 @@ def test_criterion_06_hierarchy_figures() -> None:
     _verdict(6, "hierarchy figures", not directed_failures and not undirected_failures)
     assert directed_failures == _EXPECTED_DIRECTED_FAILURES, directed_failures
     assert undirected_failures == _EXPECTED_UNDIRECTED_FAILURES, undirected_failures
+    both = VerifyReport(suite="hierarchy", rows=directed.rows + undirected.rows)
+    assert _matches_golden("verify_hierarchy", both.render())
 
 
 def test_criterion_07_degenerate_equalities() -> None:
@@ -233,7 +249,7 @@ def test_criterion_08_orientation_correspondence() -> None:
 
 def test_criterion_09_projections_and_round_trip() -> None:
     report = verify_projections(n_max=5)
-    ok = report.ok()
+    ok = report.ok() and _matches_golden("verify_projections", report.render())
     _verdict(9, "projections and expression round-trip", ok)
     assert ok, [row.subject for row in report.rows if row.verdict != "ok"]
 

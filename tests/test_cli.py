@@ -198,6 +198,15 @@ def test_budget_cutoff_exits_four() -> None:
     assert "partial" in proc.stdout
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_invalid_budget_exits_two(budget: str) -> None:
+    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", f"--budget={budget}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_route_disagreement_exits_three(monkeypatch, capsys) -> None:
     def explode(g, classes):  # noqa: ARG001 - signature mirrors the real call
         raise RouteDisagreement(ClassId.DC, Digraph(1), True, False)

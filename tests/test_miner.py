@@ -7,13 +7,12 @@ import pytest
 
 from dcograph.core import _canonize
 from dcograph.decompose import _tree
-from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set
+from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
 from dcograph.recognize import ClassId
 from dcograph.mine import (
     MINEABLE_CLASSES,
     _class_membership,
     _mine_level,
-    _un_member,
     canonical_masks,
     enumerate_digraphs,
     enumerate_tournaments,
@@ -21,6 +20,7 @@ from dcograph.mine import (
     minimal_forbidden,
     verify_closures,
     verify_projections,
+    verify_suite,
 )
 
 
@@ -82,9 +82,17 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 
 
 def test_per_digraph_memos_are_bounded() -> None:
-    for memo in (_canonize, induced_canon_set, _un_member, _tree):
+    for memo in (_canonize, induced_canon_set, patterns_in, _tree):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, memo.__name__
+
+
+def test_theorem_sweep_makes_no_canon_set_call() -> None:
+    # the pattern predicates read patterns_in; induced_canon_set is a test reference only
+    before = induced_canon_set.cache_info()
+    verify_suite("theorems", 4)
+    after = induced_canon_set.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_mined_sets_are_antichains() -> None:
@@ -123,6 +131,12 @@ def test_budget_cutoff_reports_partial() -> None:
     report = minimal_forbidden(ClassId.OWQT, n_max=6, budget_seconds=1e-9)
     assert report.partial and not report.ok()
     assert any("budget" in line for line in report.lines())
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0])
+def test_budget_must_be_a_non_negative_number(budget: float) -> None:
+    with pytest.raises(ValueError, match="budget"):
+        minimal_forbidden(ClassId.OWQT, n_max=6, budget_seconds=budget)
 
 
 def test_six_vertex_catalog_entries_are_minimal() -> None:

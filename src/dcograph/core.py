@@ -362,9 +362,6 @@ class UndirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(a + b - v for a, b in self._edges if v in (a, b)))
-
     def complement(self) -> UndirectedGraph:
         missing = [
             (u, v)
@@ -387,27 +384,8 @@ class UndirectedGraph:
         """The symmetric digraph with both arcs per edge."""
         return Digraph(self.n, [a for u, v in self._edges for a in ((u, v), (v, u))])
 
-    def components(self) -> list[tuple[int, ...]]:
-        rows = [0] * self.n
-        for u, v in self._edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return [_bits(c) for c in _component_masks((1 << self.n) - 1, rows)]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
-    def is_edgeless(self) -> bool:
-        return not self._edges
-
-    def is_complete(self) -> bool:
-        return len(self._edges) == self.n * (self.n - 1) // 2
-
     def canonical_form(self) -> bytes:
         return self.to_digraph().canonical_form()
-
-    def isomorphic_to(self, other: UndirectedGraph) -> bool:
-        return self.n == other.n and self.canonical_form() == other.canonical_form()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):

@@ -1,10 +1,18 @@
-"""Undirected co-graph subclasses recognized by forbidden induced subgraphs."""
+"""Undirected co-graph subclasses, read from the di-co-tree of the symmetric digraph.
+
+The paper obtains each directed class by transmitting an undirected class to
+the digraph grammar, so on symmetric digraphs the grammar decides the
+undirected class: a graph is a cograph exactly when its symmetric digraph is a
+directed co-graph, and so on for every class in `_DIRECTED`. `FORB_U` keeps
+the forbidden induced subgraphs of each class as data; the tests use them as
+the reference that membership is checked against.
+"""
 from __future__ import annotations
 
 from enum import Enum
 
 from dcograph.core import UndirectedGraph
-from dcograph.patterns import contains_induced
+from dcograph.recognize import ClassId, member_constructive
 
 
 class UClassId(Enum):
@@ -72,36 +80,35 @@ FORB_U: dict[UClassId, tuple[str, ...]] = {
 }
 
 
+# the directed class whose symmetric members encode each undirected class
+_DIRECTED: dict[UClassId, ClassId] = {
+    UClassId.C: ClassId.DC,
+    UClassId.TP: ClassId.DTP,
+    UClassId.CTP: ClassId.DCTP,
+    UClassId.T: ClassId.DT,
+    UClassId.SC: ClassId.DSC,
+    UClassId.CSC: ClassId.DCSC,
+    UClassId.WQT: ClassId.DWQT,
+    UClassId.CWQT: ClassId.DCWQT,
+    UClassId.EDGELESS: ClassId.EDGELESS,
+    UClassId.COMPLETE: ClassId.BIDIR_COMPLETE,
+    UClassId.TWO_CLIQUES: ClassId.TWO_BIDIR_CLIQUES,
+    UClassId.COMPLETE_BIPARTITE: ClassId.BIDIR_COMPLETE_BIPARTITE,
+    UClassId.CLIQUE_UNION: ClassId.UNION_OF_BIDIR_CLIQUES,
+    UClassId.STABLE_JOIN: ClassId.SERIES_OF_STABLE_SETS,
+}
+
+
 def member_u(g: UndirectedGraph, x: UClassId) -> bool:
-    """Membership by freeness from the class's forbidden induced subgraphs."""
-    d = g.to_digraph()
-    return all(contains_induced(d, UPATTERNS[p].to_digraph()) is None for p in FORB_U[x])
-
-
-_U_LEVELS: list[list[UndirectedGraph]] = [[UndirectedGraph(1)]]
+    """Membership of the symmetric digraph of g in the directed class that encodes x."""
+    return member_constructive(g.to_digraph(), _DIRECTED[x])
 
 
 def enumerate_undirected(n: int) -> list[UndirectedGraph]:
-    """One representative per isomorphism class of n-vertex undirected graphs (n <= 7).
+    """One representative per isomorphism class of n-vertex undirected graphs (n <= 6).
 
-    Built by one-vertex extension of the (n-1)-level representatives: deleting
-    the last vertex of any n-vertex graph lands on some (n-1)-representative up
-    to isomorphism, and every attachment set is tried, so each class is hit.
+    Read from the symmetric digraphs that the sweep engine enumerates.
     """
-    if not 1 <= n <= 7:
-        raise ValueError(f"undirected enumeration supports 1..7 vertices, got {n}")
-    while len(_U_LEVELS) < n:
-        k = len(_U_LEVELS)
-        seen: set[bytes] = set()
-        level: list[UndirectedGraph] = []
-        for g in _U_LEVELS[-1]:
-            base = list(g.edges)
-            for bits in range(1 << k):
-                extra = [(v, k) for v in range(k) if bits >> v & 1]
-                cand = UndirectedGraph(k + 1, base + extra)
-                key = cand.canonical_form()
-                if key not in seen:
-                    seen.add(key)
-                    level.append(cand)
-        _U_LEVELS.append(level)
-    return list(_U_LEVELS[n - 1])
+    from dcograph.mine import _representatives  # mine imports this module
+
+    return [g.underlying() for g in _representatives("undirected", n)]

@@ -176,5 +176,3 @@ def test_undirected_graph_basics() -> None:
     assert u.edges == ((0, 1),)
     assert u.complement().edges == ((0, 2), (1, 2))
     assert u.to_digraph() == Digraph(3, [(0, 1), (1, 0)])
-    assert u.components() == [(0, 1), (2,)]
-    assert not u.is_connected()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dcograph.core import _canonize
+from dcograph.core import Digraph, _canonize
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
 from dcograph.recognize import ClassId
@@ -13,15 +13,19 @@ from dcograph.mine import (
     MINEABLE_CLASSES,
     _class_membership,
     _mine_level,
+    _representatives,
     canonical_masks,
     enumerate_digraphs,
     enumerate_tournaments,
     is_minimal_obstruction,
     minimal_forbidden,
     verify_closures,
+    verify_hierarchy,
     verify_projections,
     verify_suite,
+    verify_theorems,
 )
+from dcograph.uclasses import enumerate_undirected
 
 
 def test_digraph_counts(reps_by_n) -> None:
@@ -36,8 +40,17 @@ def test_enumeration_yields_canonical_distinct_graphs(reps_by_n) -> None:
         assert masks == sorted(masks)  # enumeration orders by minimal mask
 
 
+_UNIVERSE_PREDICATES = {
+    "digraphs": lambda g: True,
+    "oriented": Digraph.is_oriented,
+    "tournaments": Digraph.is_tournament,
+    "undirected": lambda g: g.asym_part().is_edgeless(),
+}
+
+
 def test_extension_enumeration_matches_labelled_space() -> None:
-    # oracle: canonicalise every labelled digraph, 4 states per vertex pair
+    # oracle: canonicalise every labelled digraph, 4 states per vertex pair,
+    # and keep the canonical masks that lie in each universe
     for n in range(1, 5):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         ids = np.arange(4 ** len(pairs), dtype=np.uint64)
@@ -46,14 +59,48 @@ def test_extension_enumeration_matches_labelled_space() -> None:
             state = (ids >> np.uint64(2 * p)) & np.uint64(3)
             masks |= (state & np.uint64(1)) << np.uint64(u * n + v)
             masks |= (state >> np.uint64(1)) << np.uint64(v * n + u)
-        expected = np.unique(canonical_masks(n, masks)).tolist()
-        assert [g.mask for g in enumerate_digraphs(n)] == expected, n
+        canon = [Digraph.from_mask(n, m) for m in np.unique(canonical_masks(n, masks)).tolist()]
+        assert [g.mask for g in enumerate_digraphs(n)] == [g.mask for g in canon], n
+        for universe, inside in _UNIVERSE_PREDICATES.items():
+            expected = [g.mask for g in canon if inside(g)]
+            assert [g.mask for g in _representatives(universe, n)] == expected, (universe, n)
+
+
+def test_oriented_counts() -> None:
+    # tournaments and undirected graphs are pinned by their enumerators' tests
+    reps = [_representatives("oriented", n) for n in range(1, 7)]
+    assert [len(level) for level in reps] == [1, 2, 7, 42, 582, 21480]
+    assert all(g.is_oriented() for g in reps[5])
 
 
 def test_tournament_counts() -> None:
     assert [len(enumerate_tournaments(n)) for n in range(1, 7)] == [1, 1, 2, 4, 12, 56]
     for t in enumerate_tournaments(5):
         assert t.is_tournament()
+
+
+def test_enumeration_stops_at_six_vertices() -> None:
+    for enumerate_level in (enumerate_digraphs, enumerate_tournaments, enumerate_undirected):
+        with pytest.raises(ValueError):
+            enumerate_level(7)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_theorems(0),
+        lambda: verify_projections(-1),
+        lambda: verify_closures(0),
+        lambda: verify_hierarchy(0, directed=False),
+        lambda: verify_hierarchy(0, directed=True),
+    ],
+    ids=["theorems-0", "projections-minus-1", "closures-0", "hierarchy-undirected-0",
+         "hierarchy-directed-0"],
+)
+def test_sweeps_reject_an_empty_universe(run) -> None:
+    # with no graph to sweep every row would read "agree on 0 digraphs"
+    with pytest.raises(ValueError):
+        run()
 
 
 @pytest.mark.parametrize("x", MINEABLE_CLASSES, ids=lambda x: x.value)

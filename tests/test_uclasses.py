@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcograph.construct import compose
+from dcograph.core import UndirectedGraph
 from dcograph.mine import verify_hierarchy
 from dcograph.patterns import contains_induced
 from dcograph.recognize import ClassId, member_constructive
@@ -30,16 +34,71 @@ def test_upatterns_minimality() -> None:
                 assert member_u(p.induced(rest), x), (x, name, v)
 
 
+def _free_of_forbidden(u: UndirectedGraph, x: UClassId) -> bool:
+    """Reference membership: no forbidden graph of FORB_U[x] occurs induced in u."""
+    d = u.to_digraph()
+    return all(contains_induced(d, UPATTERNS[p].to_digraph()) is None for p in FORB_U[x])
+
+
 @pytest.mark.parametrize(
     ("u_id", "d_id"),
-    [(UClassId.C, ClassId.DC), (UClassId.T, ClassId.DT), (UClassId.TP, ClassId.DTP)],
+    [
+        (UClassId.C, ClassId.DC),
+        (UClassId.TP, ClassId.DTP),
+        (UClassId.CTP, ClassId.DCTP),
+        (UClassId.T, ClassId.DT),
+        (UClassId.SC, ClassId.DSC),
+        (UClassId.CSC, ClassId.DCSC),
+        (UClassId.WQT, ClassId.DWQT),
+        (UClassId.CWQT, ClassId.DCWQT),
+        (UClassId.EDGELESS, ClassId.EDGELESS),
+        (UClassId.COMPLETE, ClassId.BIDIR_COMPLETE),
+        (UClassId.TWO_CLIQUES, ClassId.TWO_BIDIR_CLIQUES),
+        (UClassId.COMPLETE_BIPARTITE, ClassId.BIDIR_COMPLETE_BIPARTITE),
+        (UClassId.CLIQUE_UNION, ClassId.UNION_OF_BIDIR_CLIQUES),
+        (UClassId.STABLE_JOIN, ClassId.SERIES_OF_STABLE_SETS),
+    ],
 )
 def test_symmetric_encoding_matches_directed_class(u_id, d_id) -> None:
     # a symmetric digraph lies in the directed class exactly when the
-    # undirected graph it encodes lies in the companion class
-    for n in range(1, 6):
-        for u in enumerate_undirected(n):
-            assert member_u(u, u_id) == member_constructive(u.to_digraph(), d_id)
+    # undirected graph it encodes avoids the companion class's forbidden
+    # subgraphs; member_u reads that directed class
+    graphs = [u for n in range(1, 7) for u in enumerate_undirected(n)]
+    assert len(graphs) == 208
+    for u in graphs:
+        expected = _free_of_forbidden(u, u_id)
+        assert member_constructive(u.to_digraph(), d_id) == expected, u
+        assert member_u(u, u_id) == expected, u
+
+
+@st.composite
+def _symmetric_cographs(draw, n: int) -> UndirectedGraph:
+    """A cograph on n vertices: symmetric union or series of two smaller cographs."""
+    if n == 1:
+        return UndirectedGraph(1)
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    a, b = draw(_symmetric_cographs(k)), draw(_symmetric_cographs(n - k))
+    op = draw(st.sampled_from(["union", "series"]))
+    return compose(op, a.to_digraph(), b.to_digraph()).underlying()
+
+
+@st.composite
+def _graphs_past_the_enumeration(draw) -> UndirectedGraph:
+    n = draw(st.integers(min_value=7, max_value=12))
+    if draw(st.booleans()):
+        u = draw(_symmetric_cographs(n))
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        u = UndirectedGraph(n, [e for e in pairs if draw(st.booleans())])
+    perm = draw(st.permutations(range(n)))
+    return UndirectedGraph(n, [(perm[a], perm[b]) for a, b in u.edges])
+
+
+@settings(max_examples=40)
+@given(_graphs_past_the_enumeration())
+def test_symmetric_encoding_past_the_enumeration(u: UndirectedGraph) -> None:
+    for x in UClassId:
+        assert member_u(u, x) == _free_of_forbidden(u, x), x
 
 
 @pytest.mark.parametrize(

@@ -84,12 +84,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 assert cert is not None
                 detail = format_expression(cert)
         else:
-            occurrence = violating_occurrence(g, x)
-            if occurrence is None:
-                detail = "no obstruction occurrence within catalog reach"
-            else:
-                name, vertices = occurrence
-                detail = f"violates {name} at {','.join(map(str, vertices))}"
+            name, vertices = violating_occurrence(g, x)  # type: ignore[misc]  # None only for members
+            detail = f"violates {name} at {','.join(map(str, vertices))}"
         print(f"{x.value}\t{verdict}\t{detail}")
     return EXIT_OK
 

@@ -230,13 +230,13 @@ def oriented_cycle(n: int) -> Digraph:
     """Arcs around a single directed cycle; needs n >= 3 to stay loop- and digon-free."""
     if n < 3:
         raise ValueError(f"oriented cycle needs n >= 3, got {n}")
+    _check_param(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def bidir_complete_bipartite(a: int, b: int) -> Digraph:
     """Both arcs between every left-right pair, none inside the sides."""
-    _check_param(a)
-    _check_param(b)
+    _check_param(a, b)
     arcs = []
     for u in range(a):
         for v in range(a, a + b):
@@ -247,14 +247,15 @@ def bidir_complete_bipartite(a: int, b: int) -> Digraph:
 
 def oriented_complete_bipartite(a: int, b: int) -> Digraph:
     """One arc left-to-right between every left-right pair."""
-    _check_param(a)
-    _check_param(b)
+    _check_param(a, b)
     return Digraph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
-def _check_param(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"family parameter must be >= 1, got {n}")
+def _check_param(*sizes: int) -> None:
+    # checked before any arc list is built, so a huge size cannot exhaust memory
+    if min(sizes) < 1 or sum(sizes) > MAX_VERTICES:
+        total = " + ".join(map(str, sizes))
+        raise ValueError(f"family sizes must be >= 1 and total <= {MAX_VERTICES}, got {total}")
 
 
 # CLI-facing registry: name -> (callable, parameter count)

@@ -18,8 +18,7 @@ from dcograph.recognize import (
     GRAMMAR_CLASSES,
     MICRO_CLASSES,
     PATTERN_ONLY_CLASSES,
-    member_by_patterns,
-    member_constructive,
+    member,
 )
 from dcograph.uclasses import UClassId, enumerate_undirected, member_u
 
@@ -175,15 +174,6 @@ def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
     return out
 
 
-# -- bulk membership ----------------------------------------------------------
-
-
-def _class_membership(g: Digraph, x: ClassId) -> bool:
-    if x in PATTERN_ONLY_CLASSES:
-        return member_by_patterns(g, x)
-    return member_constructive(g, x)
-
-
 # -- reports ------------------------------------------------------------------
 
 
@@ -261,9 +251,9 @@ MINEABLE_CLASSES: tuple[ClassId, ...] = GRAMMAR_CLASSES + (ClassId.TT,) + MICRO_
 
 def is_minimal_obstruction(g: Digraph, x: ClassId) -> bool:
     """True when g is outside the class but every single-vertex deletion is inside."""
-    if _class_membership(g, x):
+    if member(g, x):
         return False
-    return all(_class_membership(g.delete_vertex(v), x) for v in range(g.n))
+    return all(member(g.delete_vertex(v), x) for v in range(g.n))
 
 
 def _mine_level(
@@ -299,7 +289,7 @@ def _mine_level(
                 continue
             seen.add(m)
             g = Digraph.from_mask(n, m)
-            if _class_membership(g, x):
+            if member(g, x):
                 inside.append(m)
             else:
                 obstructions.append(g)
@@ -328,7 +318,7 @@ def minimal_forbidden(
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
 
     # level 1: the single vertex, whose canonical mask is 0
-    members = np.array([0] if _class_membership(Digraph.edgeless(1), x) else [], dtype=np.uint64)
+    members = np.array([0] if member(Digraph.edgeless(1), x) else [], dtype=np.uint64)
     found: list[Digraph] = []
     partial = False
     for n in range(2, n_max + 1):
@@ -417,7 +407,7 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     if directed:
         suite, kind = "hierarchy-directed", "digraphs"
         nodes, edges = DIRECTED_HIERARCHY_NODES, DIRECTED_HIERARCHY_EDGES
-        membership = lambda g, name: _class_membership(g, ClassId(name))
+        membership = lambda g, name: member(g, ClassId(name))
     else:
         suite, kind = "hierarchy-undirected", "undirected"
         nodes, edges = UNDIRECTED_HIERARCHY_NODES, UNDIRECTED_HIERARCHY_EDGES
@@ -490,7 +480,7 @@ def _free(*names: str) -> Callable[[Digraph], bool]:
 
 
 def _member(x: ClassId) -> Callable[[Digraph], bool]:
-    return lambda g: _class_membership(g, x)
+    return lambda g: member(g, x)
 
 
 def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
@@ -608,7 +598,7 @@ _register(
     ("full obstruction set", _free(*CATALOG["DT"])),
     ("reduced set + underlying threshold", _both(_free(*_DTP_CORE), _un_in(UClassId.T))),
     ("trivially-perfect both ways",
-     lambda g: _class_membership(g, ClassId.DTP) and _class_membership(g.complement(), ClassId.DTP)),
+     lambda g: member(g, ClassId.DTP) and member(g.complement(), ClassId.DTP)),
 )
 _register(
     "ot-characterization", "digraphs",
@@ -710,7 +700,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     for x in (ClassId.DC, ClassId.DT):
         leak = next(
             (g for g in graphs
-             if _class_membership(g, x) != _class_membership(g.complement(), x)),
+             if member(g, x) != member(g.complement(), x)),
             None,
         )
         if leak is None:
@@ -724,7 +714,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
 
     leak = next(
         (g for g in graphs
-         if _class_membership(g, ClassId.DC) != _class_membership(g.converse(), ClassId.DC)),
+         if member(g, ClassId.DC) != member(g.converse(), ClassId.DC)),
         None,
     )
     if leak is None:
@@ -739,7 +729,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     for x in (ClassId.DTP, ClassId.DWQT):
         wit = next(
             (g for g in graphs
-             if _class_membership(g, x) and not _class_membership(g.complement(), x)),
+             if member(g, x) and not member(g.complement(), x)),
             None,
         )
         if wit is None:
@@ -799,8 +789,8 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
 
     def check(subject: str, prop: Callable[[Digraph], bool], scope: ClassId) -> None:
         leak = next(
-            (g for g in graphs if _class_membership(g, scope) and not prop(g)), None)
-        n_members = sum(1 for g in graphs if _class_membership(g, scope))
+            (g for g in graphs if member(g, scope) and not prop(g)), None)
+        n_members = sum(1 for g in graphs if member(g, scope))
         if leak is None:
             report.rows.append(CheckRow(
                 subject, "ok", "-",
@@ -816,7 +806,7 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
         check(
             subject,
             lambda g, u=u, ox=ox: member_u(g.sym_part().underlying(), u)
-            and _class_membership(g.asym_part(), ox),
+            and member(g.asym_part(), ox),
             x,
         )
     check("OC: acyclic", lambda g: g.is_acyclic(), ClassId.OC)

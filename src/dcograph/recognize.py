@@ -25,8 +25,9 @@ from dcograph.decompose import (
 from dcograph.patterns import (
     CATALOG,
     PATTERNS,
-    contains_induced,
+    catalog,
     contains_small,
+    is_free,
     match_partial,
     patterns_in,
     ANTICIRCUIT,
@@ -43,7 +44,7 @@ PATTERN_ONLY_CLASSES: tuple[ClassId, ...] = (ClassId.TD, ClassId.FD)
 
 
 class RouteDisagreement(Exception):
-    """Constructive and pattern membership routes disagreed; never resolved silently."""
+    """The membership routes disagreed, or a non-member shrank outside its catalog; never resolved silently."""
 
     def __init__(self, class_id: ClassId, g: Digraph, constructive: bool, by_patterns: bool):
         self.class_id = class_id
@@ -108,6 +109,8 @@ def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:
 
 # -- pattern route ------------------------------------------------------------
 
+_PARTIAL = {ClassId.TD: TWO_SWITCH, ClassId.FD: ANTICIRCUIT}
+
 
 def member_by_patterns(g: Digraph, x: ClassId) -> bool:
     """Membership by freeness from the class catalog (plus TD/FD partial patterns).
@@ -116,29 +119,42 @@ def member_by_patterns(g: Digraph, x: ClassId) -> bool:
     """
     if x in PATTERN_ONLY_CLASSES:
         # the partial-pattern scan rejects most digraphs, so it runs first
-        partial = TWO_SWITCH if x is ClassId.TD else ANTICIRCUIT
-        return match_partial(g, partial) is None and not any(
+        return match_partial(g, _PARTIAL[x]) is None and not any(
             contains_small(g, PATTERNS[name]) for name in CATALOG[x.value]
         )
-    return violating_occurrence(g, x) is None
+    return is_free(g, catalog(x.value))
+
+
+def member(g: Digraph, x: ClassId) -> bool:
+    """Membership in x by its one recognizer: out-rows for TD and FD, the construction for the rest."""
+    if x in PATTERN_ONLY_CLASSES:
+        return member_by_patterns(g, x)
+    return member_constructive(g, x)
 
 
 def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] | None:
-    """First violation as (pattern name, vertex occurrence), or None if member."""
+    """A minimal obstruction as (pattern name, vertex occurrence), or None if member.
+
+    Every class is hereditary, so dropping v = n-1, ..., 0 whenever the rest stays a
+    non-member keeps a minimal one in n membership tests. It is named from the class
+    catalog, or for TD/FD by partial-pattern roles; anything else raises RouteDisagreement.
+    """
+    if member(g, x):
+        return None
+    kept = list(range(g.n))
+    for v in reversed(range(g.n)):
+        rest = [u for u in kept if u != v]
+        if not member(g.induced(rest), x):
+            kept = rest
+    sub = g.induced(kept)
     for name in CATALOG[x.value]:
-        pattern = PATTERNS[name]
-        witness = contains_induced(g, pattern)
-        if witness is not None:
-            return (name, witness)
-    if x is ClassId.TD:
-        roles = match_partial(g, TWO_SWITCH)
-        if roles is not None:
-            return (TWO_SWITCH.name, roles)
-    if x is ClassId.FD:
-        roles = match_partial(g, ANTICIRCUIT)
-        if roles is not None:
-            return (ANTICIRCUIT.name, roles)
-    return None
+        iso = PATTERNS[name].isomorphism_to(sub)
+        if iso is not None:
+            return (name, tuple(kept[i] for i in iso))
+    roles = match_partial(sub, _PARTIAL[x]) if x in PATTERN_ONLY_CLASSES else None
+    if roles is not None:
+        return (_PARTIAL[x].name, tuple(kept[i] for i in roles))
+    raise RouteDisagreement(x, sub, False, True)
 
 
 PATTERN_ROUTE_MAX_N = 8
@@ -153,16 +169,13 @@ def classify(g: Digraph, classes: Iterable[ClassId] | None = None) -> set[ClassI
     out = set()
     present: frozenset[str] | None = None
     for x in classes if classes is not None else list(ClassId):
-        if x in PATTERN_ONLY_CLASSES:
-            verdict = member_by_patterns(g, x)
-        else:
-            verdict = member_constructive(g, x)
-            if g.n <= PATTERN_ROUTE_MAX_N:
-                if present is None:
-                    present = patterns_in(g)
-                by_patterns = present.isdisjoint(CATALOG[x.value])
-                if by_patterns != verdict:
-                    raise RouteDisagreement(x, g, verdict, by_patterns)
+        verdict = member(g, x)
+        if x not in PATTERN_ONLY_CLASSES and g.n <= PATTERN_ROUTE_MAX_N:
+            if present is None:
+                present = patterns_in(g)
+            by_patterns = present.isdisjoint(CATALOG[x.value])
+            if by_patterns != verdict:
+                raise RouteDisagreement(x, g, verdict, by_patterns)
         if verdict:
             out.add(x)
     return out

@@ -9,11 +9,13 @@ import sys
 import pytest
 
 import dcograph.cli as cli
+from dcograph.construct import evaluate, parse_expression
+from dcograph.patterns import ANTICIRCUIT, PATTERNS, TWO_SWITCH
 from dcograph.recognize import ClassId, RouteDisagreement
 from dcograph.core import Digraph
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PATTERN = {name: os.path.join(REPO_ROOT, "patterns", f"{name}.edges") for name in ("D5", "K2bidir", "Q7")}
+PATTERN = {name: os.path.join(REPO_ROOT, "patterns", f"{name}.edges") for name in ("D5", "D10", "K2bidir", "Q7")}
 
 
 def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess[str]:
@@ -43,6 +45,56 @@ def test_classify_obstruction_certificates() -> None:
         "DC\tnon-member\tviolates D5 at 0,1,2\n"
         "OC\tnon-member\tviolates D5 at 0,1,2\n"
     )
+
+
+def test_classify_witness_is_the_shrunk_obstruction() -> None:
+    # deleting vertices from the last one down keeps witnesses on low ids:
+    # the first occurrences in subset order were I2 at 2,3 and P3bidir at 2,0,3
+    proc = run_cli("classify", "--class", "TT", "--class", "TwoBidirCliques", "--certificates", PATTERN["D10"])
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "TT\tnon-member\tviolates K2bidir at 0,2\n"
+        "TwoBidirCliques\tnon-member\tviolates P2arrow at 0,1\n"
+    )
+
+
+def _expression(leaves: int, depth: int = 0) -> str:
+    if leaves == 1:
+        return "v"
+    left = max(1, leaves // 3)
+    op = ("union", "order", "series")[depth % 3]
+    return f"{op}({_expression(left, depth + 1)}, {_expression(leaves - left, depth + 1)})"
+
+
+def test_classify_certificates_at_sixty_four_vertices() -> None:
+    text = _expression(64)
+    g = evaluate(parse_expression(text))
+    assert g.n == 64
+    proc = run_cli("classify", "--certificates", "--expr", text)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 25
+    witnesses = 0
+    for line in lines:
+        _, verdict, detail = line.split("\t")
+        if not detail.startswith("violates "):
+            continue
+        witnesses += 1
+        assert verdict == "non-member"
+        name, _, at = detail[len("violates "):].partition(" at ")
+        w = [int(v) for v in at.split(",")]
+        if name in PATTERNS:
+            p = PATTERNS[name]
+            assert len(set(w)) == p.n
+            assert all(p.has_arc(a, b) == g.has_arc(w[a], w[b]) for a in range(p.n) for b in range(p.n) if a != b)
+            continue
+        # TD and FD may print the roles (p, q, r, s) of a partial pattern
+        assert name in (TWO_SWITCH.name, ANTICIRCUIT.name)
+        p, q, r, s = w
+        assert g.has_arc(p, q) and g.has_arc(r, s)
+        assert (s == p or not g.has_arc(p, s)) and (q == r or not g.has_arc(r, q))
+        assert name != TWO_SWITCH.name or len(set(w)) == 4
+    assert witnesses > 0
 
 
 def test_classify_membership_certificate_is_an_expression() -> None:

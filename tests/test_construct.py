@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from dcograph.construct import (
     transitive_tournament,
     union,
 )
-from dcograph.core import Digraph
+from dcograph.core import MAX_VERTICES, Digraph
 
 expressions = st.recursive(
     st.just(leaf()),
@@ -118,3 +120,29 @@ def test_family_parameter_errors() -> None:
         generate_family("bidir-complete-bipartite", 3)
     with pytest.raises(ValueError):
         generate_family("tt", 0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("tt", 2000), ("cycle", 200000), ("bidir-complete-bipartite", 1000, 1000)],
+    ids=lambda args: "-".join(map(str, args)),
+)
+def test_family_size_is_checked_before_any_arc_list(args) -> None:
+    # a size past the vertex cap must be refused before its arcs are built;
+    # building them first took hundreds of MB and could exhaust memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            generate_family(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_family_sizes_up_to_the_cap() -> None:
+    assert generate_family("tt", MAX_VERTICES).n == MAX_VERTICES
+    assert generate_family("cycle", MAX_VERTICES).n == MAX_VERTICES
+    assert generate_family("oriented-complete-bipartite", 1, MAX_VERTICES - 1).n == MAX_VERTICES
+    with pytest.raises(ValueError):
+        generate_family("oriented-complete-bipartite", 1, MAX_VERTICES)

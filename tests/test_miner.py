@@ -8,10 +8,9 @@ import pytest
 from dcograph.core import Digraph, _canonize
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
-from dcograph.recognize import ClassId
+from dcograph.recognize import ClassId, member
 from dcograph.mine import (
     MINEABLE_CLASSES,
-    _class_membership,
     _mine_level,
     _representatives,
     canonical_masks,
@@ -118,10 +117,10 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
     # the levels extend members only, so they are complete exactly when the
     # class is hereditary; check that against every digraph up to 5 vertices
     members = np.array([0], dtype=np.uint64)
-    assert [g.mask for g in reps_by_n[1] if _class_membership(g, x)] == [0]
+    assert [g.mask for g in reps_by_n[1] if member(g, x)] == [0]
     for n in range(2, 6):
         members, obstructions = _mine_level(x, n, members)
-        expected = [g.mask for g in reps_by_n[n] if _class_membership(g, x)]
+        expected = [g.mask for g in reps_by_n[n] if member(g, x)]
         assert members.tolist() == expected, n
         if n <= 4:
             minimal = [g.mask for g in reps_by_n[n] if is_minimal_obstruction(g, x)]

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcograph import recognize
+from dcograph import patterns, recognize
 from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import maximal_split
-from dcograph.patterns import CATALOG, PATTERNS, patterns_in
+from dcograph.patterns import ANTICIRCUIT, CATALOG, PATTERNS, TWO_SWITCH, patterns_in
 from dcograph.recognize import (
     _ORACLE_SPEC,
     _SIDE_BUILDERS,
@@ -28,6 +28,7 @@ from dcograph.recognize import (
     RouteDisagreement,
     classify,
     constructive_certificate,
+    member,
     member_by_patterns,
     member_constructive,
     oracle_members,
@@ -98,6 +99,45 @@ def test_violating_occurrence_induces_a_real_violation() -> None:
     assert violating_occurrence(Digraph(3, [(0, 1)]), ClassId.DC) is None
 
 
+def _assert_witness(g: Digraph, x: ClassId, hit: tuple[str, tuple[int, ...]]) -> None:
+    """The witness induces a catalog pattern of x, or for TD/FD satisfies the partial pattern."""
+    name, w = hit
+    if name in CATALOG[x.value]:
+        p = PATTERNS[name]
+        assert len(w) == len(set(w)) == p.n, (x, name, w)
+        assert all(p.has_arc(a, b) == g.has_arc(w[a], w[b]) for a in range(p.n) for b in range(p.n) if a != b)
+        return
+    partial = {ClassId.TD: TWO_SWITCH, ClassId.FD: ANTICIRCUIT}.get(x)
+    assert partial is not None and name == partial.name, (x, name)
+    a, b, c, d = w
+    assert g.has_arc(a, b) and g.has_arc(c, d) and a != c and b != d
+    assert d == a or not g.has_arc(a, d)
+    assert b == c or not g.has_arc(c, b)
+    assert len(set(w)) == 4 or not partial.all_distinct
+
+
+def test_witnesses_of_every_digraph_up_to_four_vertices(reps_small) -> None:
+    non_members = 0
+    for g in reps_small:
+        for x in ClassId:
+            hit = violating_occurrence(g, x)
+            assert (hit is None) == member(g, x), (x, g)
+            if hit is not None:
+                non_members += 1
+                _assert_witness(g, x, hit)
+    assert non_members == 5085
+
+
+def test_witness_outside_the_catalog_refutes_it(monkeypatch) -> None:
+    # D8 is a minimal non-member of DC; without D8 in the catalog, the shrunk
+    # witness matches nothing the catalog names
+    monkeypatch.setitem(CATALOG, "DC", tuple(name for name in CATALOG["DC"] if name != "D8"))
+    with pytest.raises(RouteDisagreement) as info:
+        violating_occurrence(PATTERNS["D8"], ClassId.DC)
+    assert info.value.class_id is ClassId.DC
+    assert info.value.constructive is False and info.value.by_patterns is True
+
+
 def test_partial_pattern_verdicts() -> None:
     two_switch = Digraph(4, [(0, 1), (2, 3)])
     assert not member_by_patterns(two_switch, ClassId.TD)
@@ -165,7 +205,7 @@ def test_classify_runs_no_occurrence_search_up_to_eight_vertices(
         raise AssertionError("classify ran the occurrence search")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recognize, "contains_induced", no_search)
+        mp.setattr(patterns, "contains_induced", no_search)
         assert classify(g) == expected
 
 
@@ -238,3 +278,34 @@ def test_constructive_route_above_the_pattern_route(x: ClassId, n: int, data) ->
     # a disjoint directed triangle is prime, so no grammar class survives it
     planted = compose("union", g, PATTERNS["D5"])
     assert not any(member_constructive(planted, y) for y in GRAMMAR_CLASSES)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(GRAMMAR_CLASSES), st.sampled_from(list(ClassId)),
+    st.integers(min_value=9, max_value=64), st.booleans(), st.data(),
+)
+def test_witnesses_past_the_mined_sizes(x: ClassId, y: ClassId, n: int, flip: bool, data) -> None:
+    # a grammar member with one arc flipped, or beside a catalog pattern of x,
+    # shrinks to a witness from x's own catalog without any occurrence search;
+    # an obstruction outside the catalog would refute the characterization
+    if flip:
+        g = _draw_member(data, x, n)
+        u, v = data.draw(st.permutations(range(n)))[:2]
+        g = Digraph.from_mask(n, g.mask ^ 1 << u * n + v)
+    else:
+        planted = PATTERNS[data.draw(st.sampled_from(CATALOG[x.value]))]
+        g = compose("union", _draw_member(data, x, n - planted.n), planted)
+    g = g.relabel(data.draw(st.permutations(range(n))))
+
+    def no_search(*args):
+        raise AssertionError("the witness ran the occurrence search")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "contains_induced", no_search)
+        hits = {z: violating_occurrence(g, z) for z in (x, y)}
+    for z, hit in hits.items():
+        assert (hit is None) == member(g, z)
+        if hit is not None:
+            _assert_witness(g, z, hit)
+    assert flip or hits[x] is not None

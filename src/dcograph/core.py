@@ -95,10 +95,14 @@ class Digraph:
 
     def out_row(self, u: int) -> int:
         """Out-neighbourhood of u as an n-bit mask."""
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
         return self._mask >> u * self.n & (1 << self.n) - 1
 
     def in_row(self, v: int) -> int:
         """In-neighbourhood of v as an n-bit mask."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         row = 0
         for u in range(self.n):
             row |= (self._mask >> u * self.n + v & 1) << u
@@ -162,6 +166,8 @@ class Digraph:
         return Digraph.from_mask(k, mask)
 
     def delete_vertex(self, v: int) -> Digraph:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         if self.n == 1:
             raise ValueError("cannot delete the last vertex")
         return self.induced(u for u in range(self.n) if u != v)

@@ -6,7 +6,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from dcograph.core import _MEMO_SIZE, Digraph, _bits, _component_masks
+from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks
 from dcograph.construct import Expression, leaf, order, series, union
 
 
@@ -325,4 +325,6 @@ def replay_arcs(digits: str) -> list[tuple[int, int]]:
 
 def replay(digits: str) -> Digraph:
     """Rebuild the digraph a creation sequence denotes (n <= 64)."""
+    if len(digits) > MAX_VERTICES:
+        raise ValueError(f"creation sequence has {len(digits)} digits, cap is {MAX_VERTICES}")
     return Digraph(len(digits), replay_arcs(digits))

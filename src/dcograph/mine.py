@@ -5,7 +5,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -180,12 +180,32 @@ def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
 @dataclass
 class CheckRow:
     subject: str
-    verdict: str  # "ok" | "fail" | "info"
+    verdict: str  # "ok" | "fail"
     canonical: str
     details: str
 
     def line(self) -> str:
         return f"{self.subject}\t{self.verdict}\t{self.canonical}\t{self.details}"
+
+
+def _first(graphs: Iterable[Digraph], pred: Callable[[Digraph], bool]) -> Digraph | None:
+    """The first graph satisfying pred, or None."""
+    return next((g for g in graphs if pred(g)), None)
+
+
+def _row(
+    subject: str,
+    found: Digraph | None,
+    passes_if_found: bool,
+    if_none: str,
+    if_found: Callable[[Digraph], str],
+) -> CheckRow:
+    """The row for one scan: a witness row passes when the scan found a graph,
+    a counterexample row when it found none; a found graph's canonical hex is shown."""
+    verdict = "ok" if (found is not None) == passes_if_found else "fail"
+    if found is None:
+        return CheckRow(subject, verdict, "-", if_none)
+    return CheckRow(subject, verdict, found.canonical_form().hex(), if_found(found))
 
 
 @dataclass
@@ -425,26 +445,15 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
         return reps[min(diff)] if diff else None
 
     report = VerifyReport(suite=suite)
-    total = len(reps)
     for a, b in edges:
-        leak = first_in(mem[a] - mem[b])
-        if leak is None:
-            report.rows.append(CheckRow(
-                f"{a} subset-of {b}", "ok", "-",
-                f"holds on all {total} graphs with at most {n_max} vertices"))
-        else:
-            report.rows.append(CheckRow(
-                f"{a} subset-of {b}", "fail", leak.canonical_form().hex(),
-                f"member of {a} outside {b} on {leak.n} vertices"))
-        wit = first_in(mem[b] - mem[a])
-        if wit is None:
-            report.rows.append(CheckRow(
-                f"{a} proper-subset {b}", "fail", "-",
-                f"no separating witness with at most {n_max} vertices"))
-        else:
-            report.rows.append(CheckRow(
-                f"{a} proper-subset {b}", "ok", wit.canonical_form().hex(),
-                f"witness in {b} but not {a} on {wit.n} vertices"))
+        report.rows.append(_row(
+            f"{a} subset-of {b}", first_in(mem[a] - mem[b]), False,
+            f"holds on all {len(reps)} graphs with at most {n_max} vertices",
+            lambda g: f"member of {a} outside {b} on {g.n} vertices"))
+        report.rows.append(_row(
+            f"{a} proper-subset {b}", first_in(mem[b] - mem[a]), True,
+            f"no separating witness with at most {n_max} vertices",
+            lambda g: f"witness in {b} but not {a} on {g.n} vertices"))
 
     reach = _reachability(nodes, edges)
     for i, a in enumerate(nodes):
@@ -452,16 +461,11 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
             if b in reach[a] or a in reach[b]:
                 continue
             for x, y in ((a, b), (b, a)):
-                wit = first_in(mem[x] - mem[y])
-                if wit is None:
-                    report.rows.append(CheckRow(
-                        f"{x} not-below {y}", "fail", "-",
-                        f"claimed incomparable but no witness in {x} outside {y} "
-                        f"with at most {n_max} vertices"))
-                else:
-                    report.rows.append(CheckRow(
-                        f"{x} not-below {y}", "ok", wit.canonical_form().hex(),
-                        f"witness in {x} but not {y} on {wit.n} vertices"))
+                report.rows.append(_row(
+                    f"{x} not-below {y}", first_in(mem[x] - mem[y]), True,
+                    f"claimed incomparable but no witness in {x} outside {y} "
+                    f"with at most {n_max} vertices",
+                    lambda g: f"witness in {x} but not {y} on {g.n} vertices"))
     return report
 
 
@@ -669,22 +673,11 @@ def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> Verif
         graphs, eff, noun = _universe(spec.universe, n_max)
         base_label, base_pred = spec.items[0]
         for label, pred in spec.items[1:]:
-            counterexample = None
-            for g in graphs:
-                a, b = base_pred(g), pred(g)
-                if a != b:
-                    counterexample = (g, a, b)
-                    break
-            subject = f"{spec.name}: {label} == {base_label}"
-            if counterexample is None:
-                report.rows.append(CheckRow(
-                    subject, "ok", "-",
-                    f"agree on {len(graphs)} {noun} with at most {eff} vertices"))
-            else:
-                g, a, b = counterexample
-                report.rows.append(CheckRow(
-                    subject, "fail", g.canonical_form().hex(),
-                    f"{base_label}={a} but {label}={b} on {g.n} vertices"))
+            report.rows.append(_row(
+                f"{spec.name}: {label} == {base_label}",
+                _first(graphs, lambda g: base_pred(g) != pred(g)), False,
+                f"agree on {len(graphs)} {noun} with at most {eff} vertices",
+                lambda g: f"{base_label}={base_pred(g)} but {label}={pred(g)} on {g.n} vertices"))
     return report
 
 
@@ -695,51 +688,24 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     """Complement/converse closure facts for the core classes and obstruction families."""
     report = VerifyReport(suite="closures")
     graphs = _universe("digraphs", n_max)[0]
-    total = len(graphs)
 
-    for x in (ClassId.DC, ClassId.DT):
-        leak = next(
-            (g for g in graphs
-             if member(g, x) != member(g.complement(), x)),
-            None,
-        )
-        if leak is None:
-            report.rows.append(CheckRow(
-                f"{x.value} complement-closed", "ok", "-",
-                f"membership matches complement membership on all {total} digraphs"))
-        else:
-            report.rows.append(CheckRow(
-                f"{x.value} complement-closed", "fail", leak.canonical_form().hex(),
-                f"complement flips membership on {leak.n} vertices"))
-
-    leak = next(
-        (g for g in graphs
-         if member(g, ClassId.DC) != member(g.converse(), ClassId.DC)),
-        None,
-    )
-    if leak is None:
-        report.rows.append(CheckRow(
-            "DC converse-closed", "ok", "-",
-            f"membership matches converse membership on all {total} digraphs"))
-    else:
-        report.rows.append(CheckRow(
-            "DC converse-closed", "fail", leak.canonical_form().hex(),
-            f"converse flips membership on {leak.n} vertices"))
+    for x, op, flip in (
+        (ClassId.DC, "complement", Digraph.complement),
+        (ClassId.DT, "complement", Digraph.complement),
+        (ClassId.DC, "converse", Digraph.converse),
+    ):
+        report.rows.append(_row(
+            f"{x.value} {op}-closed",
+            _first(graphs, lambda g: member(g, x) != member(flip(g), x)), False,
+            f"membership matches {op} membership on all {len(graphs)} digraphs",
+            lambda g: f"{op} flips membership on {g.n} vertices"))
 
     for x in (ClassId.DTP, ClassId.DWQT):
-        wit = next(
-            (g for g in graphs
-             if member(g, x) and not member(g.complement(), x)),
-            None,
-        )
-        if wit is None:
-            report.rows.append(CheckRow(
-                f"{x.value} complement-not-closed", "fail", "-",
-                f"no member with complement outside the class at n <= {n_max}"))
-        else:
-            report.rows.append(CheckRow(
-                f"{x.value} complement-not-closed", "ok", wit.canonical_form().hex(),
-                f"member on {wit.n} vertices whose complement leaves the class"))
+        report.rows.append(_row(
+            f"{x.value} complement-not-closed",
+            _first(graphs, lambda g: member(g, x) and not member(g.complement(), x)), True,
+            f"no member with complement outside the class at n <= {n_max}",
+            lambda g: f"member on {g.n} vertices whose complement leaves the class"))
 
     for label, names in (
         ("obstruction family D1-D8 complement-closed", _D1_8),
@@ -787,51 +753,44 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
          ClassId.DT, UClassId.T, ClassId.OT),
     )
 
-    def check(subject: str, prop: Callable[[Digraph], bool], scope: ClassId) -> None:
-        leak = next(
-            (g for g in graphs if member(g, scope) and not prop(g)), None)
-        n_members = sum(1 for g in graphs if member(g, scope))
-        if leak is None:
-            report.rows.append(CheckRow(
-                subject, "ok", "-",
-                f"holds for all {n_members} members with at most {n_max} vertices"))
-        else:
-            report.rows.append(CheckRow(
-                subject, "fail", leak.canonical_form().hex(),
-                f"member on {leak.n} vertices violates the projection"))
-
-    for subject, x, u in untests:
-        check(subject, _un_in(u), x)
-    for subject, x, u, ox in symtests:
-        check(
-            subject,
-            lambda g, u=u, ox=ox: member_u(g.sym_part().underlying(), u)
-            and member(g.asym_part(), ox),
-            x,
-        )
-    check("OC: acyclic", lambda g: g.is_acyclic(), ClassId.OC)
-    check("DT: free of two-switches", lambda g: not has_two_switch(g), ClassId.DT)
-
     def round_trip(g: Digraph) -> bool:
         tree = di_co_tree(g)
         return tree is not None and evaluate(tree).isomorphic_to(g)
 
-    check("DC: expression round-trip rebuilds the digraph", round_trip, ClassId.DC)
+    checks: list[tuple[str, Callable[[Digraph], bool], ClassId]] = [
+        *((subject, _un_in(u), x) for subject, x, u in untests),
+        *((subject,
+           lambda g, u=u, ox=ox: member_u(g.sym_part().underlying(), u) and member(g.asym_part(), ox),
+           x) for subject, x, u, ox in symtests),
+        ("OC: acyclic", lambda g: g.is_acyclic(), ClassId.OC),
+        ("DT: free of two-switches", lambda g: not has_two_switch(g), ClassId.DT),
+        ("DC: expression round-trip rebuilds the digraph", round_trip, ClassId.DC),
+    ]
+    for subject, prop, scope in checks:
+        members = [g for g in graphs if member(g, scope)]
+        report.rows.append(_row(
+            subject, _first(members, lambda g: not prop(g)), False,
+            f"holds for all {len(members)} members with at most {n_max} vertices",
+            lambda g: f"member on {g.n} vertices violates the projection"))
     return report
+
+
+_SUITES: dict[str, Callable[[int], VerifyReport]] = {
+    "hierarchy": lambda n_max: VerifyReport(
+        suite="hierarchy",
+        rows=verify_hierarchy(n_max, directed=True).rows + verify_hierarchy(n_max, directed=False).rows,
+    ),
+    "theorems": verify_theorems,
+    "closures": verify_closures,
+    "projections": verify_projections,
+}
 
 
 def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
     """Dispatch a named verification suite; hierarchy covers both figures."""
     if not 1 <= n_max <= 5:
         raise ValueError("verify_suite supports n_max in 1..5")
-    if name == "hierarchy":
-        directed = verify_hierarchy(n_max=n_max, directed=True)
-        undirected = verify_hierarchy(n_max=n_max, directed=False)
-        return VerifyReport(suite="hierarchy", rows=directed.rows + undirected.rows)
-    if name == "theorems":
-        return verify_theorems(n_max=n_max)
-    if name == "closures":
-        return verify_closures(n_max=n_max)
-    if name == "projections":
-        return verify_projections(n_max=n_max)
-    raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, closures, or projections")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, closures, or projections")
+    return _SUITES[name](n_max)
+

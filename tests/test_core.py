@@ -39,6 +39,19 @@ def test_loops_and_range_rejected_duplicates_collapse() -> None:
         Digraph(2, [(0, 2)])
     # the arc set is a mask, so repeating an arc is harmless
     assert Digraph(2, [(0, 1), (0, 1)]) == Digraph(2, [(0, 1)])
+    # a vertex outside 0..n-1 is refused, not read as some other pair's bit
+    g = Digraph(3, [(0, 1), (1, 2)])
+    for call in (
+        lambda: g.delete_vertex(99),
+        lambda: g.delete_vertex(-1),
+        lambda: g.in_row(5),
+        lambda: g.out_row(3),
+        lambda: g.out_row(-1),
+        lambda: g.out_degree(3),
+        lambda: g.in_degree(3),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @given(digraphs())

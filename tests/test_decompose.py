@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dcograph.construct import evaluate, leaf, order, parse_expression, series, union
-from dcograph.core import Digraph, _full_offdiag
+from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag
 from dcograph.decompose import (
     creation_sequence,
     creation_sequence_raw,
@@ -111,6 +112,18 @@ def test_replay_rejects_bad_strings() -> None:
         replay("01")  # the opening vertex is written as digit 1
     with pytest.raises(ValueError):
         replay("14")
+    with pytest.raises(ValueError):
+        replay("1" * (MAX_VERTICES + 1))
+    # the vertex cap is checked before the arc list is built; building the
+    # ~4.5M arcs of 3000 digits first took hundreds of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            replay("1" * 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dcograph import mine
 from dcograph.core import Digraph, _canonize
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
@@ -209,3 +210,67 @@ def test_closures_suite_is_green() -> None:
 def test_projection_suite_is_green() -> None:
     report = verify_projections(n_max=4)
     assert report.ok()
+
+
+# No golden report holds a row whose scan found a counterexample, so these
+# fakes force each such row form at n <= 3 and pin its exact text.
+_FORCED_HIERARCHY = [
+    "suite hierarchy-directed: 6 checks, 5 failures",
+    "DC subset-of OC\tfail\t0206\tmember of DC outside OC on 2 vertices",
+    "DC proper-subset OC\tfail\t-\tno separating witness with at most 3 vertices",
+    "DC not-below OT\tok\t0206\twitness in DC but not OT on 2 vertices",
+    "OT not-below DC\tfail\t-\tclaimed incomparable but no witness in OT outside DC with at most 3 vertices",
+    "OC not-below OT\tfail\t-\tclaimed incomparable but no witness in OC outside OT with at most 3 vertices",
+    "OT not-below OC\tfail\t-\tclaimed incomparable but no witness in OT outside OC with at most 3 vertices",
+]
+_FORCED_CLOSURES = [
+    "suite closures: 7 checks, 6 failures",
+    "DC complement-closed\tfail\t0200\tcomplement flips membership on 2 vertices",
+    "DT complement-closed\tfail\t0200\tcomplement flips membership on 2 vertices",
+    "DC converse-closed\tfail\t0204\tconverse flips membership on 2 vertices",
+    "DTP complement-not-closed\tfail\t-\tno member with complement outside the class at n <= 3",
+    "DWQT complement-not-closed\tfail\t-\tno member with complement outside the class at n <= 3",
+    "obstruction family D1-D8 complement-closed\tok\t-\tcomplement permutes the 8 patterns",
+    "obstruction family D12-D15 complement-closed\tfail\t-\tcomplement maps the family to a different set",
+]
+_HOLDS_20 = "\tok\t-\tholds for all 20 members with at most 3 vertices"
+_FORCED_PROJECTIONS = [
+    "suite projections: 16 checks, 2 failures",
+    "DC: underlying graph is a cograph" + _HOLDS_20,
+    "OC: underlying graph is a cograph" + _HOLDS_20,
+    "DTP: underlying graph is trivially perfect" + _HOLDS_20,
+    "OTP: underlying graph is trivially perfect" + _HOLDS_20,
+    "DWQT: underlying graph is weakly quasi threshold" + _HOLDS_20,
+    "DSC: underlying graph is a simple cograph" + _HOLDS_20,
+    "DT: underlying graph is threshold" + _HOLDS_20,
+    "OT: underlying graph is a cograph" + _HOLDS_20,
+    "DC: symmetric part underlies a cograph, asymmetric part oriented cograph" + _HOLDS_20,
+    "DTP: symmetric part underlies trivially perfect, asymmetric part oriented" + _HOLDS_20,
+    "DWQT: symmetric part underlies weakly quasi threshold, asymmetric part oriented" + _HOLDS_20,
+    "DSC: symmetric part underlies a simple cograph, asymmetric part oriented" + _HOLDS_20,
+    "DT: symmetric part underlies threshold, asymmetric part oriented threshold" + _HOLDS_20,
+    "OC: acyclic\tfail\t0206\tmember on 2 vertices violates the projection",
+    "DT: free of two-switches" + _HOLDS_20,
+    "DC: expression round-trip rebuilds the digraph\tfail\t030060\tmember on 3 vertices violates the projection",
+]
+
+
+def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
+    # a figure claiming DC below OC, and OT incomparable with both
+    monkeypatch.setattr(mine, "DIRECTED_HIERARCHY_NODES", ("DC", "OC", "OT"))
+    monkeypatch.setattr(mine, "DIRECTED_HIERARCHY_EDGES", (("DC", "OC"),))
+    assert verify_hierarchy(n_max=3).render() == "\n".join(_FORCED_HIERARCHY)
+    monkeypatch.undo()
+
+    # DC and DT read "has arc 0 -> 1", which complement and converse flip;
+    # DTP and DWQT hold everywhere; D12 is swapped for D1 in the D12-D15 family
+    monkeypatch.setattr(
+        mine, "member",
+        lambda g, x: x in (ClassId.DTP, ClassId.DWQT) or g.n == 1 or g.has_arc(0, 1))
+    monkeypatch.setattr(mine, "PATTERNS", {**PATTERNS, "D12": PATTERNS["D1"]})
+    assert verify_closures(n_max=3).render() == "\n".join(_FORCED_CLOSURES)
+    monkeypatch.undo()
+
+    # every digraph is a member of every class
+    monkeypatch.setattr(mine, "member", lambda g, x: True)
+    assert verify_projections(n_max=3).render() == "\n".join(_FORCED_PROJECTIONS)

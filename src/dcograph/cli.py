@@ -21,7 +21,7 @@ from dcograph.core import (
     to_dot,
 )
 from dcograph.decompose import creation_sequence, di_co_tree, maximal_split
-from dcograph.mine import MINEABLE_CLASSES, minimal_forbidden, verify_suite
+from dcograph.mine import _SUITES, MINEABLE_CLASSES, minimal_forbidden, verify_suite
 from dcograph.recognize import (
     ClassId,
     PATTERN_ONLY_CLASSES,
@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("verify", help="run a verification suite and print its report")
-    p.add_argument("--suite", required=True, choices=("hierarchy", "theorems", "closures", "projections"))
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (1..5)")
     p.set_defaults(func=_cmd_verify)
 

@@ -366,6 +366,8 @@ class UndirectedGraph:
         return tuple(sorted(self._edges))
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex pair ({u}, {v}) out of range")
         return (min(u, v), max(u, v)) in self._edges
 
     def complement(self) -> UndirectedGraph:

@@ -30,60 +30,44 @@ class BudgetExceeded(Exception):
 # -- vectorized bit-mask machinery --------------------------------------------
 #
 # A labeled n-vertex digraph is one uint64 with bit u*n+v per arc, matching
-# core.Digraph. Relabelings and vertex deletions are bit rearrangements, done
-# in bulk through chunked lookup tables (12 source bits per table).
-
-_CHUNK_BITS = 12
+# core.Digraph. Relabelings, embeddings and vertex deletions are vertex maps,
+# applied in bulk to masks split once into their n out-rows.
 
 
-def _remap_tables(bit_map: dict[int, int], src_bits: int) -> list[tuple[int, int, np.ndarray]]:
-    tables = []
-    for lo in range(0, src_bits, _CHUNK_BITS):
-        width = min(_CHUNK_BITS, src_bits - lo)
-        tab = np.zeros(1 << width, dtype=np.uint64)
-        for i in range(width):
-            target = bit_map.get(lo + i)
-            contrib = np.uint64(0 if target is None else 1 << target)
-            tab[1 << i : 2 << i] = tab[: 1 << i] | contrib
-        tables.append((lo, width, tab))
-    return tables
+def _rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
+    """The n out-rows of each n-vertex mask, as indices into a column table."""
+    low = np.uint64((1 << n) - 1)
+    return [((masks >> np.uint64(u * n)) & low).astype(np.intp) for u in range(n)]
 
 
-def _apply_remap(tables: list[tuple[int, int, np.ndarray]], masks: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(masks)
-    for lo, width, tab in tables:
-        idx = (masks >> np.uint64(lo)) & np.uint64((1 << width) - 1)
-        out |= tab[idx.astype(np.int64)]
+# room for every permutation, deletion and embedding map on at most 6 vertices (900)
+@lru_cache(maxsize=1024)
+def _column_table(vmap: tuple[int | None, ...]) -> np.ndarray:
+    """Every len(vmap)-bit row with column v moved to column vmap[v], or dropped for None."""
+    tab = np.zeros(1 << len(vmap), dtype=np.uint64)
+    for v, target in enumerate(vmap):
+        tab[1 << v : 2 << v] = tab[: 1 << v] | np.uint64(0 if target is None else 1 << target)
+    return tab
+
+
+def _relabel(rows: list[np.ndarray], vmap: tuple[int | None, ...], m: int) -> np.ndarray:
+    """The m-vertex masks with vertex u of each split mask moved to vmap[u], or deleted for None."""
+    tab = _column_table(vmap)
+    out = np.zeros(rows[0].size, dtype=np.uint64)
+    for row, target in zip(rows, vmap):
+        if target is not None:
+            out |= tab[row] << np.uint64(target * m)
     return out
-
-
-_PERM_TABLES: dict[int, list[list[tuple[int, int, np.ndarray]]]] = {}
-
-
-def _perm_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
-    if n not in _PERM_TABLES:
-        all_tables = []
-        for perm in permutations(range(n)):
-            bit_map = {
-                u * n + v: perm[u] * n + perm[v]
-                for u in range(n)
-                for v in range(n)
-                if u != v
-            }
-            all_tables.append(_remap_tables(bit_map, n * n))
-        _PERM_TABLES[n] = all_tables
-    return _PERM_TABLES[n]
 
 
 def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
     """Per-element canonical (minimum over all relabelings) masks; n <= 6."""
     if n > 6:
         raise ValueError("bulk canonicalization supports n <= 6")
-    best: np.ndarray | None = None
-    for tables in _perm_tables(n):
-        cand = _apply_remap(tables, masks)
-        best = cand if best is None else np.minimum(best, cand)
-    assert best is not None
+    rows = _rows(n, masks)
+    best = masks.astype(np.uint64)
+    for perm in permutations(range(n)):
+        np.minimum(best, _relabel(rows, perm, n), out=best)
     return best
 
 
@@ -127,21 +111,11 @@ def enumerate_tournaments(n: int) -> list[Digraph]:
     return list(_representatives("tournaments", n))
 
 
-def _embed_tables(small: int, big: int) -> list[tuple[int, int, np.ndarray]]:
-    bit_map = {
-        u * small + v: u * big + v
-        for u in range(small)
-        for v in range(small)
-        if u != v
-    }
-    return _remap_tables(bit_map, small * small)
-
-
 def _one_vertex_extensions(
     n: int, base: np.ndarray, states: tuple[int, ...] = _STATES["digraphs"]
 ) -> np.ndarray:
     """Every (n-1)-vertex mask in base with new vertex n-1 attached in all len(states)^(n-1) ways."""
-    embedded = _apply_remap(_embed_tables(n - 1, n), base)
+    embedded = _relabel(_rows(n - 1, base), tuple(range(n - 1)), n)
     return (embedded[:, None] | _extension_masks(n, states)[None, :]).ravel()
 
 
@@ -156,22 +130,6 @@ def _extension_masks(n: int, states: tuple[int, ...]) -> np.ndarray:
         masks |= (state & np.uint64(1)) << np.uint64(j * n + w)
         masks |= (state >> np.uint64(1)) << np.uint64(w * n + j)
     return masks
-
-
-def _deletion_tables(n: int) -> list[list[tuple[int, int, np.ndarray]]]:
-    """For each vertex d: bit remap deleting d from an n-vertex mask."""
-    out = []
-    for d in range(n):
-        bit_map = {}
-        for u in range(n):
-            for v in range(n):
-                if u == v or u == d or v == d:
-                    continue
-                uu = u - (u > d)
-                vv = v - (v > d)
-                bit_map[u * n + v] = uu * (n - 1) + vv
-        out.append(_remap_tables(bit_map, n * n))
-    return out
 
 
 # -- reports ------------------------------------------------------------------
@@ -285,12 +243,17 @@ def _mine_level(
     class is assumed hereditary: then every n-vertex member and every minimal
     obstruction has all its single-vertex deletions inside the class, so it is
     a one-vertex extension of some member whose other deletions are members
-    too. Only those extensions are tested for membership. Returns the sorted
+    too. A deletion is a member exactly when its labelled mask is some
+    relabelling of a member, so the filter looks deletions up in the sorted
+    relabellings of all members and canonicalises none of them. Only the
+    extensions that pass are tested for membership. Returns the sorted
     canonical masks of the n-vertex members and the minimal obstructions, each
     carrying the minimum mask over its isomorphism class. The deadline is
     checked before each batch.
     """
-    del_tables = _deletion_tables(n)
+    member_rows = _rows(n - 1, members)
+    labelled = np.sort(np.concatenate(
+        [_relabel(member_rows, perm, n - 1) for perm in permutations(range(n - 1))]))
     seen: set[int] = set()
     inside: list[int] = []
     obstructions: list[Digraph] = []
@@ -298,12 +261,15 @@ def _mine_level(
     for start in range(0, members.size, batch):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded
-        cands = np.unique(_one_vertex_extensions(n, members[start : start + batch]))
+        cands = _one_vertex_extensions(n, members[start : start + batch])
+        rows = _rows(n, cands)
         # deleting the attached vertex n-1 returns the base member, so only
         # deletions of vertices 0..n-2 need checking
         for d in range(n - 1):
-            deleted = canonical_masks(n - 1, _apply_remap(del_tables[d], cands))
-            cands = cands[np.isin(deleted, members)]
+            deleted = _relabel(rows, tuple(None if u == d else u - (u > d) for u in range(n)), n - 1)
+            pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
+            keep = labelled[pos] == deleted
+            cands, rows = cands[keep], [row[keep] for row in rows]
         for m in np.unique(canonical_masks(n, cands)).tolist():
             if m in seen:
                 continue
@@ -791,6 +757,7 @@ def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
     if not 1 <= n_max <= 5:
         raise ValueError("verify_suite supports n_max in 1..5")
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; expected hierarchy, theorems, closures, or projections")
+        *head, last = _SUITES
+        raise ValueError(f"unknown suite {name!r}; expected {', '.join(head)}, or {last}")
     return _SUITES[name](n_max)
 

@@ -54,6 +54,15 @@ def test_loops_and_range_rejected_duplicates_collapse() -> None:
             call()
 
 
+def test_undirected_has_edge_rejects_a_vertex_out_of_range() -> None:
+    # like Digraph.has_arc: an off-by-one vertex is refused, not read as a missing edge
+    u = UndirectedGraph(3, [(0, 1), (1, 2)])
+    assert u.has_edge(2, 1) and not u.has_edge(0, 2)
+    for a, b in ((1, 5), (-1, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            u.has_edge(a, b)
+
+
 @given(digraphs())
 def test_complement_and_converse_are_involutions(g: Digraph) -> None:
     assert g.complement().complement() == g

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,70 @@ def test_extension_enumeration_matches_labelled_space() -> None:
         for universe, inside in _UNIVERSE_PREDICATES.items():
             expected = [g.mask for g in canon if inside(g)]
             assert [g.mask for g in _representatives(universe, n)] == expected, (universe, n)
+
+
+def _reference_canonical(n: int, masks: list[int]) -> list[int]:
+    """Each mask's minimum over every relabelling, moving one arc bit at a time."""
+    moves = [
+        {u * n + v: 1 << (p[u] * n + p[v]) for u in range(n) for v in range(n) if u != v}
+        for p in permutations(range(n))
+    ]
+    out = []
+    for mask in masks:
+        bits = [b for b in range(n * n) if mask >> b & 1]
+        out.append(min(sum(move[b] for b in bits) for move in moves))
+    return out
+
+
+def _random_mask(n: int, rng: random.Random, tournament: bool) -> int:
+    mask = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            state = rng.choice((1, 2) if tournament else (0, 1, 2, 3))
+            mask |= (state & 1) << (u * n + v) | (state >> 1) << (v * n + u)
+    return mask
+
+
+def test_canonical_masks_match_a_permutation_reference(reps_by_n) -> None:
+    rng = random.Random(2019)
+    relabelled = []
+    for g in reps_by_n[5]:
+        perm = list(range(5))
+        rng.shuffle(perm)
+        relabelled.append(sum(1 << (perm[u] * 5 + perm[v]) for u, v in g.arcs))
+    got = canonical_masks(5, np.array(relabelled, dtype=np.uint64)).tolist()
+    assert got == _reference_canonical(5, relabelled)
+    assert got == [g.mask for g in reps_by_n[5]]
+
+    six = [_random_mask(6, rng, tournament=i % 3 == 0) for i in range(300)]
+    got = canonical_masks(6, np.array(six, dtype=np.uint64)).tolist()
+    assert got == _reference_canonical(6, six)
+
+
+def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
+    # the deletion filter looks each deletion's labelled mask up among the
+    # members' relabellings, so level n canonicalises n-vertex masks only
+    calls: list[tuple[int, int]] = []
+    levels: list[int] = []
+    mine_level, canonical = mine._mine_level, mine.canonical_masks
+
+    def level(x, n, *args):
+        levels.append(n)
+        return mine_level(x, n, *args)
+
+    def canonicalise(n, masks):
+        calls.append((levels[-1], n))
+        return canonical(n, masks)
+
+    monkeypatch.setattr(mine, "_mine_level", level)
+    monkeypatch.setattr(mine, "canonical_masks", canonicalise)
+    minimal_forbidden(ClassId.DC, n_max=6)
+    assert (6, 6) in calls
+    assert all(size == n for n, size in calls), sorted(set(calls))
+
+
+def test_six_vertex_permutation_tables_stay_small() -> None:
+    assert sum(mine._column_table(p).nbytes for p in permutations(range(6))) < 1 << 20
 
 
 def test_oriented_counts() -> None:
@@ -129,7 +196,7 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 
 
 def test_per_digraph_memos_are_bounded() -> None:
-    for memo in (_canonize, induced_canon_set, patterns_in, _tree):
+    for memo in (_canonize, induced_canon_set, patterns_in, _tree, mine._column_table):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, memo.__name__
 

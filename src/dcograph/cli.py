@@ -81,7 +81,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 detail = "free of every catalog obstruction"
             else:
                 cert = constructive_certificate(g, x)
-                assert cert is not None
+                # a check that `python -O` keeps: a member always has a certificate
+                if cert is None:
+                    raise RuntimeError(f"{x.value} member {g!r} has no certificate")
                 detail = format_expression(cert)
         else:
             name, vertices = violating_occurrence(g, x)  # type: ignore[misc]  # None only for members

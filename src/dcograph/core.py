@@ -24,11 +24,22 @@ def _full_offdiag(n: int) -> int:
     return mask
 
 
+def _join_rows(rows: list[int], n: int) -> int:
+    """The bit matrix whose row u is rows[u], assembled in one pass."""
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n | row
+    return mask
+
+
 class Digraph:
     """A digraph on vertices 0..n-1 with arcs stored as one bit per ordered pair.
 
-    Bit u*n+v is set iff the arc (u, v) is present. Instances are immutable;
-    all operations return new values.
+    Bit u*n+v is set iff the arc (u, v) is present, so row u of the n x n bit
+    matrix is u's out-neighbourhood and column v is v's in-neighbourhood.
+    Columns are read from the matrix's binary text (`_text`) by one slice
+    each, so the converse is one transpose of that text. Instances are
+    immutable; all operations return new values.
     """
 
     __slots__ = ("n", "_mask")
@@ -37,14 +48,14 @@ class Digraph:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         self.n = n
-        mask = 0
+        rows = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop ({u}, {u}) not allowed")
-            mask |= 1 << u * n + v
-        object.__setattr__(self, "_mask", mask)
+            rows[u] |= 1 << v
+        object.__setattr__(self, "_mask", _join_rows(rows, n))
 
     def __setattr__(self, name: str, value: object) -> None:
         if name == "n" and not hasattr(self, "_mask"):
@@ -59,11 +70,16 @@ class Digraph:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         if mask < 0 or mask >> n * n:
             raise ValueError("mask has bits outside the n*n matrix")
+        if mask & ~_full_offdiag(n):
+            raise ValueError("mask has diagonal (loop) bits set")
+        return cls._of(n, mask)
+
+    @classmethod
+    def _of(cls, n: int, mask: int) -> Digraph:
+        """Wrap a mask that is valid by construction, without checking it."""
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_mask", mask)
-        if mask & ~_full_offdiag(n):
-            raise ValueError("mask has diagonal (loop) bits set")
         return g
 
     @classmethod
@@ -76,13 +92,14 @@ class Digraph:
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        n = self.n
-        return tuple(
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and self._mask >> u * n + v & 1
-        )
+        """Every arc (u, v), ascending: out-rows in order, each lowest bit first."""
+        arcs = []
+        for u, row in enumerate(self.out_rows()):
+            while row:
+                low = row & -row
+                arcs.append((u, low.bit_length() - 1))
+                row ^= low
+        return tuple(arcs)
 
     @property
     def arc_count(self) -> int:
@@ -101,49 +118,60 @@ class Digraph:
 
     def in_row(self, v: int) -> int:
         """In-neighbourhood of v as an n-bit mask."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        row = 0
-        for u in range(self.n):
-            row |= (self._mask >> u * self.n + v & 1) << u
-        return row
+        return int(self._column(v), 2)
+
+    def out_rows(self) -> list[int]:
+        """Every out-neighbourhood, row u of the bit matrix for u = 0..n-1."""
+        n, full, mask = self.n, (1 << self.n) - 1, self._mask
+        return [mask >> u * n & full for u in range(n)]
+
+    def in_rows(self) -> list[int]:
+        """Every in-neighbourhood, column v of the bit matrix for v = 0..n-1."""
+        n, text = self.n, self._text()
+        return [int(text[n - 1 - v::n], 2) for v in range(n)]
 
     def out_degree(self, u: int) -> int:
         return self.out_row(u).bit_count()
 
     def in_degree(self, v: int) -> int:
-        return self.in_row(v).bit_count()
+        return self._column(v).count("1")
+
+    def _text(self) -> str:
+        """The bit matrix as n*n binary digits, highest bit first.
+
+        Digit (n-1-u)*n + (n-1-v) is pair (u, v), so the slice [n-1-v::n] is
+        column v with row n-1 first: the binary text of v's in-row.
+        """
+        return bin(self._mask | 1 << self.n * self.n)[3:]
+
+    def _column(self, v: int) -> str:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return self._text()[self.n - 1 - v::self.n]
 
     # -- unary transforms ---------------------------------------------------
 
     def complement(self) -> Digraph:
-        return Digraph.from_mask(self.n, self._mask ^ _full_offdiag(self.n))
+        return Digraph._of(self.n, self._mask ^ _full_offdiag(self.n))
 
     def converse(self) -> Digraph:
-        n = self.n
-        mask = 0
-        for u in range(n):
-            row = self.out_row(u)
-            while row:
-                v = (row & -row).bit_length() - 1
-                row &= row - 1
-                mask |= 1 << v * n + u
-        return Digraph.from_mask(n, mask)
+        """The transpose: the matrix text's columns, joined in order, are the transposed text."""
+        n, text = self.n, self._text()
+        return Digraph._of(n, int("".join([text[a::n] for a in range(n)]), 2))
 
     def sym_part(self) -> Digraph:
         """Spanning subdigraph keeping exactly the arcs whose reverse is also present."""
-        return Digraph.from_mask(self.n, self._mask & self.converse()._mask)
+        return Digraph._of(self.n, self._mask & self.converse()._mask)
 
     def asym_part(self) -> Digraph:
         """Spanning subdigraph keeping exactly the arcs whose reverse is absent."""
-        return Digraph.from_mask(self.n, self._mask & ~self.converse()._mask)
+        return Digraph._of(self.n, self._mask & ~self.converse()._mask)
 
     def underlying(self) -> UndirectedGraph:
         """Forget orientations: edge {u,v} iff at least one of the two arcs exists."""
-        both = self._mask | self.converse()._mask
-        n = self.n
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if both >> u * n + v & 1]
-        return UndirectedGraph(n, edges)
+        # each edge once, from its lower end: bits 0..u of row u are cleared
+        edges = [(u, v) for u, row in enumerate(self._neighbor_rows()) for v in _bits(row >> u + 1 << u + 1)]
+        return UndirectedGraph(self.n, edges)
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
         """Induced subdigraph; kept vertices are relabeled 0.. preserving order."""
@@ -155,15 +183,15 @@ class Digraph:
         n, k = self.n, len(sub)
         rank = dict(zip(sub, range(k)))
         keep = sum(1 << v for v in sub)
-        mask = 0
+        rows = [0] * k
         for i, u in enumerate(sub):
             # each arc u->v into a kept v lands at column rank[v] of row i
             row = self._mask >> u * n & keep
             while row:
                 low = row & -row
-                mask |= 1 << i * k + rank[low.bit_length() - 1]
+                rows[i] |= 1 << rank[low.bit_length() - 1]
                 row ^= low
-        return Digraph.from_mask(k, mask)
+        return Digraph._of(k, _join_rows(rows, k))
 
     def delete_vertex(self, v: int) -> Digraph:
         if not 0 <= v < self.n:
@@ -177,11 +205,10 @@ class Digraph:
         p = tuple(perm)
         if sorted(p) != list(range(self.n)):
             raise ValueError("perm is not a bijection on the vertex set")
-        n = self.n
-        mask = 0
+        rows = [0] * self.n
         for u, v in self.arcs:
-            mask |= 1 << p[u] * n + p[v]
-        return Digraph.from_mask(n, mask)
+            rows[p[u]] |= 1 << p[v]
+        return Digraph._of(self.n, _join_rows(rows, self.n))
 
     # -- predicates ---------------------------------------------------------
 
@@ -200,7 +227,7 @@ class Digraph:
 
     def is_transitive(self) -> bool:
         """Whenever (u,v) and (v,w) are arcs with u != w, (u,w) is an arc too."""
-        rows = [self.out_row(u) for u in range(self.n)]
+        rows = self.out_rows()
         for u in range(self.n):
             allowed = rows[u] | 1 << u
             targets = rows[u]
@@ -213,8 +240,8 @@ class Digraph:
 
     def is_acyclic(self) -> bool:
         """No directed cycle; a bidirectional pair counts as a 2-cycle."""
-        rows = [self.out_row(u) for u in range(self.n)]
-        indeg = [self.in_degree(v) for v in range(self.n)]
+        rows = self.out_rows()
+        indeg = [row.bit_count() for row in self.in_rows()]
         stack = [v for v in range(self.n) if indeg[v] == 0]
         seen = 0
         while stack:
@@ -232,10 +259,7 @@ class Digraph:
     # -- connectivity -------------------------------------------------------
 
     def _neighbor_rows(self) -> list[int]:
-        conv = self.converse()._mask
-        both = self._mask | conv
-        n = self.n
-        return [both >> u * n & (1 << n) - 1 for u in range(n)]
+        return [o | i for o, i in zip(self.out_rows(), self.in_rows())]
 
     def underlying_components(self) -> list[tuple[int, ...]]:
         """Connected components of the underlying graph, each sorted, in order of minimum vertex."""
@@ -262,7 +286,9 @@ class Digraph:
         mapping = [0] * self.n
         for i in range(self.n):
             mapping[oa[i]] = ob[i]
-        assert self.relabel(mapping)._mask == other._mask
+        # a check that `python -O` keeps: a wrong canonical order must not pass as an isomorphism
+        if self.relabel(mapping)._mask != other._mask:
+            raise RuntimeError(f"canonical orders of {self!r} and {other!r} do not give an isomorphism")
         return tuple(mapping)
 
     def isomorphic_to(self, other: Digraph) -> bool:
@@ -312,10 +338,9 @@ def _canonize(n: int, mask: int) -> tuple[bytes, tuple[int, ...]]:
     if n > MAX_CANONICAL_VERTICES:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_VERTICES}")
     g = Digraph.from_mask(n, mask)
-    sym = mask & g.converse()._mask
     invariant = [
-        (g.out_degree(v), g.in_degree(v), (sym >> v * n & (1 << n) - 1).bit_count())
-        for v in range(n)
+        (out.bit_count(), into.bit_count(), (out & into).bit_count())
+        for out, into in zip(g.out_rows(), g.in_rows())
     ]
     # Isomorphisms preserve the degree triple, so only orderings that keep
     # the sorted triple sequence can achieve the minimum.
@@ -417,7 +442,7 @@ def parse_edge_list(text: str) -> Digraph:
     `#` starts a comment. Duplicate arcs and loops are rejected.
     """
     n: int | None = None
-    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -432,6 +457,7 @@ def parse_edge_list(text: str) -> Digraph:
                 raise EdgeListError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
             if not 1 <= n <= MAX_VERTICES:
                 raise EdgeListError(f"line {lineno}: vertex count must be in 1..{MAX_VERTICES}, got {n}")
+            rows = [0] * n
             continue
         if len(fields) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -443,12 +469,12 @@ def parse_edge_list(text: str) -> Digraph:
             raise EdgeListError(f"line {lineno}: arc ({u}, {v}) out of range for n={n}")
         if u == v:
             raise EdgeListError(f"line {lineno}: loop ({u}, {u}) not allowed")
-        if (u, v) in seen:
+        if rows[u] >> v & 1:
             raise EdgeListError(f"line {lineno}: duplicate arc ({u}, {v})")
-        seen.add((u, v))
+        rows[u] |= 1 << v
     if n is None:
         raise EdgeListError("empty input: missing 'n <count>' header")
-    return Digraph(n, seen)
+    return Digraph._of(n, _join_rows(rows, n))
 
 
 def format_edge_list(g: Digraph) -> str:

@@ -183,9 +183,7 @@ def _tree(g: Digraph) -> _Tree:
     """Decompose g once; every split, membership and certificate question reads this."""
     n = g.n
     full = (1 << n) - 1
-    conv = g.converse()
-    out_rows = [g.out_row(u) for u in range(n)]
-    in_rows = [conv.out_row(u) for u in range(n)]
+    out_rows, in_rows = g.out_rows(), g.in_rows()
     # neighbour rows of the underlying graph, of its complement, and of M;
     # bits outside the set being split are masked off there
     adj = [o | i for o, i in zip(out_rows, in_rows)]

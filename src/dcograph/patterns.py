@@ -125,11 +125,6 @@ def catalog(class_name: str) -> tuple[Digraph, ...]:
     return tuple(PATTERNS[p] for p in CATALOG[class_name])
 
 
-def _out_rows(g: Digraph) -> list[int]:
-    n, full = g.n, (1 << g.n) - 1
-    return [g.mask >> u * n & full for u in range(n)]
-
-
 def contains_induced(g: Digraph, pattern: Digraph) -> tuple[int, ...] | None:
     """Occurrence witness: tuple w with w[p] = vertex of g playing pattern vertex p, or None.
 
@@ -159,7 +154,7 @@ def contains_small(g: Digraph, pattern: Digraph) -> bool:
     """
     if not 2 <= pattern.n <= 3:
         raise ValueError(f"row containment needs a 2- or 3-vertex pattern, got {pattern.n}")
-    rows, cols = _out_rows(g), _out_rows(g.converse())
+    rows, cols = g.out_rows(), g.in_rows()
     everyone = (1 << g.n) - 1
 
     def pairs(a: int, b: int) -> list[int]:
@@ -225,7 +220,7 @@ def patterns_in(g: Digraph) -> frozenset[str]:
     table of labelled pattern copies; no subset is canonicalised. The pass costs
     C(n, 2) + ... + C(n, 6) lookups, so it is meant for g.n <= 8.
     """
-    rows = _out_rows(g)
+    rows = g.out_rows()
     found: set[str] = set()
     for k, copies in _copy_table().items():
         # shifting in each pair bit from the first ends in the mask of the
@@ -263,22 +258,26 @@ ANTICIRCUIT = PartialPattern(name="alternating-4-anticircuit", all_distinct=Fals
 def match_partial(g: Digraph, pp: PartialPattern) -> tuple[int, ...] | None:
     """First role assignment (p, q, r, s) satisfying the partial pattern, or None.
 
-    Runs over the arcs p->q in order and r ascending, and takes s as the
-    lowest vertex of row[r] the constraints leave, so the assignment is the
-    first in lexicographic order of the two arcs; the cost is O(n*m).
+    Walks the arcs p->q in order (p ascending, q by lowest bit of row[p]) and
+    r ascending, and takes s as the lowest vertex of row[r] the constraints
+    leave, so the assignment is the first in lexicographic order of the two
+    arcs; the cost is O(n*m), and the walk stops at the first match.
     """
-    rows = _out_rows(g)
-    for p, q in g.arcs:
+    rows = g.out_rows()
+    for p, row in enumerate(rows):
         # r->s with s != q and, unless s == p, p->s absent
-        heads = ~rows[p] & ~(1 << q)
-        if pp.all_distinct:
-            heads &= ~(1 << p)
-        for r in range(g.n):
-            if r == p or rows[r] >> q & 1 or (pp.all_distinct and r == q):
-                continue
-            s = rows[r] & heads
-            if s:
-                return (p, q, r, (s & -s).bit_length() - 1)
+        free = ~row & ~(1 << p) if pp.all_distinct else ~row
+        while row:
+            low = row & -row
+            row ^= low
+            q = low.bit_length() - 1
+            heads = free & ~low
+            for r in range(g.n):
+                if r == p or rows[r] & low or (pp.all_distinct and r == q):
+                    continue
+                s = rows[r] & heads
+                if s:
+                    return (p, q, r, (s & -s).bit_length() - 1)
     return None
 
 

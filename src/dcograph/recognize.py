@@ -10,7 +10,7 @@ from dcograph.construct import (
     edgeless,
     transitive_tournament,
 )
-from dcograph.core import Digraph
+from dcograph.core import Digraph, _bits, _component_masks
 # the grammar lives with the di-co-tree that evaluates it; ANY, FORBIDDEN and
 # RULES are re-exported here for callers of this module
 from dcograph.decompose import (
@@ -62,7 +62,20 @@ def _is_tt(g: Digraph) -> bool:
 
 
 def _is_symmetric(g: Digraph) -> bool:
-    return g.asym_part().is_edgeless()
+    return g.mask == g.converse().mask
+
+
+def _bidir_cliques(g: Digraph) -> int:
+    """The number of bidirectional cliques g is a disjoint union of, or 0 if it is not one."""
+    if not _is_symmetric(g):
+        return 0
+    # symmetric, so the out-rows are the neighbour rows of the underlying graph
+    rows = g.out_rows()
+    comps = _component_masks((1 << g.n) - 1, rows)
+    for c in comps:
+        if any(c & ~(rows[u] | 1 << u) for u in _bits(c)):
+            return 0
+    return len(comps)
 
 
 def _micro_member(g: Digraph, x: ClassId) -> bool:
@@ -71,18 +84,13 @@ def _micro_member(g: Digraph, x: ClassId) -> bool:
     if x is ClassId.BIDIR_COMPLETE:
         return g.is_bidirectional_complete()
     if x is ClassId.UNION_OF_BIDIR_CLIQUES:
-        return _is_symmetric(g) and all(
-            g.has_arc(u, v) for c in g.underlying_components() for u in c for v in c if u != v
-        )
+        return _bidir_cliques(g) > 0
     if x is ClassId.TWO_BIDIR_CLIQUES:
-        return (
-            _micro_member(g, ClassId.UNION_OF_BIDIR_CLIQUES)
-            and len(g.underlying_components()) <= 2
-        )
+        return 0 < _bidir_cliques(g) <= 2
     if x is ClassId.SERIES_OF_STABLE_SETS:
-        return _is_symmetric(g) and _micro_member(g.complement(), ClassId.UNION_OF_BIDIR_CLIQUES)
+        return _bidir_cliques(g.complement()) > 0
     if x is ClassId.BIDIR_COMPLETE_BIPARTITE:
-        return _is_symmetric(g) and _micro_member(g.complement(), ClassId.TWO_BIDIR_CLIQUES)
+        return 0 < _bidir_cliques(g.complement()) <= 2
     raise ValueError(f"{x} is not a micro class")
 
 

@@ -269,6 +269,24 @@ def test_route_disagreement_exits_three(monkeypatch, capsys) -> None:
     assert "route disagreement" in capsys.readouterr().err
 
 
+def test_member_without_certificate_fails_under_python_O() -> None:
+    # `python -O` strips assert statements; the check must still stop the output
+    code = (
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are still on')\n"
+        "cli.constructive_certificate = lambda g, x: None\n"
+        "cli.main(['classify', '--certificates', '--class', 'DC', '--expr', 'order(v, v)'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from dcograph import cli\n" + code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "RuntimeError: DC member Digraph(2, [(0, 1)]) has no certificate" in proc.stderr
+
+
 def test_in_process_main_matches_subprocess(capsys) -> None:
     rc = cli.main(["classify", "--class", "TT", "--expr", "order(v, v)"])
     assert rc == 0

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -134,6 +138,32 @@ def test_induced_rows_match_pair_reference(g: Digraph, data) -> None:
     assert (sub.n, sub.mask) == (len(set(vertices)), _induced_pairs(g, vertices))
 
 
+def _pair_arcs(g: Digraph) -> list[tuple[int, int]]:
+    """Reference arc list: one bit test per ordered pair, u ascending, then v ascending."""
+    n = g.n
+    return [(u, v) for u in range(n) for v in range(n) if g.mask >> u * n + v & 1]
+
+
+@given(digraphs(max_n=64), st.randoms(use_true_random=False))
+def test_rows_converse_and_arcs_match_pair_reference(g: Digraph, rnd) -> None:
+    n, arcs = g.n, _pair_arcs(g)
+    assert g.arcs == tuple(arcs)
+    converse = g.converse()
+    assert (converse.n, converse.mask) == (n, sum(1 << v * n + u for u, v in arcs))
+    out_rows = [sum(1 << v for w, v in arcs if w == u) for u in range(n)]
+    in_rows = [sum(1 << u for u, w in arcs if w == v) for v in range(n)]
+    assert g.out_rows() == out_rows
+    assert g.in_rows() == in_rows == [g.in_row(v) for v in range(n)]
+    assert [g.in_degree(v) for v in range(n)] == [row.bit_count() for row in in_rows]
+    rnd.shuffle(arcs)
+    assert Digraph(n, arcs).mask == g.mask
+    assert parse_edge_list(format_edge_list(g)) == g
+    lines = format_edge_list(g).splitlines()
+    body = lines[1:]
+    rnd.shuffle(body)
+    assert parse_edge_list("\n".join(lines[:1] + body)) == g
+
+
 def test_delete_vertex_matches_induced() -> None:
     g = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     for v in range(4):
@@ -186,6 +216,34 @@ def test_edge_list_parser_accepts_comments_and_blanks() -> None:
 def test_edge_list_parser_rejects_malformed_input(text: str) -> None:
     with pytest.raises(EdgeListError):
         parse_edge_list(text)
+
+
+def test_edge_list_parser_names_the_line_of_a_duplicate_arc() -> None:
+    with pytest.raises(EdgeListError, match=r"^line 5: duplicate arc \(2, 0\)$"):
+        parse_edge_list("n 3\n2 0\n0 1\n# note\n2 0\n")
+
+
+def _run_optimized(code: str) -> subprocess.CompletedProcess[str]:
+    """Run code under `python -O`, which strips assert statements."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    prelude = "if __debug__:\n    raise SystemExit('asserts are still on')\n"
+    return subprocess.run(
+        [sys.executable, "-O", "-c", prelude + code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_isomorphism_check_survives_python_O() -> None:
+    # a canonical order that ignores the digraph maps a path onto its reverse by the identity
+    proc = _run_optimized(
+        "from dcograph import core\n"
+        "real = core._canonize\n"
+        "core._canonize = lambda n, mask: (real(n, mask)[0], tuple(range(n)))\n"
+        "core.Digraph(3, [(0, 1), (1, 2)]).isomorphism_to(core.Digraph(3, [(2, 1), (1, 0)]))\n"
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError: canonical orders of" in proc.stderr
+
 
 
 def test_dot_export_golden() -> None:

@@ -160,6 +160,76 @@ def test_micro_class_recognizers() -> None:
     assert member_constructive(kb, ClassId.SERIES_OF_STABLE_SETS)
 
 
+def _pair_matrix(g: Digraph) -> list[list[bool]]:
+    n = g.n
+    return [[bool(g.mask >> u * n + v & 1) for v in range(n)] for u in range(n)]
+
+
+def _pair_cliques(a: list[list[bool]]) -> int:
+    """Pair-level: how many bidirectional cliques the matrix is a disjoint union of, or 0 if none.
+
+    Symmetric and transitive adjacency is an equivalence off the diagonal; each
+    class has one vertex with no arc to a smaller one.
+    """
+    n = len(a)
+    for u in range(n):
+        for v in range(n):
+            if a[u][v] != a[v][u]:
+                return 0
+            if a[u][v] and any(w != u and a[v][w] and not a[u][w] for w in range(n)):
+                return 0
+    return sum(not any(a[u][:u]) for u in range(n))
+
+
+def _pair_tt(a: list[list[bool]]) -> bool:
+    n = len(a)
+    return all(a[u][v] != a[v][u] for u in range(n) for v in range(u + 1, n)) and not any(
+        a[u][v] and a[v][w] and not a[u][w] for u in range(n) for v in range(n) for w in range(n) if w != u
+    )
+
+
+def _pair_micro(a: list[list[bool]]) -> dict[ClassId, bool]:
+    n = len(a)
+    co = [[u != v and not a[u][v] for v in range(n)] for u in range(n)]
+    cliques, co_cliques = _pair_cliques(a), _pair_cliques(co)
+    return {
+        ClassId.EDGELESS: not any(map(any, a)),
+        ClassId.BIDIR_COMPLETE: not any(map(any, co)),
+        ClassId.UNION_OF_BIDIR_CLIQUES: cliques > 0,
+        ClassId.TWO_BIDIR_CLIQUES: 0 < cliques <= 2,
+        ClassId.SERIES_OF_STABLE_SETS: co_cliques > 0,
+        ClassId.BIDIR_COMPLETE_BIPARTITE: 0 < co_cliques <= 2,
+        ClassId.TT: _pair_tt(a),
+    }
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=9, max_value=64), st.randoms(use_true_random=False))
+def test_micro_classes_and_tt_match_pair_reference(n: int, rng) -> None:
+    kind = rng.choice(("cliques", "co-cliques", "tt", "random"))
+    flip = rng.choice(("none", "one arc", "both arcs"))
+    if kind == "random":
+        density = rng.choice((0.1, 0.5, 0.9))
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    elif kind == "tt":
+        rank = rng.sample(range(n), n)
+        arcs = [(u, v) for u in range(n) for v in range(n) if rank[u] < rank[v]]
+    else:
+        # cliques join vertices with equal labels, co-cliques those with different ones
+        k = rng.randint(1, 4)
+        label = [rng.randrange(k) for _ in range(n)]
+        same = kind == "cliques"
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and (label[u] == label[v]) == same]
+    g = Digraph(n, arcs)
+    if flip != "none":
+        # one arc breaks symmetry and tournaments; both arcs keep them but move a vertex pair
+        u, v = rng.sample(range(n), 2)
+        pair = 1 << u * n + v | (1 << v * n + u if flip == "both arcs" else 0)
+        g = Digraph.from_mask(n, g.mask ^ pair)
+    for x, verdict in _pair_micro(_pair_matrix(g)).items():
+        assert member(g, x) == verdict, (x, g)
+
+
 def test_classify_returns_closed_upward_sets() -> None:
     t3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
     out = classify(t3)

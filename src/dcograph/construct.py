@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from dcograph.core import MAX_CANONICAL_VERTICES, MAX_VERTICES, Digraph
+from dcograph.core import MAX_VERTICES, Digraph
 
 OPS = ("union", "order", "series")
 
@@ -16,8 +16,12 @@ class Expression:
     """A node of a construction tree: a leaf vertex or an n-ary operator.
 
     Normal form is maintained by the constructors: no child has the same
-    kind as its operator parent, and union/series children are sorted
-    deterministically (they denote unordered combinations).
+    kind as its operator parent, and union/series children (unordered
+    combinations) are sorted by (leaf count, normal-form text); order
+    children keep their sequence. A maximal decomposition is unique up to the
+    order of union and series children, so two di-co-trees print the same
+    text exactly when their digraphs are isomorphic, at any size. Leaves are
+    anonymous: `evaluate` numbers them depth-first, left to right.
     """
 
     __slots__ = ("kind", "children")
@@ -58,12 +62,8 @@ def leaf() -> Expression:
     return _LEAF
 
 
-def _sort_key(e: Expression) -> tuple[bytes, str]:
-    text = format_expression(e)
-    # canonical_form is capped at 8 vertices; big children fall back to text order
-    if e.leaf_count <= MAX_CANONICAL_VERTICES:
-        return (evaluate(e).canonical_form(), text)
-    return (b"\xff", text)
+def _sort_key(e: Expression) -> tuple[int, str]:
+    return (e.leaf_count, format_expression(e))
 
 
 def _node(kind: str, children: Iterable[Expression]) -> Expression:

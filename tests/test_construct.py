@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -22,16 +23,22 @@ from dcograph.construct import (
     union,
 )
 from dcograph.core import MAX_VERTICES, Digraph
+from dcograph.decompose import di_co_tree
 
-expressions = st.recursive(
-    st.just(leaf()),
-    lambda children: st.builds(
-        lambda kind, cs: {"union": union, "order": order, "series": series}[kind](*cs),
-        st.sampled_from(["union", "order", "series"]),
-        st.lists(children, min_size=2, max_size=3),
-    ),
-    max_leaves=8,
-)
+
+def _expressions(max_leaves: int) -> st.SearchStrategy[Expression]:
+    return st.recursive(
+        st.just(leaf()),
+        lambda children: st.builds(
+            lambda kind, cs: {"union": union, "order": order, "series": series}[kind](*cs),
+            st.sampled_from(["union", "order", "series"]),
+            st.lists(children, min_size=2, max_size=3),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+expressions = _expressions(8)
 
 
 @given(expressions)
@@ -56,6 +63,33 @@ def test_unordered_operators_sort_children() -> None:
     assert format_expression(a) == format_expression(b)
     # order is a sequence, so swapping children changes the digraph
     assert order(union(leaf(), leaf()), leaf()) != order(leaf(), union(leaf(), leaf()))
+    # equal leaf counts tie-break on the text
+    tied = series(union(leaf(), leaf()), order(leaf(), leaf()))
+    assert format_expression(tied) == "series(order(v, v), union(v, v))"
+
+
+@given(_expressions(64), st.data())
+def test_normal_form_text_is_canonical_at_any_size(e: Expression, data: st.DataObject) -> None:
+    # a normal-form expression is its own di-co-tree, whatever the labelling
+    perm = data.draw(st.permutations(range(e.leaf_count)))
+    assert di_co_tree(evaluate(e).relabel(perm)) == e
+
+
+def test_di_co_tree_text_is_one_to_one_with_canonical_form(reps_by_n) -> None:
+    # every DC member with at most 5 vertices under every relabelling: the
+    # text is constant on an isomorphism class and differs between classes
+    texts = {}
+    for n, reps in reps_by_n.items():
+        perms = list(itertools.permutations(range(n)))
+        for g in reps:
+            tree = di_co_tree(g)
+            if tree is None:
+                continue
+            text = format_expression(tree)
+            assert {format_expression(di_co_tree(g.relabel(p))) for p in perms} == {text}
+            texts[g.canonical_form()] = text
+    assert len(texts) == 319
+    assert len(set(texts.values())) == 319
 
 
 def test_operator_arc_semantics() -> None:

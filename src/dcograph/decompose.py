@@ -1,4 +1,4 @@
-"""The di-co-tree of a digraph, the grammar classes it decides, and threshold creation sequences."""
+"""The di-co-tree of a digraph, the constructive classes it decides, and threshold creation sequences."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -44,6 +44,18 @@ GRAMMAR_CLASSES: tuple[ClassId, ...] = (
     ClassId.DCWQT, ClassId.OCWQT, ClassId.DSC, ClassId.OSC, ClassId.DCSC,
     ClassId.OCSC,
 )
+
+MICRO_CLASSES: tuple[ClassId, ...] = (
+    ClassId.EDGELESS, ClassId.BIDIR_COMPLETE, ClassId.TWO_BIDIR_CLIQUES,
+    ClassId.BIDIR_COMPLETE_BIPARTITE, ClassId.SERIES_OF_STABLE_SETS,
+    ClassId.UNION_OF_BIDIR_CLIQUES,
+)
+
+# the bit of each constructive class in `_Tree.classes`: the grammar classes
+# first, so that the grammar rules below work on the low bits alone
+CLASS_BIT: dict[ClassId, int] = {
+    x: i for i, x in enumerate(GRAMMAR_CLASSES + (ClassId.TT,) + MICRO_CLASSES)
+}
 
 ANY = ("any",)
 FORBIDDEN = ("forbidden",)
@@ -114,9 +126,10 @@ class _Tree:
     """The di-co-tree of one digraph in breadth-first order, read bottom-up.
 
     Node 0 is the root and each node's children are the consecutive nodes
-    `kids[i]`. `classes` has bit i set iff the digraph is in GRAMMAR_CLASSES[i].
-    A digraph with a prime node anywhere keeps only its root split: it is in
-    no grammar class and has no tree.
+    `kids[i]`. `classes` has bit CLASS_BIT[x] set iff the digraph is in the
+    constructive class x: the grammar classes are read bottom-up, TT and the
+    micro classes from the root. A digraph with a prime node anywhere keeps
+    only its root split: it is in no constructive class and has no tree.
     """
 
     split: Split | None
@@ -178,6 +191,24 @@ def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tup
     return classes, _ALL_LEAVES_REST[op] if all(r == _LEAF_REST for r in child_rests) else 0
 
 
+def _root_bits(op: str, rests: list[int], kids: range) -> int:
+    """TT and micro-class bits from the root's operation and the rest kinds of the root and its children."""
+    rest = rests[0]
+    # parts of a union of cliques (a series of stable sets): 1 if the root is one itself
+    cliques = 1 if rest & 4 else len(kids) if op == "union" and all(rests[c] & 4 for c in kids) else 0
+    stables = 1 if rest & 2 else len(kids) if op == "series" and all(rests[c] & 2 for c in kids) else 0
+    held = {
+        ClassId.TT: rest & 8,
+        ClassId.EDGELESS: rest & 2,
+        ClassId.BIDIR_COMPLETE: rest & 4,
+        ClassId.UNION_OF_BIDIR_CLIQUES: cliques,
+        ClassId.TWO_BIDIR_CLIQUES: 0 < cliques <= 2,
+        ClassId.SERIES_OF_STABLE_SETS: stables,
+        ClassId.BIDIR_COMPLETE_BIPARTITE: 0 < stables <= 2,
+    }
+    return sum(1 << CLASS_BIT[x] for x, h in held.items() if h)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _tree(g: Digraph) -> _Tree:
     """Decompose g once; every split, membership and certificate question reads this."""
@@ -213,7 +244,7 @@ def _tree(g: Digraph) -> _Tree:
     for i in reversed(range(len(ops))):
         if ops[i] != "leaf":
             classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in kids[i]], [rests[c] for c in kids[i]])
-    return _Tree(split, classes[0], tuple(ops), tuple(kids))
+    return _Tree(split, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
 
 
 def maximal_split(g: Digraph) -> Split:
@@ -228,11 +259,6 @@ def di_co_tree(g: Digraph) -> Expression | None:
     return _tree(g).expression
 
 
-def grammar_classes(g: Digraph) -> int:
-    """Bit i set iff g is in GRAMMAR_CLASSES[i], read bottom-up from its di-co-tree."""
-    return _tree(g).classes
-
-
 @dataclass(frozen=True)
 class CreationSequence:
     """Digit string over 0/1/2/3 plus the vertex peeled into each position."""
@@ -243,13 +269,25 @@ class CreationSequence:
 
 def creation_sequence(g: Digraph, allow_series: bool = True) -> CreationSequence | None:
     """Greedy reverse peel; digits 0 isolated, 1 out-dominating, 2 in-dominated, 3 bi-dominating."""
-    return creation_sequence_raw(g.n, g.arcs, allow_series)
+    outdeg = [row.bit_count() for row in g.out_rows()]
+    indeg = [row.bit_count() for row in g.in_rows()]
+    return _peel(g.n, outdeg, indeg, allow_series)
 
 
 def creation_sequence_raw(
     n: int, arcs: Iterable[tuple[int, int]], allow_series: bool = True
 ) -> CreationSequence | None:
-    """Creation-sequence recognition on a raw arc list, O(n + m).
+    """Creation-sequence recognition on a raw arc list, O(n + m)."""
+    outdeg = [0] * n
+    indeg = [0] * n
+    for u, v in arcs:
+        outdeg[u] += 1
+        indeg[v] += 1
+    return _peel(n, outdeg, indeg, allow_series)
+
+
+def _peel(n: int, outdeg: list[int], indeg: list[int], allow_series: bool) -> CreationSequence | None:
+    """The creation sequence of the digraph with these degrees, peeled greedily in O(n).
 
     Peeled vertices are adjacent-to-all-or-none of the remainder, so current
     degrees stay reconstructible from the original ones: every peel of digit
@@ -257,11 +295,6 @@ def creation_sequence_raw(
     digit 1/3 lowers remaining in-degrees (offset B). Vertices therefore never
     change buckets and each step costs four dictionary probes.
     """
-    outdeg = [0] * n
-    indeg = [0] * n
-    for u, v in arcs:
-        outdeg[u] += 1
-        indeg[v] += 1
     buckets: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
         buckets.setdefault((outdeg[v], indeg[v]), []).append(v)

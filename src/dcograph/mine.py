@@ -20,7 +20,7 @@ from dcograph.recognize import (
     PATTERN_ONLY_CLASSES,
     member,
 )
-from dcograph.uclasses import UClassId, enumerate_undirected, member_u
+from dcograph.uclasses import _DIRECTED, UClassId, enumerate_undirected, member_u
 
 
 class BudgetExceeded(Exception):
@@ -393,18 +393,18 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     if directed:
         suite, kind = "hierarchy-directed", "digraphs"
         nodes, edges = DIRECTED_HIERARCHY_NODES, DIRECTED_HIERARCHY_EDGES
-        membership = lambda g, name: member(g, ClassId(name))
+        membership, ids = member, [ClassId(name) for name in nodes]
     else:
         suite, kind = "hierarchy-undirected", "undirected"
         nodes, edges = UNDIRECTED_HIERARCHY_NODES, UNDIRECTED_HIERARCHY_EDGES
-        membership = lambda g, name: member_u(g, UClassId(name))
+        membership, ids = member_u, [UClassId(name) for name in nodes]
     reps = _universe(kind, n_max)[0]
 
     # the representatives are pairwise non-isomorphic, so a position names a class
     mem: dict[str, set[int]] = {name: set() for name in nodes}
     for i, g in enumerate(reps):
-        for name in nodes:
-            if membership(g, name):
+        for name, x in zip(nodes, ids):
+            if membership(g, x):
                 mem[name].add(i)
 
     def first_in(diff: set[int]):
@@ -454,7 +454,9 @@ def _member(x: ClassId) -> Callable[[Digraph], bool]:
 
 
 def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
-    return lambda g: member_u(g.underlying(), u)
+    # the underlying graph's class is its symmetric digraph's directed class
+    x = _DIRECTED[u]
+    return lambda g: member(Digraph._of(g.n, g.mask | g.converse().mask), x)
 
 
 def _both(p: Callable[[Digraph], bool], q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:
@@ -638,10 +640,11 @@ def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> Verif
         spec = THEOREMS[key]
         graphs, eff, noun = _universe(spec.universe, n_max)
         base_label, base_pred = spec.items[0]
+        base = [base_pred(g) for g in graphs]
         for label, pred in spec.items[1:]:
             report.rows.append(_row(
                 f"{spec.name}: {label} == {base_label}",
-                _first(graphs, lambda g: base_pred(g) != pred(g)), False,
+                next((g for g, b in zip(graphs, base) if b != pred(g)), None), False,
                 f"agree on {len(graphs)} {noun} with at most {eff} vertices",
                 lambda g: f"{base_label}={base_pred(g)} but {label}={pred(g)} on {g.n} vertices"))
     return report

@@ -1,4 +1,10 @@
-"""Membership recognizers: constructive split rules, forbidden patterns, grammar oracle."""
+"""Membership recognizers: the di-co-tree's class word, forbidden patterns, grammar oracle.
+
+Each of the 23 constructive classes (the 16 grammar classes, TT and the six
+micro classes) is one bit of the memoized di-co-tree's `classes` word, so a
+digraph is split once whichever of them is asked. TD and FD have no
+construction and are decided by patterns on out-rows.
+"""
 from __future__ import annotations
 
 from typing import Callable, Iterable
@@ -10,17 +16,19 @@ from dcograph.construct import (
     edgeless,
     transitive_tournament,
 )
-from dcograph.core import Digraph, _bits, _component_masks
-# the grammar lives with the di-co-tree that evaluates it; ANY, FORBIDDEN and
-# RULES are re-exported here for callers of this module
+from dcograph.core import Digraph
+# the grammar lives with the di-co-tree that evaluates it; ANY, FORBIDDEN,
+# RULES and the class tuples are re-exported here for callers of this module
 from dcograph.decompose import (
     ANY,
+    CLASS_BIT,
     FORBIDDEN,
     GRAMMAR_CLASSES,
+    MICRO_CLASSES,
     RULES,
     ClassId,
+    _tree,
     di_co_tree,
-    grammar_classes,
 )
 from dcograph.patterns import (
     CATALOG,
@@ -32,12 +40,6 @@ from dcograph.patterns import (
     patterns_in,
     ANTICIRCUIT,
     TWO_SWITCH,
-)
-
-MICRO_CLASSES: tuple[ClassId, ...] = (
-    ClassId.EDGELESS, ClassId.BIDIR_COMPLETE, ClassId.TWO_BIDIR_CLIQUES,
-    ClassId.BIDIR_COMPLETE_BIPARTITE, ClassId.SERIES_OF_STABLE_SETS,
-    ClassId.UNION_OF_BIDIR_CLIQUES,
 )
 
 PATTERN_ONLY_CLASSES: tuple[ClassId, ...] = (ClassId.TD, ClassId.FD)
@@ -57,52 +59,12 @@ class RouteDisagreement(Exception):
         )
 
 
-def _is_tt(g: Digraph) -> bool:
-    return g.is_tournament() and g.is_acyclic()
-
-
-def _is_symmetric(g: Digraph) -> bool:
-    return g.mask == g.converse().mask
-
-
-def _bidir_cliques(g: Digraph) -> int:
-    """The number of bidirectional cliques g is a disjoint union of, or 0 if it is not one."""
-    if not _is_symmetric(g):
-        return 0
-    # symmetric, so the out-rows are the neighbour rows of the underlying graph
-    rows = g.out_rows()
-    comps = _component_masks((1 << g.n) - 1, rows)
-    for c in comps:
-        if any(c & ~(rows[u] | 1 << u) for u in _bits(c)):
-            return 0
-    return len(comps)
-
-
-def _micro_member(g: Digraph, x: ClassId) -> bool:
-    if x is ClassId.EDGELESS:
-        return g.is_edgeless()
-    if x is ClassId.BIDIR_COMPLETE:
-        return g.is_bidirectional_complete()
-    if x is ClassId.UNION_OF_BIDIR_CLIQUES:
-        return _bidir_cliques(g) > 0
-    if x is ClassId.TWO_BIDIR_CLIQUES:
-        return 0 < _bidir_cliques(g) <= 2
-    if x is ClassId.SERIES_OF_STABLE_SETS:
-        return _bidir_cliques(g.complement()) > 0
-    if x is ClassId.BIDIR_COMPLETE_BIPARTITE:
-        return 0 < _bidir_cliques(g.complement()) <= 2
-    raise ValueError(f"{x} is not a micro class")
-
-
 def member_constructive(g: Digraph, x: ClassId) -> bool:
-    """Membership via the class's construction, read from the digraph's one di-co-tree."""
-    if x in PATTERN_ONLY_CLASSES:
+    """Membership via the class's construction: one bit of the digraph's one di-co-tree."""
+    bit = CLASS_BIT.get(x)
+    if bit is None:
         raise ValueError(f"{x.value} has no constructive recognizer; use member_by_patterns")
-    if x is ClassId.TT:
-        return _is_tt(g)
-    if x in MICRO_CLASSES:
-        return _micro_member(g, x)
-    return bool(grammar_classes(g) >> GRAMMAR_CLASSES.index(x) & 1)
+    return bool(_tree(g).classes >> bit & 1)
 
 
 def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcograph import patterns, recognize
+from dcograph import decompose, patterns, recognize
 from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import maximal_split
@@ -147,7 +148,7 @@ def test_partial_pattern_verdicts() -> None:
     assert not member_by_patterns(PATTERNS["D5"], ClassId.TD)
 
 
-def test_micro_class_recognizers() -> None:
+def test_micro_class_recognizers(reps_by_n) -> None:
     assert member_constructive(Digraph(3), ClassId.EDGELESS)
     k3 = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
     assert member_constructive(k3, ClassId.BIDIR_COMPLETE)
@@ -158,6 +159,11 @@ def test_micro_class_recognizers() -> None:
     kb = Digraph(3, [(0, 2), (2, 0), (1, 2), (2, 1)])
     assert member_constructive(kb, ClassId.BIDIR_COMPLETE_BIPARTITE)
     assert member_constructive(kb, ClassId.SERIES_OF_STABLE_SETS)
+    # every digraph with at most 5 vertices against the pair-level reference
+    for n in range(1, 6):
+        for g in reps_by_n[n]:
+            for x, verdict in _pair_micro(_pair_matrix(g)).items():
+                assert member(g, x) == verdict, (x, g)
 
 
 def _pair_matrix(g: Digraph) -> list[list[bool]]:
@@ -204,7 +210,7 @@ def _pair_micro(a: list[list[bool]]) -> dict[ClassId, bool]:
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=9, max_value=64), st.randoms(use_true_random=False))
+@given(st.integers(min_value=1, max_value=64), st.randoms(use_true_random=False))
 def test_micro_classes_and_tt_match_pair_reference(n: int, rng) -> None:
     kind = rng.choice(("cliques", "co-cliques", "tt", "random"))
     flip = rng.choice(("none", "one arc", "both arcs"))
@@ -221,13 +227,34 @@ def test_micro_classes_and_tt_match_pair_reference(n: int, rng) -> None:
         same = kind == "cliques"
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and (label[u] == label[v]) == same]
     g = Digraph(n, arcs)
-    if flip != "none":
+    if flip != "none" and n > 1:
         # one arc breaks symmetry and tournaments; both arcs keep them but move a vertex pair
         u, v = rng.sample(range(n), 2)
         pair = 1 << u * n + v | (1 << v * n + u if flip == "both arcs" else 0)
         g = Digraph.from_mask(n, g.mask ^ pair)
     for x, verdict in _pair_micro(_pair_matrix(g)).items():
         assert member(g, x) == verdict, (x, g)
+
+
+def test_tt_and_micro_classes_are_read_from_the_memoized_tree(monkeypatch) -> None:
+    rng = random.Random(24)
+    label = rng.sample(range(24), 24)
+    # a union of bidirectional cliques on 10 and 14 vertices, and a transitive tournament
+    cliques = Digraph(24, [(label[u], label[v]) for u in range(24) for v in range(24)
+                           if u != v and (u < 10) == (v < 10)])
+    tt = Digraph(24, [(label[u], label[v]) for u in range(24) for v in range(u + 1, 24)])
+    expected = {g: _pair_micro(_pair_matrix(g)) for g in (cliques, tt)}
+    for g in expected:
+        decompose._tree(g)
+
+    def unread(self):
+        raise AssertionError("the rows were read again")
+
+    monkeypatch.setattr(Digraph, "out_rows", unread)
+    monkeypatch.setattr(Digraph, "in_rows", unread)
+    for g, verdicts in expected.items():
+        assert {x: member(g, x) for x in verdicts} == verdicts
+    assert expected[cliques][ClassId.TWO_BIDIR_CLIQUES] and expected[tt][ClassId.TT]
 
 
 def test_classify_returns_closed_upward_sets() -> None:

@@ -11,6 +11,10 @@ from dcograph.construct import Expression, leaf, order, series, union
 
 
 class ClassId(Enum):
+    # hash by identity: every membership read keys a dict by its class, and
+    # Enum.__hash__ hashes the member's name in Python
+    __hash__ = object.__hash__
+
     DC = "DC"
     OC = "OC"
     DTP = "DTP"

@@ -1,10 +1,12 @@
-"""Forbidden-pattern catalog: small digraphs, induced-containment search, copy table, row tests, partial patterns."""
+"""Forbidden-pattern catalog: small digraphs, induced-containment search, pattern pass, row tests, partial patterns."""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+
+import numpy as np
 
 from dcograph.construct import compose
 from dcograph.core import _MEMO_SIZE, Digraph, format_edge_list
@@ -192,49 +194,89 @@ def induced_canon_set(g: Digraph) -> frozenset[bytes]:
     )
 
 
-@lru_cache(maxsize=1)
-def _copy_table() -> dict[int, dict[int, tuple[str, ...]]]:
-    """Size k -> labelled k-vertex mask -> names of the PATTERNS it is a copy of.
+# Every pattern has at most 6 vertices, so a labelled pattern mask has at most
+# 36 bits; a key carries its vertex count above them.
+_SIZE_SHIFT = 36
+PATTERN_ROUTE_MAX_N = 8  # the n*n arc bits of the input fill one uint64
 
-    Built on first use from every vertex permutation of every pattern. Aliased
-    patterns (D11/Q1, D15/Q2, D12/coQ2, coD11/coQ1) share their masks, so one
-    mask can name two patterns.
+
+@lru_cache(maxsize=1)
+def _key_table() -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys (k << _SIZE_SHIFT | labelled k-vertex mask) of every pattern copy, and each key's name word.
+
+    Built on first use from every vertex permutation of every pattern. Bit i of
+    a name word stands for the i-th name of PATTERNS. Aliased patterns
+    (D11/Q1, D15/Q2, D12/coQ2, coD11/coQ1) share their masks, so one word can
+    name two patterns. A last key above every subset key, with an empty word,
+    keeps each search result in range.
     """
-    table: dict[int, dict[int, tuple[str, ...]]] = {}
-    for name, p in PATTERNS.items():
+    words: dict[int, int] = {}
+    for bit, (name, p) in enumerate(PATTERNS.items()):
         k, arcs = p.n, p.arcs
-        copies = table.setdefault(k, {})
         for perm in permutations(range(k)):
-            mask = sum(1 << perm[u] * k + perm[v] for u, v in arcs)
-            names = copies.get(mask, ())
-            if name not in names:
-                copies[mask] = names + (name,)
-    return table
+            key = k << _SIZE_SHIFT | sum(1 << perm[u] * k + perm[v] for u, v in arcs)
+            words[key] = words.get(key, 0) | 1 << bit
+    keys = sorted(words)
+    return (
+        np.array(keys + [(1 << 64) - 1], dtype=np.uint64),
+        np.array([words[key] for key in keys] + [0], dtype=np.uint64),
+    )
+
+
+@lru_cache(maxsize=PATTERN_ROUTE_MAX_N)
+def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables for n vertices: right shift and subset bit per pair, segment start and size tag per subset.
+
+    The pairs are the ordered pairs of every 2-6-vertex subset s of range(n),
+    and the pairs of one subset form one segment. Subset vertex s[i] is
+    labelled i, so the arc (s[i], s[j]) is bit i*k+j of the subset's labelled
+    mask. Since s[i] >= i, s[j] >= j and n >= k, the input's arc bit
+    s[i]*n+s[j] is never below it, and one right shift by the difference moves
+    it there.
+    """
+    drops, bits, sizes = [], [], []
+    for k in range(2, 7):
+        subsets = np.array(list(combinations(range(n), k)), dtype=np.uint64).reshape(-1, k)
+        i, j = np.nonzero(~np.eye(k, dtype=bool))
+        shift = (i * k + j).astype(np.uint64)
+        drops.append((subsets[:, i] * np.uint64(n) + subsets[:, j] - shift).ravel())
+        bits.append(np.tile(np.uint64(1) << shift, len(subsets)))
+        sizes.append(np.full(len(subsets), k, dtype=np.uint64))
+    size = np.concatenate(sizes)
+    width = (size * (size - 1)).astype(np.intp)
+    tables = (
+        np.concatenate(drops),
+        np.concatenate(bits),
+        np.cumsum(width) - width,
+        size << np.uint64(_SIZE_SHIFT),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _names(word: int) -> frozenset[str]:
+    """The names of PATTERNS whose bits are set in word; memoized, so equal results are one object."""
+    return frozenset(name for bit, name in enumerate(PATTERNS) if word >> bit & 1)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def patterns_in(g: Digraph) -> frozenset[str]:
-    """Names of the PATTERNS that occur induced in g, from one pass over its 2-6-vertex subsets; memoized.
+    """Names of the PATTERNS that occur induced in g (g.n <= 8), from one gather over its 2-6-vertex subsets; memoized.
 
-    Each subset's labelled mask is read from g's out-rows and looked up in the
-    table of labelled pattern copies; no subset is canonicalised. The pass costs
-    C(n, 2) + ... + C(n, 6) lookups, so it is meant for g.n <= 8.
+    Every subset's size-tagged labelled mask is gathered from g's mask at once
+    and searched in the sorted keys of the labelled pattern copies; no subset
+    is canonicalised. The OR of the matched keys' name words is the result.
+    Raises ValueError above PATTERN_ROUTE_MAX_N vertices.
     """
-    rows = g.out_rows()
-    found: set[str] = set()
-    for k, copies in _copy_table().items():
-        # shifting in each pair bit from the first ends in the mask of the
-        # subset labelled in reverse, itself one of the copies in the table
-        for subset in combinations(range(g.n), k):
-            mask = 0
-            for u in subset:
-                row = rows[u]
-                for v in subset:
-                    mask = mask << 1 | row >> v & 1
-            names = copies.get(mask)
-            if names:
-                found.update(names)
-    return frozenset(found)
+    if g.n > PATTERN_ROUTE_MAX_N:
+        raise ValueError(f"patterns_in reads at most {PATTERN_ROUTE_MAX_N} vertices, got {g.n}")
+    drop, bit, start, tag = _gather(g.n)
+    keys, words = _key_table()
+    masks = np.bitwise_or.reduceat(np.uint64(g.mask) >> drop & bit, start) | tag
+    at = np.searchsorted(keys, masks)
+    return _names(int(np.bitwise_or.reduce(words[at[keys[at] == masks]])))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from dcograph.decompose import (
 )
 from dcograph.patterns import (
     CATALOG,
+    PATTERN_ROUTE_MAX_N,
     PATTERNS,
     catalog,
     contains_small,
@@ -125,9 +126,6 @@ def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] 
     if roles is not None:
         return (_PARTIAL[x].name, tuple(kept[i] for i in roles))
     raise RouteDisagreement(x, sub, False, True)
-
-
-PATTERN_ROUTE_MAX_N = 8
 
 
 def classify(g: Digraph, classes: Iterable[ClassId] | None = None) -> set[ClassId]:

@@ -16,6 +16,8 @@ from dcograph.recognize import ClassId, member_constructive
 
 
 class UClassId(Enum):
+    __hash__ = object.__hash__  # by identity, as ClassId
+
     C = "C"
     TP = "TP"
     CTP = "CTP"

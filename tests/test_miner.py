@@ -8,7 +8,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from dcograph import mine
+from dcograph import mine, patterns
 from dcograph.core import Digraph, _canonize
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
@@ -196,7 +196,8 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 
 
 def test_per_digraph_memos_are_bounded() -> None:
-    for memo in (_canonize, induced_canon_set, patterns_in, _tree, mine._column_table):
+    memos = (_canonize, induced_canon_set, patterns_in, patterns._names, patterns._gather, _tree, mine._column_table)
+    for memo in memos:
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, memo.__name__
 

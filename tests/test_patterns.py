@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +243,60 @@ def test_patterns_in_matches_canon_sets_up_to_five_vertices(reps_by_n) -> None:
 def test_patterns_in_matches_canon_sets_on_six_to_eight_vertices(data) -> None:
     g = _draw_digraph(data, 6, 8)
     assert patterns_in(g) == _named_in(g), g
+
+
+def _labelled_copies() -> dict[int, dict[int, frozenset[str]]]:
+    """Size k -> labelled k-vertex mask -> names of the PATTERNS it is a copy of."""
+    table: dict[int, dict[int, frozenset[str]]] = {}
+    for name, p in PATTERNS.items():
+        copies = table.setdefault(p.n, {})
+        for perm in permutations(range(p.n)):
+            mask = sum(1 << perm[u] * p.n + perm[v] for u, v in p.arcs)
+            copies[mask] = copies.get(mask, frozenset()) | {name}
+    return table
+
+
+_LABELLED_COPIES = _labelled_copies()
+
+
+def _patterns_in_by_loop(g: Digraph) -> frozenset[str]:
+    """Reference for patterns_in: each subset's labelled mask built bit by bit and looked up."""
+    rows = g.out_rows()
+    found: set[str] = set()
+    for k, copies in _LABELLED_COPIES.items():
+        # shifting in each pair bit from the first ends in the mask of the
+        # subset labelled in reverse, itself one of the copies in the table
+        for subset in combinations(range(g.n), k):
+            mask = 0
+            for u in subset:
+                row = rows[u]
+                for v in subset:
+                    mask = mask << 1 | row >> v & 1
+            found |= copies.get(mask, frozenset())
+    return frozenset(found)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_patterns_in_matches_the_subset_loop_on_one_to_eight_vertices(data) -> None:
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    if n == 1 or data.draw(st.booleans()):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        kept = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Digraph(n, [pair for pair, keep in zip(pairs, kept) if keep])
+    else:
+        g = _draw_digraph(data, n, n)
+    assert patterns_in(g) == _patterns_in_by_loop(g), g
+
+
+def test_equal_pattern_sets_are_one_object(reps_by_n) -> None:
+    results = [patterns_in(g) for n in range(1, 6) for g in reps_by_n[n]]
+    assert len({id(r) for r in results}) == len(set(results))
+
+
+def test_patterns_in_rejects_more_than_eight_vertices() -> None:
+    with pytest.raises(ValueError, match="at most 8 vertices, got 9"):
+        patterns_in(Digraph(9))
 
 
 def test_patterns_in_names_every_pattern_and_its_alias() -> None:

@@ -308,19 +308,19 @@ def test_classify_runs_no_occurrence_search_up_to_eight_vertices(
 
 def test_copy_table_is_built_on_first_use_only() -> None:
     # classify above the pattern route's size, after the CLI's imports, must
-    # not build the table of labelled pattern copies
+    # not build the keys of the labelled pattern copies nor any gather table
     code = (
         "import dcograph.cli\n"
         "from dcograph import patterns, recognize\n"
         "from dcograph.construct import transitive_tournament\n"
         "recognize.classify(transitive_tournament(24))\n"
-        "print(patterns._copy_table.cache_info().currsize)\n"
+        "print(patterns._key_table.cache_info().currsize, patterns._gather.cache_info().currsize)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "0 0\n"
 
 
 def test_oracle_matches_constructive_at_five_vertices_for_one_class(reps_by_n) -> None:

@@ -20,6 +20,12 @@ from dcograph.uclasses import (
 )
 
 
+def test_class_ids_hash_by_identity() -> None:
+    # membership reads key dicts by class; Enum.__hash__ would hash the name in Python
+    for x in (*ClassId, *UClassId):
+        assert type(x).__hash__ is object.__hash__ and hash(x) == object.__hash__(x), x
+
+
 def test_enumeration_counts() -> None:
     assert [len(enumerate_undirected(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 

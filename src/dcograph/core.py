@@ -1,9 +1,12 @@
 """Immutable bit-matrix digraphs, undirected graphs, isomorphism, and edge-list IO."""
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
+
+import numpy as np
 
 MAX_VERTICES = 64
 MAX_CANONICAL_VERTICES = 8
@@ -435,12 +438,48 @@ class UndirectedGraph:
 # -- edge-list text format ---------------------------------------------------
 
 
+# the exact text `format_edge_list` writes. It admits no blank body, which
+# np.fromstring reads as [0], and no numeral past two ASCII digits, which it
+# would saturate at 2**63 - 1.
+_FORMATTED = re.compile(r"n ([0-9]{1,2})\n(?:[0-9]{1,2} [0-9]{1,2}\n)*")
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse the plain-text digraph format.
 
     Line 1 is `n <count>`; every later non-empty line is `u v` for one arc.
     `#` starts a comment. Duplicate arcs and loops are rejected.
+
+    Text in the exact form `format_edge_list` writes is read in one numpy pass;
+    any other text, and every invalid one, goes to the line reader, which
+    alone words the errors.
     """
+    g = _read_formatted(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _read_formatted(text: str) -> Digraph | None:
+    """The digraph of a valid `format_edge_list` text, or None for any other text."""
+    found = _FORMATTED.fullmatch(text)
+    if found is None:
+        return None
+    n = int(found[1])
+    if not 1 <= n <= MAX_VERTICES:
+        return None
+    ends = np.fromstring(text[found.end(1) + 1 :], np.intp, -1, " ")
+    bits = np.zeros((n, n), np.uint8)
+    try:
+        bits[ends[::2], ends[1::2]] = 1
+    except IndexError:  # an endpoint is n or more
+        return None
+    mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    if mask.bit_count() != ends.size >> 1 or mask & _full_offdiag(n) != mask:  # a repeated arc or a loop
+        return None
+    return Digraph._of(n, mask)
+
+
+def _parse_lines(text: str) -> Digraph:
+    """Read the edge-list format line by line, naming the line of the first error."""
     n: int | None = None
     rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -12,7 +12,7 @@ import dcograph.cli as cli
 from dcograph.construct import evaluate, parse_expression
 from dcograph.patterns import ANTICIRCUIT, PATTERNS, TWO_SWITCH
 from dcograph.recognize import ClassId, RouteDisagreement
-from dcograph.core import Digraph
+from dcograph.core import Digraph, format_edge_list
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PATTERN = {name: os.path.join(REPO_ROOT, "patterns", f"{name}.edges") for name in ("D5", "D10", "K2bidir", "Q7")}
@@ -198,6 +198,21 @@ def test_outputs_are_byte_identical_across_runs() -> None:
     a = run_cli("classify", "--certificates", PATTERN["Q7"])
     b = run_cli("classify", "--certificates", PATTERN["Q7"])
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+def test_classify_reads_a_formatted_list_like_an_annotated_one() -> None:
+    text = format_edge_list(evaluate(parse_expression(_expression(64))))
+    header, *body = text.splitlines()
+    annotated = "# 64 vertices\r\n" + header + "\r\n" + "".join(f"{line}  # arc\r\n" for line in body)
+    plain = run_cli("classify", stdin=text)
+    assert plain.returncode == 0, plain.stderr
+    assert len(plain.stdout.splitlines()) == 25
+    assert run_cli("classify", stdin=annotated).stdout == plain.stdout
+    duplicated = run_cli("classify", stdin=text + body[0] + "\n")
+    u, v = body[0].split()
+    assert duplicated.returncode == 2
+    assert duplicated.stderr == f"error: line {len(body) + 2}: duplicate arc ({u}, {v})\n"
+    assert duplicated.stdout == ""
 
 
 def test_parse_error_exits_two() -> None:

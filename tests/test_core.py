@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcograph.core import (
@@ -15,6 +15,7 @@ from dcograph.core import (
     EdgeListError,
     UndirectedGraph,
     _full_offdiag,
+    _parse_lines,
     format_edge_list,
     parse_edge_list,
     to_dot,
@@ -221,6 +222,105 @@ def test_edge_list_parser_rejects_malformed_input(text: str) -> None:
 def test_edge_list_parser_names_the_line_of_a_duplicate_arc() -> None:
     with pytest.raises(EdgeListError, match=r"^line 5: duplicate arc \(2, 0\)$"):
         parse_edge_list("n 3\n2 0\n0 1\n# note\n2 0\n")
+
+
+def _outcome(parse, text: str) -> tuple[str, object]:
+    try:
+        return "digraph", parse(text)
+    except EdgeListError as exc:
+        return "error", str(exc)
+
+
+# Each edit takes the text's lines (header first) and a line index; it returns
+# the new lines. The index may point past the last line, so edits also land at
+# the end of the text.
+def _insert(line: str):
+    return lambda lines, at: lines[:at] + [line] + lines[at:]
+
+
+def _rewrite(edit):
+    def apply(lines: list[str], at: int) -> list[str]:
+        at = min(at, len(lines) - 1)
+        return lines[:at] + [edit(lines[at])] + lines[at + 1 :]
+
+    return apply
+
+
+def _replace_field(token: str):
+    return _rewrite(lambda line: " ".join([token] + line.split(" ")[1:]) if " " in line else token)
+
+
+def _header(n: str):
+    return lambda lines, at: [f"n {n}"] + lines[1:]
+
+
+def _duplicate_later(lines: list[str], at: int) -> list[str]:
+    arcs = [i for i in range(1, len(lines)) if lines[i][:1].isdigit()]
+    if not arcs:
+        return lines
+    i = arcs[at % len(arcs)]
+    later = i + 1 + at % (len(lines) - i)
+    return lines[:later] + [lines[i]] + lines[later:]
+
+
+_EDITS = {
+    "comment line": _insert("# a comment"),
+    "trailing comment": _rewrite(lambda line: line + "  # note"),
+    "blank line": _insert(""),
+    "CRLF": _rewrite(lambda line: line + "\r"),
+    "tab": _rewrite(lambda line: line.replace(" ", "\t", 1)),
+    "leading zero": _replace_field("07"),
+    "plus sign": _replace_field("+1"),
+    "underscore": _replace_field("1_0"),
+    "Arabic-Indic digit": _replace_field("\u0663"),
+    "3-digit numeral": _replace_field("100"),
+    "25-digit numeral": _replace_field("1" * 25),
+    "n 0": _header("0"),
+    "n 00": _header("00"),
+    "n 65": _header("65"),
+    "duplicate arc": _duplicate_later,
+    "1-field line": _insert("0"),
+    "3-field line": _insert("0 1 2"),
+}
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """`format_edge_list` texts of 1-64 vertices, body shuffled, with up to two edits."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    mask = draw(st.integers(min_value=0, max_value=(1 << n * n) - 1)) & _full_offdiag(n)
+    header, *body = format_edge_list(Digraph.from_mask(n, mask)).splitlines()
+    draw(st.randoms(use_true_random=False)).shuffle(body)
+    lines = [header] + body
+    u = draw(st.integers(min_value=0, max_value=n - 1))
+    edits = dict(_EDITS, **{"loop": _insert(f"{u} {u}"), "out-of-range arc": _insert(f"{u} {n}")})
+    for name in draw(st.lists(st.sampled_from(sorted(edits)), max_size=2)):
+        lines = edits[name](lines, draw(st.integers(min_value=0, max_value=len(lines))))
+    # most texts end as `format_edge_list` ends them, so single edits reach the bulk path
+    ending = draw(st.sampled_from(["\n", "\n", "\n", "", "\r\n"]))
+    return "\n".join(lines) + ending
+
+
+@settings(max_examples=300)
+@given(edge_list_texts())
+def test_bulk_reader_agrees_with_the_line_reader(text: str) -> None:
+    assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("n 1\n", ("digraph", Digraph(1, []))),
+        ("n 3\n", ("digraph", Digraph(3, []))),
+        ("n 3\n \n", ("digraph", Digraph(3, []))),
+        ("n 3\n\t\n\n", ("digraph", Digraph(3, []))),
+        ("n 3\n0 18446744073709551617\n", ("error", "line 2: arc (0, 18446744073709551617) out of range for n=3")),
+        ("n 3\n0 9223372036854775807\n", ("error", "line 2: arc (0, 9223372036854775807) out of range for n=3")),
+    ],
+)
+def test_bulk_reader_guards_numpy_quirks(text: str, expected: tuple[str, object]) -> None:
+    # np.fromstring reads a blank string as [0] and saturates numerals past int64
+    assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text) == expected
 
 
 def _run_optimized(code: str) -> subprocess.CompletedProcess[str]:

@@ -24,11 +24,19 @@ class Expression:
     anonymous: `evaluate` numbers them depth-first, left to right.
     """
 
-    __slots__ = ("kind", "children")
+    __slots__ = ("kind", "children", "leaf_count", "_text")
 
     def __init__(self, kind: str, children: tuple[Expression, ...]) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "children", children)
+        # both are read at every sort and comparison of an ancestor, so each node works them out once
+        if kind == "leaf":
+            count, text = 1, "v"
+        else:
+            count = sum(c.leaf_count for c in children)
+            text = f"{kind}({', '.join(c._text for c in children)})"
+        object.__setattr__(self, "leaf_count", count)
+        object.__setattr__(self, "_text", text)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Expression is immutable")
@@ -37,22 +45,17 @@ class Expression:
     def is_leaf(self) -> bool:
         return self.kind == "leaf"
 
-    @property
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.leaf_count for c in self.children)
-
+    # the grammar is unambiguous, so equal normal-form text means an equal tree
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expression):
             return NotImplemented
-        return self.kind == other.kind and self.children == other.children
+        return self._text == other._text
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.children))
+        return hash(self._text)
 
     def __repr__(self) -> str:
-        return f"<Expression {format_expression(self)}>"
+        return f"<Expression {self._text}>"
 
 
 _LEAF = Expression("leaf", ())
@@ -63,7 +66,7 @@ def leaf() -> Expression:
 
 
 def _sort_key(e: Expression) -> tuple[int, str]:
-    return (e.leaf_count, format_expression(e))
+    return (e.leaf_count, e._text)
 
 
 def _node(kind: str, children: Iterable[Expression]) -> Expression:
@@ -141,9 +144,7 @@ def compose(op: str, a: Digraph, b: Digraph) -> Digraph:
 
 def format_expression(e: Expression) -> str:
     """Canonical text form, `op(child, child, ...)` with leaves as `v`."""
-    if e.is_leaf:
-        return "v"
-    return f"{e.kind}({', '.join(format_expression(c) for c in e.children)})"
+    return e._text
 
 
 def parse_expression(text: str) -> Expression:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable
 
 import numpy as np
@@ -172,9 +172,7 @@ class Digraph:
 
     def underlying(self) -> UndirectedGraph:
         """Forget orientations: edge {u,v} iff at least one of the two arcs exists."""
-        # each edge once, from its lower end: bits 0..u of row u are cleared
-        edges = [(u, v) for u, row in enumerate(self._neighbor_rows()) for v in _bits(row >> u + 1 << u + 1)]
-        return UndirectedGraph(self.n, edges)
+        return UndirectedGraph._of(Digraph._of(self.n, self._mask | self.converse()._mask))
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
         """Induced subdigraph; kept vertices are relabeled 0.. preserving order."""
@@ -261,12 +259,9 @@ class Digraph:
 
     # -- connectivity -------------------------------------------------------
 
-    def _neighbor_rows(self) -> list[int]:
-        return [o | i for o, i in zip(self.out_rows(), self.in_rows())]
-
     def underlying_components(self) -> list[tuple[int, ...]]:
         """Connected components of the underlying graph, each sorted, in order of minimum vertex."""
-        return [_bits(c) for c in _component_masks((1 << self.n) - 1, self._neighbor_rows())]
+        return [_bits(c) for c in _component_masks((1 << self.n) - 1, self.underlying().to_digraph().out_rows())]
 
     def co_components(self) -> list[tuple[int, ...]]:
         """Components of the complement's underlying graph."""
@@ -369,67 +364,71 @@ def _canonize(n: int, mask: int) -> tuple[bytes, tuple[int, ...]]:
 
 
 class UndirectedGraph:
-    """An undirected simple graph on vertices 0..n-1."""
+    """An undirected simple graph on vertices 0..n-1, held as its symmetric digraph.
 
-    __slots__ = ("n", "_edges")
+    Edge {u, v} is the arc pair (u, v), (v, u); every operation but the input checks is the digraph's.
+    """
+
+    __slots__ = ("_sym",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        object.__setattr__(self, "n", n)
-        es = set()
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-edge ({u}, {u}) not allowed")
-            es.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "_edges", frozenset(es))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        object.__setattr__(self, "_sym", Digraph._of(n, _join_rows(rows, n)))
+
+    @classmethod
+    def _of(cls, sym: Digraph) -> UndirectedGraph:
+        """Wrap a digraph that is symmetric by construction, without checking it."""
+        u = cls.__new__(cls)
+        object.__setattr__(u, "_sym", sym)
+        return u
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UndirectedGraph is immutable")
 
     @property
+    def n(self) -> int:
+        return self._sym.n
+
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._edges))
+        """Every edge (u, v) with u < v, ascending."""
+        return tuple((u, v) for u, v in self._sym.arcs if u < v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        return (min(u, v), max(u, v)) in self._edges
+        return self._sym.has_arc(u, v)
 
     def complement(self) -> UndirectedGraph:
-        missing = [
-            (u, v)
-            for u, v in combinations(range(self.n), 2)
-            if (u, v) not in self._edges
-        ]
-        return UndirectedGraph(self.n, missing)
+        return UndirectedGraph._of(self._sym.complement())
 
     def induced(self, vertices: Iterable[int]) -> UndirectedGraph:
         sub = sorted(set(vertices))
         if not sub:
             raise ValueError("induced subgraph needs at least one vertex")
-        if sub[0] < 0 or sub[-1] >= self.n:
-            raise ValueError(f"vertices {sub} out of range for n={self.n}")
-        idx = {v: i for i, v in enumerate(sub)}
-        keep = [(idx[u], idx[v]) for u, v in self._edges if u in idx and v in idx]
-        return UndirectedGraph(len(sub), keep)
+        return UndirectedGraph._of(self._sym.induced(sub))
 
     def to_digraph(self) -> Digraph:
         """The symmetric digraph with both arcs per edge."""
-        return Digraph(self.n, [a for u, v in self._edges for a in ((u, v), (v, u))])
+        return self._sym
 
     def canonical_form(self) -> bytes:
-        return self.to_digraph().canonical_form()
+        return self._sym.canonical_form()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._sym == other._sym
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._sym)
 
     def __repr__(self) -> str:
         return f"UndirectedGraph({self.n}, {list(self.edges)!r})"

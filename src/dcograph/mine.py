@@ -20,7 +20,7 @@ from dcograph.recognize import (
     PATTERN_ONLY_CLASSES,
     member,
 )
-from dcograph.uclasses import _DIRECTED, UClassId, enumerate_undirected, member_u
+from dcograph.uclasses import UClassId, enumerate_undirected, member_u
 
 
 class BudgetExceeded(Exception):
@@ -454,9 +454,7 @@ def _member(x: ClassId) -> Callable[[Digraph], bool]:
 
 
 def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
-    # the underlying graph's class is its symmetric digraph's directed class
-    x = _DIRECTED[u]
-    return lambda g: member(Digraph._of(g.n, g.mask | g.converse().mask), x)
+    return lambda g: member_u(g.underlying(), u)
 
 
 def _both(p: Callable[[Digraph], bool], q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:

@@ -75,6 +75,32 @@ def test_normal_form_text_is_canonical_at_any_size(e: Expression, data: st.DataO
     assert di_co_tree(evaluate(e).relabel(perm)) == e
 
 
+def _same_tree(a: Expression, b: Expression) -> bool:
+    """Reference equality: same kind at the root and the same children, in order."""
+    return a.kind == b.kind and len(a.children) == len(b.children) and all(map(_same_tree, a.children, b.children))
+
+
+def _rebuilt(e: Expression, rnd) -> Expression:
+    """e built again from new nodes, with union and series children handed over shuffled."""
+    if e.is_leaf:
+        return leaf()
+    children = [_rebuilt(c, rnd) for c in e.children]
+    if e.kind != "order":
+        rnd.shuffle(children)
+    return {"union": union, "order": order, "series": series}[e.kind](*children)
+
+
+@given(_expressions(64), _expressions(64), st.randoms(use_true_random=False))
+def test_expression_identity_is_its_text(a: Expression, b: Expression, rnd) -> None:
+    # the grammar is unambiguous: equal text, equal tree, equal hash
+    for x, y in ((a, b), (a, _rebuilt(a, rnd)), (b, _rebuilt(b, rnd))):
+        assert (x == y) == _same_tree(x, y) == (format_expression(x) == format_expression(y))
+        if x == y:
+            assert hash(x) == hash(y)
+    for x in (a, b):
+        assert x.leaf_count == format_expression(x).count("v")
+
+
 def test_di_co_tree_text_is_one_to_one_with_canonical_form(reps_by_n) -> None:
     # every DC member with at most 5 vertices under every relabelling: the
     # text is constant on an isomorphism class and differs between classes

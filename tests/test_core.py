@@ -20,6 +20,7 @@ from dcograph.core import (
     parse_edge_list,
     to_dot,
 )
+from dcograph.uclasses import enumerate_undirected
 
 
 @st.composite
@@ -89,6 +90,13 @@ def test_underlying_matches_arc_presence(g: Digraph) -> None:
     for a in range(g.n):
         for b in range(a + 1, g.n):
             assert u.has_edge(a, b) == (g.has_arc(a, b) or g.has_arc(b, a))
+
+
+@given(digraphs(max_n=64))
+def test_underlying_is_the_symmetric_closure(g: Digraph) -> None:
+    u = g.underlying()
+    assert u.to_digraph().mask == g.mask | g.converse().mask
+    assert UndirectedGraph(g.n, u.edges) == u
 
 
 @given(digraphs(max_n=6), st.randoms(use_true_random=False))
@@ -356,3 +364,55 @@ def test_undirected_graph_basics() -> None:
     assert u.edges == ((0, 1),)
     assert u.complement().edges == ((0, 2), (1, 2))
     assert u.to_digraph() == Digraph(3, [(0, 1), (1, 0)])
+
+
+_UNDIRECTED_INPUT_ERRORS = [
+    (lambda: UndirectedGraph(0), "vertex count must be in 1..64, got 0"),
+    (lambda: UndirectedGraph(65), "vertex count must be in 1..64, got 65"),
+    (lambda: UndirectedGraph(3, [(0, 3)]), "edge (0, 3) out of range for n=3"),
+    (lambda: UndirectedGraph(3, [(-1, 2)]), "edge (-1, 2) out of range for n=3"),
+    (lambda: UndirectedGraph(3, [(1, 1)]), "self-edge (1, 1) not allowed"),
+    (lambda: UndirectedGraph(3).has_edge(1, 3), "vertex pair (1, 3) out of range"),
+    (lambda: UndirectedGraph(3).has_edge(-1, 0), "vertex pair (-1, 0) out of range"),
+    (lambda: UndirectedGraph(3).induced([]), "induced subgraph needs at least one vertex"),
+    (lambda: UndirectedGraph(3).induced(iter(())), "induced subgraph needs at least one vertex"),
+    (lambda: UndirectedGraph(3).induced([0, 3]), "vertices [0, 3] out of range for n=3"),
+    (lambda: UndirectedGraph(3).induced([-1, 1]), "vertices [-1, 1] out of range for n=3"),
+]
+
+
+@pytest.mark.parametrize(("call", "message"), _UNDIRECTED_INPUT_ERRORS, ids=[m for _, m in _UNDIRECTED_INPUT_ERRORS])
+def test_undirected_graph_rejects_bad_input_with_its_own_words(call, message: str) -> None:
+    # the undirected type says "edge" and "induced subgraph", not the digraph's "arc" and "subdigraph"
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_undirected_graph_views_match_edge_pair_references() -> None:
+    graphs = [u for n in range(1, 6) for u in enumerate_undirected(n)]
+    assert len(graphs) == 52
+    for u in graphs:
+        n = u.n
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if u.has_edge(a, b))
+        # each edge once as (low, high), ascending
+        assert u.edges == edges
+        assert all(u.has_edge(a, b) == u.has_edge(b, a) for a in range(n) for b in range(a))
+        assert UndirectedGraph(n, [(b, a) for a, b in reversed(edges)] + list(edges)) == u
+        assert u.complement().edges == tuple(
+            (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
+        )
+        assert u.to_digraph().mask == sum(1 << a * n + b | 1 << b * n + a for a, b in edges)
+        assert repr(u) == f"UndirectedGraph({n}, {list(edges)!r})"
+        for keep in range(1, 1 << n):
+            sub = [v for v in range(n) if keep >> v & 1]
+            rank = {v: i for i, v in enumerate(sub)}
+            expected = [(rank[a], rank[b]) for a, b in edges if a in rank and b in rank]
+            # a generator argument, in descending order, is read as the same vertex set
+            assert u.induced(v for v in reversed(sub)) == UndirectedGraph(len(sub), expected)
+    for i, a in enumerate(graphs):
+        for j, b in enumerate(graphs):
+            assert (a == b) == (i == j), (a, b)
+        copy = UndirectedGraph(a.n, a.edges)
+        assert copy == a and hash(copy) == hash(a)
+        assert a != a.to_digraph()

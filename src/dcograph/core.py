@@ -257,16 +257,6 @@ class Digraph:
                     stack.append(v)
         return seen == self.n
 
-    # -- connectivity -------------------------------------------------------
-
-    def underlying_components(self) -> list[tuple[int, ...]]:
-        """Connected components of the underlying graph, each sorted, in order of minimum vertex."""
-        return [_bits(c) for c in _component_masks((1 << self.n) - 1, self.underlying().to_digraph().out_rows())]
-
-    def co_components(self) -> list[tuple[int, ...]]:
-        """Components of the complement's underlying graph."""
-        return self.complement().underlying_components()
-
     # -- isomorphism --------------------------------------------------------
 
     def canonical_form(self) -> bytes:

@@ -5,22 +5,24 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import Digraph
+from dcograph.core import Digraph, _full_offdiag
 from dcograph.decompose import di_co_tree
-from dcograph.patterns import CATALOG, PATTERNS, has_anticircuit, has_two_switch, patterns_in
+from dcograph.patterns import CATALOG, PATTERNS, has_anticircuit, has_two_switch, name_word, pattern_words
 from dcograph.recognize import (
     ClassId,
     GRAMMAR_CLASSES,
     MICRO_CLASSES,
     PATTERN_ONLY_CLASSES,
+    WORD_BIT,
+    class_word,
     member,
 )
-from dcograph.uclasses import UClassId, enumerate_undirected, member_u
+from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected
 
 
 class BudgetExceeded(Exception):
@@ -40,7 +42,7 @@ def _rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
     return [((masks >> np.uint64(u * n)) & low).astype(np.intp) for u in range(n)]
 
 
-# room for every permutation, deletion and embedding map on at most 6 vertices (900)
+# room for every permutation, deletion, embedding and transpose map on at most 6 vertices (921)
 @lru_cache(maxsize=1024)
 def _column_table(vmap: tuple[int | None, ...]) -> np.ndarray:
     """Every len(vmap)-bit row with column v moved to column vmap[v], or dropped for None."""
@@ -132,6 +134,45 @@ def _extension_masks(n: int, states: tuple[int, ...]) -> np.ndarray:
     return masks
 
 
+def _transpose(n: int, masks: np.ndarray) -> np.ndarray:
+    """The converse of each n-vertex mask: out-row u moves into column u."""
+    out = np.zeros(masks.size, dtype=np.uint64)
+    for u, row in enumerate(_rows(n, masks)):
+        out |= _column_table(tuple(v * n + u for v in range(n)))[row]
+    return out
+
+
+@lru_cache(maxsize=len(_STATES) * 6)
+def _level(universe: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The masks of `_representatives(universe, n)`, ascending, with each one's class word and pattern word.
+
+    Bit WORD_BIT[x] of a class word is set when the representative is in class
+    x; a pattern word has the bit of each PATTERNS name occurring in it
+    (`patterns.pattern_words`).
+    """
+    reps = _representatives(universe, n)
+    masks = np.array([g.mask for g in reps], dtype=np.uint64)
+    columns = (masks, np.array([class_word(g) for g in reps], dtype=np.uint64), pattern_words(n, masks))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
+    """The class word of each labelled n-vertex digraph of the universe, given by its mask.
+
+    Each mask is reduced to its minimum over all relabellings and found among
+    the level's representatives, so no digraph is built or decomposed. A mask
+    outside the universe is a ValueError. The sweeps read every membership here.
+    """
+    reps, words, _ = _level(universe, n)
+    canon = canonical_masks(n, masks)
+    at = np.minimum(np.searchsorted(reps, canon), reps.size - 1)
+    if not np.array_equal(reps[at], canon):
+        raise ValueError(f"a mask is not a digraph of the {universe} universe on {n} vertices")
+    return words[at]
+
+
 # -- reports ------------------------------------------------------------------
 
 
@@ -144,26 +185,6 @@ class CheckRow:
 
     def line(self) -> str:
         return f"{self.subject}\t{self.verdict}\t{self.canonical}\t{self.details}"
-
-
-def _first(graphs: Iterable[Digraph], pred: Callable[[Digraph], bool]) -> Digraph | None:
-    """The first graph satisfying pred, or None."""
-    return next((g for g in graphs if pred(g)), None)
-
-
-def _row(
-    subject: str,
-    found: Digraph | None,
-    passes_if_found: bool,
-    if_none: str,
-    if_found: Callable[[Digraph], str],
-) -> CheckRow:
-    """The row for one scan: a witness row passes when the scan found a graph,
-    a counterexample row when it found none; a found graph's canonical hex is shown."""
-    verdict = "ok" if (found is not None) == passes_if_found else "fail"
-    if found is None:
-        return CheckRow(subject, verdict, "-", if_none)
-    return CheckRow(subject, verdict, found.canonical_form().hex(), if_found(found))
 
 
 @dataclass
@@ -334,6 +355,91 @@ def minimal_forbidden(
     )
 
 
+# -- the sweep as columns --------------------------------------------------------
+#
+# A suite reads a universe as columns over its representatives: the class
+# words and pattern words of `_level`, the class words of flipped digraphs
+# from `class_words`, and per-graph predicates run at most once per
+# representative. A check is a boolean array over the rows, and its witness is
+# its first true row.
+
+_NOUNS: dict[str, str] = {
+    "digraphs": "digraphs",
+    "oriented": "oriented digraphs",
+    "tournaments": "tournaments",
+    "undirected": "undirected graphs",
+}
+
+# the labelled digraphs the suites ask about besides the representatives: a
+# representative's mask maps to the flip's mask, which lies in the named universe
+_FLIPS: dict[str, tuple[Callable[[int, np.ndarray], np.ndarray], str]] = {
+    "complement": (lambda n, m: m ^ np.uint64(_full_offdiag(n)), "digraphs"),
+    "converse": (_transpose, "digraphs"),
+    "underlying": (lambda n, m: m | _transpose(n, m), "undirected"),
+    "symmetric part": (lambda n, m: m & _transpose(n, m), "undirected"),
+    "asymmetric part": (lambda n, m: m & ~_transpose(n, m), "oriented"),
+}
+
+
+class _Columns:
+    """The graphs of a universe with at most n_max vertices (1 <= n_max <= 6), as columns built on first use.
+
+    `graphs` holds the representatives level by level, `eff` the size bound
+    swept and `noun` the universe's name in reports.
+    """
+
+    def __init__(self, kind: str, n_max: int) -> None:
+        if not 1 <= n_max <= 6:
+            raise ValueError(f"universes support n_max in 1..6, got {n_max}")
+        # tournaments are sparse enough to always sweep through 6 vertices
+        self.kind, self.noun = kind, _NOUNS[kind]
+        self.eff = max(n_max, 6) if kind == "tournaments" else n_max
+        # read through the public enumerators where there is one, so profiles
+        # (perfbench traces functions by name) see the enumeration under them
+        level = {
+            "digraphs": enumerate_digraphs,
+            "tournaments": enumerate_tournaments,
+            "undirected": enumerate_undirected,
+        }.get(kind, lambda n: _representatives(kind, n))
+        self.graphs = [g for n in range(1, self.eff + 1) for g in level(n)]
+        self.patterns = np.concatenate([_level(kind, n)[2] for n in range(1, self.eff + 1)])
+        self._words: dict[str | None, np.ndarray] = {}
+        # per predicate and row: -1 where it has not run yet, else its value
+        self._each: dict[Callable[[Digraph], bool], np.ndarray] = {}
+
+    def has(self, x: ClassId, flip: str | None = None) -> np.ndarray:
+        """Per row, whether the representative, or its flip, is in class x."""
+        if flip not in self._words:
+            op, universe = _FLIPS[flip] if flip is not None else (lambda n, m: m, self.kind)
+            self._words[flip] = np.concatenate([
+                class_words(universe, n, op(n, _level(self.kind, n)[0])) for n in range(1, self.eff + 1)
+            ])
+        return (self._words[flip] >> np.uint64(WORD_BIT[x]) & np.uint64(1)).astype(bool)
+
+    def free(self, *names: str) -> np.ndarray:
+        """Per row, whether none of the named patterns occurs induced."""
+        return self.patterns & np.uint64(name_word(names)) == 0
+
+    def each(self, pred: Callable[[Digraph], bool], where: np.ndarray | None = None) -> np.ndarray:
+        """Per row, pred of the representative, on the rows where `where` holds (all by default) and
+        False elsewhere; pred runs at most once per row."""
+        where = np.ones(len(self.graphs), dtype=bool) if where is None else where
+        known = self._each.setdefault(pred, np.full(len(self.graphs), -1, dtype=np.int8))
+        rows = np.flatnonzero(where & (known < 0))
+        known[rows] = [pred(self.graphs[i]) for i in rows]
+        return where & (known == 1)
+
+    def row(self, subject: str, found: np.ndarray, passes_if_found: bool, if_none: str,
+            if_found: Callable[[Digraph, int], str]) -> CheckRow:
+        """The row for one scan: a witness row passes when some row is found, a
+        counterexample row when none is; the first found graph's canonical hex is shown."""
+        verdict = "ok" if found.any() == passes_if_found else "fail"
+        if not found.any():
+            return CheckRow(subject, verdict, "-", if_none)
+        i = int(found.argmax())
+        return CheckRow(subject, verdict, self.graphs[i].canonical_form().hex(), if_found(self.graphs[i], i))
+
+
 # -- class hierarchy figures ---------------------------------------------------
 #
 # DIRECTED_HIERARCHY/UNDIRECTED_HIERARCHY transcribe the claimed inclusion
@@ -393,33 +499,26 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     if directed:
         suite, kind = "hierarchy-directed", "digraphs"
         nodes, edges = DIRECTED_HIERARCHY_NODES, DIRECTED_HIERARCHY_EDGES
-        membership, ids = member, [ClassId(name) for name in nodes]
+        ids = [ClassId(name) for name in nodes]
     else:
         suite, kind = "hierarchy-undirected", "undirected"
         nodes, edges = UNDIRECTED_HIERARCHY_NODES, UNDIRECTED_HIERARCHY_EDGES
-        membership, ids = member_u, [UClassId(name) for name in nodes]
-    reps = _universe(kind, n_max)[0]
-
-    # the representatives are pairwise non-isomorphic, so a position names a class
-    mem: dict[str, set[int]] = {name: set() for name in nodes}
-    for i, g in enumerate(reps):
-        for name, x in zip(nodes, ids):
-            if membership(g, x):
-                mem[name].add(i)
-
-    def first_in(diff: set[int]):
-        return reps[min(diff)] if diff else None
+        ids = [DIRECTED[UClassId(name)] for name in nodes]
+    cols = _Columns(kind, n_max)
+    total = len(cols.graphs)
+    # the representatives are pairwise non-isomorphic, so a row names a class
+    mem = {name: cols.has(x) for name, x in zip(nodes, ids)}
 
     report = VerifyReport(suite=suite)
     for a, b in edges:
-        report.rows.append(_row(
-            f"{a} subset-of {b}", first_in(mem[a] - mem[b]), False,
-            f"holds on all {len(reps)} graphs with at most {n_max} vertices",
-            lambda g: f"member of {a} outside {b} on {g.n} vertices"))
-        report.rows.append(_row(
-            f"{a} proper-subset {b}", first_in(mem[b] - mem[a]), True,
+        report.rows.append(cols.row(
+            f"{a} subset-of {b}", mem[a] & ~mem[b], False,
+            f"holds on all {total} graphs with at most {n_max} vertices",
+            lambda g, _: f"member of {a} outside {b} on {g.n} vertices"))
+        report.rows.append(cols.row(
+            f"{a} proper-subset {b}", mem[b] & ~mem[a], True,
             f"no separating witness with at most {n_max} vertices",
-            lambda g: f"witness in {b} but not {a} on {g.n} vertices"))
+            lambda g, _: f"witness in {b} but not {a} on {g.n} vertices"))
 
     reach = _reachability(nodes, edges)
     for i, a in enumerate(nodes):
@@ -427,42 +526,56 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
             if b in reach[a] or a in reach[b]:
                 continue
             for x, y in ((a, b), (b, a)):
-                report.rows.append(_row(
-                    f"{x} not-below {y}", first_in(mem[x] - mem[y]), True,
+                report.rows.append(cols.row(
+                    f"{x} not-below {y}", mem[x] & ~mem[y], True,
                     f"claimed incomparable but no witness in {x} outside {y} "
                     f"with at most {n_max} vertices",
-                    lambda g: f"witness in {x} but not {y} on {g.n} vertices"))
+                    lambda g, _: f"witness in {x} but not {y} on {g.n} vertices"))
     return report
 
 
 # -- characterization theorem suite --------------------------------------------
 
 
+# a sweep predicate: one boolean per row of the universe's columns; the class
+# is named by a string, so typing's cache of subscripted generics keeps no
+# re-imported copy of this module alive
+_Pred = Callable[["_Columns"], np.ndarray]
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
     name: str
     universe: str  # "digraphs" | "oriented" | "tournaments"
-    items: tuple[tuple[str, Callable[[Digraph], bool]], ...]
+    items: tuple[tuple[str, _Pred], ...]
 
 
-def _free(*names: str) -> Callable[[Digraph], bool]:
-    return lambda g: patterns_in(g).isdisjoint(names)
+def _free(*names: str) -> _Pred:
+    return lambda c: c.free(*names)
 
 
-def _member(x: ClassId) -> Callable[[Digraph], bool]:
-    return lambda g: member(g, x)
+def _member(x: ClassId, flip: str | None = None) -> _Pred:
+    return lambda c: c.has(x, flip)
 
 
-def _un_in(u: UClassId) -> Callable[[Digraph], bool]:
-    return lambda g: member_u(g.underlying(), u)
+def _un_in(u: UClassId) -> _Pred:
+    return _member(DIRECTED[u], "underlying")
 
 
-def _both(p: Callable[[Digraph], bool], q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:
-    return lambda g: p(g) and q(g)
+def _each(pred: Callable[[Digraph], bool]) -> _Pred:
+    return lambda c: c.each(pred)
 
 
-def _transitive_and(q: Callable[[Digraph], bool]) -> Callable[[Digraph], bool]:
-    return lambda g: g.is_transitive() and q(g)
+def _none(pred: Callable[[Digraph], bool]) -> _Pred:
+    return lambda c: ~c.each(pred)
+
+
+def _both(p: _Pred, q: _Pred) -> _Pred:
+    return lambda c: p(c) & q(c)
+
+
+def _transitive_and(q: _Pred) -> _Pred:
+    return _both(_each(Digraph.is_transitive), q)
 
 
 def _source_elimination(g: Digraph) -> bool:
@@ -485,7 +598,7 @@ _Q_ALL = tuple(f"Q{i}" for i in range(1, 8))
 THEOREMS: dict[str, TheoremSpec] = {}
 
 
-def _register(name: str, universe: str, *items: tuple[str, Callable[[Digraph], bool]]) -> None:
+def _register(name: str, universe: str, *items: tuple[str, _Pred]) -> None:
     THEOREMS[name] = TheoremSpec(name, universe, tuple(items))
 
 
@@ -567,8 +680,7 @@ _register(
     ("constructive recognizer", _member(ClassId.DT)),
     ("full obstruction set", _free(*CATALOG["DT"])),
     ("reduced set + underlying threshold", _both(_free(*_DTP_CORE), _un_in(UClassId.T))),
-    ("trivially-perfect both ways",
-     lambda g: member(g, ClassId.DTP) and member(g.complement(), ClassId.DTP)),
+    ("trivially-perfect both ways", _both(_member(ClassId.DTP), _member(ClassId.DTP, "complement"))),
 )
 _register(
     "ot-characterization", "digraphs",
@@ -580,11 +692,11 @@ _register(
 )
 _register(
     "transitive-tournament-equivalences", "tournaments",
-    ("transitive arc relation", lambda g: g.is_transitive()),
-    ("acyclic", lambda g: g.is_acyclic()),
+    ("transitive arc relation", _each(Digraph.is_transitive)),
+    ("acyclic", _each(Digraph.is_acyclic)),
     ("no directed triangle", _free("D5")),
-    ("source elimination", _source_elimination),
-    ("sink elimination", lambda g: _source_elimination(g.converse())),
+    ("source elimination", _each(_source_elimination)),
+    ("sink elimination", _each(lambda g: _source_elimination(g.converse()))),
 )
 # restating no-anticircuit via small patterns plus two-switch-freeness needs
 # the directed triangle: resolving the vertex coincidences of an anticircuit
@@ -592,59 +704,37 @@ _register(
 # (first counterexample D5) while the three-pattern variant holds
 _register(
     "ferrers-two-switch", "digraphs",
-    ("no alternating anticircuit", lambda g: not has_anticircuit(g)),
+    ("no alternating anticircuit", _none(has_anticircuit)),
     ("catalog route", _member(ClassId.FD)),
     ("two-pattern variant: D1, K2bidir free and no two-switch",
-     _both(_free("D1", "K2bidir"), lambda g: not has_two_switch(g))),
+     _both(_free("D1", "K2bidir"), _none(has_two_switch))),
     ("three-pattern variant: D1, D5, K2bidir free and no two-switch",
-     _both(_free("D1", "D5", "K2bidir"), lambda g: not has_two_switch(g))),
+     _both(_free("D1", "D5", "K2bidir"), _none(has_two_switch))),
 )
 _register(
     "oriented-transitivity", "oriented",
-    ("transitive arc relation", lambda g: g.is_transitive()),
+    ("transitive arc relation", _each(Digraph.is_transitive)),
     ("forbidden pair", _free("D1", "D5")),
 )
-
-
-_NOUNS: dict[str, str] = {
-    "digraphs": "digraphs",
-    "oriented": "oriented digraphs",
-    "tournaments": "tournaments",
-    "undirected": "undirected graphs",
-}
-
-
-def _universe(kind: str, n_max: int) -> tuple[list, int, str]:
-    """The graphs of a universe with at most n_max vertices (1 <= n_max <= 6), its size bound and noun."""
-    if not 1 <= n_max <= 6:
-        raise ValueError(f"universes support n_max in 1..6, got {n_max}")
-    # read through the public enumerators where there is one, so profiles
-    # (perfbench traces functions by name) see the enumeration under them
-    level = {
-        "digraphs": enumerate_digraphs,
-        "tournaments": enumerate_tournaments,
-        "undirected": enumerate_undirected,
-    }.get(kind, lambda n: _representatives(kind, n))
-    # tournaments are sparse enough to always sweep through 6 vertices
-    eff = max(n_max, 6) if kind == "tournaments" else n_max
-    return [g for n in range(1, eff + 1) for g in level(n)], eff, _NOUNS[kind]
 
 
 def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> VerifyReport:
     """Cross-check every registered characterization pointwise on its universe."""
     chosen = list(names) if names is not None else list(THEOREMS)
     report = VerifyReport(suite="theorems")
+    columns: dict[str, _Columns] = {}
     for key in chosen:
         spec = THEOREMS[key]
-        graphs, eff, noun = _universe(spec.universe, n_max)
+        if spec.universe not in columns:
+            columns[spec.universe] = _Columns(spec.universe, n_max)
+        cols = columns[spec.universe]
         base_label, base_pred = spec.items[0]
-        base = [base_pred(g) for g in graphs]
+        base = base_pred(cols)
         for label, pred in spec.items[1:]:
-            report.rows.append(_row(
-                f"{spec.name}: {label} == {base_label}",
-                next((g for g, b in zip(graphs, base) if b != pred(g)), None), False,
-                f"agree on {len(graphs)} {noun} with at most {eff} vertices",
-                lambda g: f"{base_label}={base_pred(g)} but {label}={pred(g)} on {g.n} vertices"))
+            report.rows.append(cols.row(
+                f"{spec.name}: {label} == {base_label}", base != pred(cols), False,
+                f"agree on {len(cols.graphs)} {cols.noun} with at most {cols.eff} vertices",
+                lambda g, i: f"{base_label}={bool(base[i])} but {label}={not base[i]} on {g.n} vertices"))
     return report
 
 
@@ -654,25 +744,19 @@ def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> Verif
 def verify_closures(n_max: int = 5) -> VerifyReport:
     """Complement/converse closure facts for the core classes and obstruction families."""
     report = VerifyReport(suite="closures")
-    graphs = _universe("digraphs", n_max)[0]
+    cols = _Columns("digraphs", n_max)
 
-    for x, op, flip in (
-        (ClassId.DC, "complement", Digraph.complement),
-        (ClassId.DT, "complement", Digraph.complement),
-        (ClassId.DC, "converse", Digraph.converse),
-    ):
-        report.rows.append(_row(
-            f"{x.value} {op}-closed",
-            _first(graphs, lambda g: member(g, x) != member(flip(g), x)), False,
-            f"membership matches {op} membership on all {len(graphs)} digraphs",
-            lambda g: f"{op} flips membership on {g.n} vertices"))
+    for x, op in ((ClassId.DC, "complement"), (ClassId.DT, "complement"), (ClassId.DC, "converse")):
+        report.rows.append(cols.row(
+            f"{x.value} {op}-closed", cols.has(x) != cols.has(x, op), False,
+            f"membership matches {op} membership on all {len(cols.graphs)} digraphs",
+            lambda g, _: f"{op} flips membership on {g.n} vertices"))
 
     for x in (ClassId.DTP, ClassId.DWQT):
-        report.rows.append(_row(
-            f"{x.value} complement-not-closed",
-            _first(graphs, lambda g: member(g, x) and not member(g.complement(), x)), True,
+        report.rows.append(cols.row(
+            f"{x.value} complement-not-closed", cols.has(x) & ~cols.has(x, "complement"), True,
             f"no member with complement outside the class at n <= {n_max}",
-            lambda g: f"member on {g.n} vertices whose complement leaves the class"))
+            lambda g, _: f"member on {g.n} vertices whose complement leaves the class"))
 
     for label, names in (
         ("obstruction family D1-D8 complement-closed", _D1_8),
@@ -692,10 +776,15 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
 # -- projection suite -----------------------------------------------------------
 
 
+def _round_trip(g: Digraph) -> bool:
+    tree = di_co_tree(g)
+    return tree is not None and evaluate(tree).isomorphic_to(g)
+
+
 def verify_projections(n_max: int = 5) -> VerifyReport:
     """Underlying/symmetric/asymmetric projection facts plus the expression round-trip."""
     report = VerifyReport(suite="projections")
-    graphs = _universe("digraphs", n_max)[0]
+    cols = _Columns("digraphs", n_max)
 
     untests: tuple[tuple[str, ClassId, UClassId], ...] = (
         ("DC: underlying graph is a cograph", ClassId.DC, UClassId.C),
@@ -720,25 +809,23 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
          ClassId.DT, UClassId.T, ClassId.OT),
     )
 
-    def round_trip(g: Digraph) -> bool:
-        tree = di_co_tree(g)
-        return tree is not None and evaluate(tree).isomorphic_to(g)
-
-    checks: list[tuple[str, Callable[[Digraph], bool], ClassId]] = [
-        *((subject, _un_in(u), x) for subject, x, u in untests),
+    # each property reads the scope's members, so per-graph predicates run on members only
+    checks: list[tuple[str, Callable[[_Columns, np.ndarray], np.ndarray], ClassId]] = [
+        *((subject, lambda c, _, u=u: c.has(DIRECTED[u], "underlying"), x) for subject, x, u in untests),
         *((subject,
-           lambda g, u=u, ox=ox: member_u(g.sym_part().underlying(), u) and member(g.asym_part(), ox),
+           lambda c, _, u=u, ox=ox: c.has(DIRECTED[u], "symmetric part") & c.has(ox, "asymmetric part"),
            x) for subject, x, u, ox in symtests),
-        ("OC: acyclic", lambda g: g.is_acyclic(), ClassId.OC),
-        ("DT: free of two-switches", lambda g: not has_two_switch(g), ClassId.DT),
-        ("DC: expression round-trip rebuilds the digraph", round_trip, ClassId.DC),
+        ("OC: acyclic", lambda c, members: c.each(Digraph.is_acyclic, members), ClassId.OC),
+        ("DT: free of two-switches", lambda c, members: ~c.each(has_two_switch, members), ClassId.DT),
+        ("DC: expression round-trip rebuilds the digraph",
+         lambda c, members: c.each(_round_trip, members), ClassId.DC),
     ]
     for subject, prop, scope in checks:
-        members = [g for g in graphs if member(g, scope)]
-        report.rows.append(_row(
-            subject, _first(members, lambda g: not prop(g)), False,
-            f"holds for all {len(members)} members with at most {n_max} vertices",
-            lambda g: f"member on {g.n} vertices violates the projection"))
+        members = cols.has(scope)
+        report.rows.append(cols.row(
+            subject, members & ~prop(cols, members), False,
+            f"holds for all {int(members.sum())} members with at most {n_max} vertices",
+            lambda g, _: f"member on {g.n} vertices violates the projection"))
     return report
 
 
@@ -761,4 +848,3 @@ def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
         *head, last = _SUITES
         raise ValueError(f"unknown suite {name!r}; expected {', '.join(head)}, or {last}")
     return _SUITES[name](n_max)
-

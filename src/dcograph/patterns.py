@@ -5,6 +5,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Iterable
 
 import numpy as np
 
@@ -198,17 +199,21 @@ def induced_canon_set(g: Digraph) -> frozenset[bytes]:
 # 36 bits; a key carries its vertex count above them.
 _SIZE_SHIFT = 36
 PATTERN_ROUTE_MAX_N = 8  # the n*n arc bits of the input fill one uint64
+# bytes of the widest array one chunk of pattern_words makes: a word per subset pair per mask
+_CHUNK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=1)
 def _key_table() -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys (k << _SIZE_SHIFT | labelled k-vertex mask) of every pattern copy, and each key's name word.
+    """The name word of every key (k << _SIZE_SHIFT | labelled k-vertex mask), as a step function.
 
     Built on first use from every vertex permutation of every pattern. Bit i of
     a name word stands for the i-th name of PATTERNS. Aliased patterns
     (D11/Q1, D15/Q2, D12/coQ2, coD11/coQ1) share their masks, so one word can
-    name two patterns. A last key above every subset key, with an empty word,
-    keeps each search result in range.
+    name two patterns. A key that is no pattern copy has the empty word. The
+    function steps at each copy's key and just above it, so for sorted step
+    points `steps` and values `words`, any key x has the word
+    `words[np.searchsorted(steps, x, side="right")]`.
     """
     words: dict[int, int] = {}
     for bit, (name, p) in enumerate(PATTERNS.items()):
@@ -216,16 +221,18 @@ def _key_table() -> tuple[np.ndarray, np.ndarray]:
         for perm in permutations(range(k)):
             key = k << _SIZE_SHIFT | sum(1 << perm[u] * k + perm[v] for u, v in arcs)
             words[key] = words.get(key, 0) | 1 << bit
-    keys = sorted(words)
+    steps = {key + 1: 0 for key in words} | words
+    points = sorted(steps)
     return (
-        np.array(keys + [(1 << 64) - 1], dtype=np.uint64),
-        np.array([words[key] for key in keys] + [0], dtype=np.uint64),
+        np.array(points, dtype=np.uint64),
+        np.array([0] + [steps[point] for point in points], dtype=np.uint64),
     )
 
 
 @lru_cache(maxsize=PATTERN_ROUTE_MAX_N)
-def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables for n vertices: right shift and subset bit per pair, segment start and size tag per subset.
+def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Gather tables for n vertices: right shift and subset bit per pair, segment start and size tag per subset,
+    and the masks per chunk of `pattern_words`.
 
     The pairs are the ordered pairs of every 2-6-vertex subset s of range(n),
     and the pairs of one subset form one segment. Subset vertex s[i] is
@@ -252,7 +259,7 @@ def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
     for table in tables:
         table.setflags(write=False)
-    return tables
+    return (*tables, _CHUNK_BYTES // max(tables[0].nbytes, 1))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -261,22 +268,36 @@ def _names(word: int) -> frozenset[str]:
     return frozenset(name for bit, name in enumerate(PATTERNS) if word >> bit & 1)
 
 
+def name_word(names: Iterable[str]) -> int:
+    """The word with the bit of each named pattern set: the inverse of `_names`."""
+    bits = {name: bit for bit, name in enumerate(PATTERNS)}
+    return sum(1 << bits[name] for name in set(names))
+
+
+def pattern_words(n: int, masks: np.ndarray) -> np.ndarray:
+    """The name word of the PATTERNS occurring induced in each labelled n-vertex mask (n <= 8).
+
+    masks is a 1-d uint64 array, or one np.uint64 for a 0-d word. Every
+    2-6-vertex subset's size-tagged labelled mask is gathered from the input
+    mask at once and looked up in the step function of the labelled pattern
+    copies; no subset is canonicalised. A mask's word is the OR of its subsets'
+    words. Arrays go through in chunks, so no intermediate array passes about
+    _CHUNK_BYTES. Raises ValueError above PATTERN_ROUTE_MAX_N vertices.
+    """
+    if n > PATTERN_ROUTE_MAX_N:
+        raise ValueError(f"the pattern pass reads at most {PATTERN_ROUTE_MAX_N} vertices, got {n}")
+    drop, bit, start, tag, rows = _gather(n)
+    if masks.size > rows:
+        return np.concatenate([pattern_words(n, masks[lo : lo + rows]) for lo in range(0, masks.size, rows)])
+    steps, words = _key_table()
+    subsets = np.bitwise_or.reduceat(masks[..., None] >> drop & bit, start, axis=-1) | tag
+    return np.bitwise_or.reduce(words[np.searchsorted(steps, subsets, side="right")], axis=-1)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def patterns_in(g: Digraph) -> frozenset[str]:
-    """Names of the PATTERNS that occur induced in g (g.n <= 8), from one gather over its 2-6-vertex subsets; memoized.
-
-    Every subset's size-tagged labelled mask is gathered from g's mask at once
-    and searched in the sorted keys of the labelled pattern copies; no subset
-    is canonicalised. The OR of the matched keys' name words is the result.
-    Raises ValueError above PATTERN_ROUTE_MAX_N vertices.
-    """
-    if g.n > PATTERN_ROUTE_MAX_N:
-        raise ValueError(f"patterns_in reads at most {PATTERN_ROUTE_MAX_N} vertices, got {g.n}")
-    drop, bit, start, tag = _gather(g.n)
-    keys, words = _key_table()
-    masks = np.bitwise_or.reduceat(np.uint64(g.mask) >> drop & bit, start) | tag
-    at = np.searchsorted(keys, masks)
-    return _names(int(np.bitwise_or.reduce(words[at[keys[at] == masks]])))
+    """Names of the PATTERNS that occur induced in g (g.n <= 8): the one-row case of `pattern_words`; memoized."""
+    return _names(int(pattern_words(g.n, np.uint64(g.mask))))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,21 @@ def member(g: Digraph, x: ClassId) -> bool:
     return member_constructive(g, x)
 
 
+# one bit per class in a class word: the constructive classes at CLASS_BIT, then TD and FD
+WORD_BIT: dict[ClassId, int] = {
+    **CLASS_BIT, **{x: len(CLASS_BIT) + i for i, x in enumerate(PATTERN_ONLY_CLASSES)}
+}
+
+
+def class_word(g: Digraph) -> int:
+    """Every class g is in, as one word with bit WORD_BIT[x] set for each class x."""
+    word = _tree(g).classes
+    for x in PATTERN_ONLY_CLASSES:
+        if member_by_patterns(g, x):
+            word |= 1 << WORD_BIT[x]
+    return word
+
+
 def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] | None:
     """A minimal obstruction as (pattern name, vertex occurrence), or None if member.
 

@@ -3,7 +3,7 @@
 The paper obtains each directed class by transmitting an undirected class to
 the digraph grammar, so on symmetric digraphs the grammar decides the
 undirected class: a graph is a cograph exactly when its symmetric digraph is a
-directed co-graph, and so on for every class in `_DIRECTED`. `FORB_U` keeps
+directed co-graph, and so on for every class in `DIRECTED`. `FORB_U` keeps
 the forbidden induced subgraphs of each class as data; the tests use them as
 the reference that membership is checked against.
 """
@@ -83,7 +83,7 @@ FORB_U: dict[UClassId, tuple[str, ...]] = {
 
 
 # the directed class whose symmetric members encode each undirected class
-_DIRECTED: dict[UClassId, ClassId] = {
+DIRECTED: dict[UClassId, ClassId] = {
     UClassId.C: ClassId.DC,
     UClassId.TP: ClassId.DTP,
     UClassId.CTP: ClassId.DCTP,
@@ -103,7 +103,7 @@ _DIRECTED: dict[UClassId, ClassId] = {
 
 def member_u(g: UndirectedGraph, x: UClassId) -> bool:
     """Membership of the symmetric digraph of g in the directed class that encodes x."""
-    return member_constructive(g.to_digraph(), _DIRECTED[x])
+    return member_constructive(g.to_digraph(), DIRECTED[x])
 
 
 def enumerate_undirected(n: int) -> list[UndirectedGraph]:

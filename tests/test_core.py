@@ -14,6 +14,8 @@ from dcograph.core import (
     Digraph,
     EdgeListError,
     UndirectedGraph,
+    _bits,
+    _component_masks,
     _full_offdiag,
     _parse_lines,
     format_edge_list,
@@ -193,9 +195,14 @@ def test_transitivity_and_acyclicity_spot_checks() -> None:
 
 
 def test_component_views() -> None:
+    # the components the di-co-tree splits on: those of the underlying graph,
+    # and those of the complement's underlying graph (rows ~(out & in))
     g = Digraph(4, [(0, 1), (1, 0)])
-    assert sorted(g.underlying_components()) == [(0, 1), (2,), (3,)]
-    assert g.complement().co_components() == g.underlying_components()
+    everyone = (1 << g.n) - 1
+    components = _component_masks(everyone, g.underlying().to_digraph().out_rows())
+    assert [_bits(c) for c in components] == [(0, 1), (2,), (3,)]
+    co = g.complement()
+    assert _component_masks(everyone, [~(o & i) for o, i in zip(co.out_rows(), co.in_rows())]) == components
 
 
 @given(digraphs())

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from dcograph import mine, patterns
-from dcograph.core import Digraph, _canonize
+from dcograph.core import Digraph, _canonize, _full_offdiag
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
-from dcograph.recognize import ClassId, member
+from dcograph.recognize import WORD_BIT, ClassId, member
 from dcograph.mine import (
     MINEABLE_CLASSES,
     _mine_level,
@@ -28,7 +28,7 @@ from dcograph.mine import (
     verify_suite,
     verify_theorems,
 )
-from dcograph.uclasses import enumerate_undirected
+from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected, member_u
 
 
 def test_digraph_counts(reps_by_n) -> None:
@@ -196,14 +196,83 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 
 
 def test_per_digraph_memos_are_bounded() -> None:
-    memos = (_canonize, induced_canon_set, patterns_in, patterns._names, patterns._gather, _tree, mine._column_table)
+    memos = (
+        _canonize, induced_canon_set, patterns_in, patterns._names, patterns._gather, _tree,
+        mine._column_table, mine._level,
+    )
     for memo in memos:
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, memo.__name__
 
 
+def _member_word(g: Digraph) -> int:
+    """The class word of g from one membership call per class."""
+    return sum(1 << WORD_BIT[x] for x in ClassId if member(g, x))
+
+
+def _check_words(universe: str, n: int, masks: np.ndarray, graphs: list[Digraph]) -> None:
+    assert mine.class_words(universe, n, masks).tolist() == [_member_word(g) for g in graphs], (universe, n)
+
+
+# universe -> largest level swept, and the universe holding its complements
+_SWEPT = {"digraphs": (5, "digraphs"), "oriented": (5, "digraphs"),
+          "tournaments": (6, "tournaments"), "undirected": (6, "undirected")}
+
+
+@pytest.mark.parametrize("universe", _SWEPT)
+def test_columns_agree_with_per_graph_calls(universe: str) -> None:
+    # every bit the suites read, against the per-graph calls the columns replace
+    n_max, complements = _SWEPT[universe]
+    for n in range(1, n_max + 1):
+        reps = list(_representatives(universe, n))
+        masks, _, words = mine._level(universe, n)
+        assert masks.tolist() == [g.mask for g in reps]
+        assert [patterns._names(w) for w in words.tolist()] == [patterns_in(g) for g in reps], (universe, n)
+        _check_words(universe, n, masks, reps)
+        _check_words(complements, n, masks ^ np.uint64(_full_offdiag(n)), [g.complement() for g in reps])
+        _check_words(universe, n, mine._transpose(n, masks), [g.converse() for g in reps])
+        underlying = mine.class_words("undirected", n, masks | mine._transpose(n, masks))
+        for u in UClassId:
+            bit = np.uint64(WORD_BIT[DIRECTED[u]])
+            assert (underlying >> bit & np.uint64(1)).astype(bool).tolist() == [
+                member_u(g.underlying(), u) for g in reps], (universe, n, u)
+
+
+def test_flips_read_the_per_graph_transforms(reps_by_n) -> None:
+    # the agreement test above reads complements, converses and underlying
+    # graphs' words; here every flip's masks, and the two parts' words
+    transforms = {
+        "complement": Digraph.complement,
+        "converse": Digraph.converse,
+        "underlying": lambda g: g.underlying().to_digraph(),
+        "symmetric part": Digraph.sym_part,
+        "asymmetric part": Digraph.asym_part,
+    }
+    assert set(transforms) == set(mine._FLIPS)
+    for n in range(1, 6):
+        masks = np.array([g.mask for g in reps_by_n[n]], dtype=np.uint64)
+        for name, (flip, universe) in mine._FLIPS.items():
+            flipped = [transforms[name](g) for g in reps_by_n[n]]
+            assert flip(n, masks).tolist() == [h.mask for h in flipped], (name, n)
+            if name.endswith("part"):
+                _check_words(universe, n, flip(n, masks), flipped)
+
+
+def test_class_words_reject_a_mask_outside_the_universe() -> None:
+    with pytest.raises(ValueError, match="tournaments"):
+        mine.class_words("tournaments", 3, np.array([0], dtype=np.uint64))
+
+
+def test_closures_decompose_each_representative_once() -> None:
+    # complements and converses are looked up by canonical mask, never decomposed
+    _tree.cache_clear()
+    mine._level.cache_clear()
+    verify_closures(5)
+    assert _tree.cache_info().misses <= sum(len(enumerate_digraphs(n)) for n in range(1, 6)) == 9846
+
+
 def test_theorem_sweep_makes_no_canon_set_call() -> None:
-    # the pattern predicates read patterns_in; induced_canon_set is a test reference only
+    # the pattern predicates read the levels' pattern words; induced_canon_set is a test reference only
     before = induced_canon_set.cache_info()
     verify_suite("theorems", 4)
     after = induced_canon_set.cache_info()
@@ -323,6 +392,10 @@ _FORCED_PROJECTIONS = [
 ]
 
 
+def _word(*classes: ClassId) -> int:
+    return sum(1 << WORD_BIT[x] for x in classes)
+
+
 def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
     # a figure claiming DC below OC, and OT incomparable with both
     monkeypatch.setattr(mine, "DIRECTED_HIERARCHY_NODES", ("DC", "OC", "OT"))
@@ -330,15 +403,21 @@ def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
     assert verify_hierarchy(n_max=3).render() == "\n".join(_FORCED_HIERARCHY)
     monkeypatch.undo()
 
-    # DC and DT read "has arc 0 -> 1", which complement and converse flip;
-    # DTP and DWQT hold everywhere; D12 is swapped for D1 in the D12-D15 family
-    monkeypatch.setattr(
-        mine, "member",
-        lambda g, x: x in (ClassId.DTP, ClassId.DWQT) or g.n == 1 or g.has_arc(0, 1))
+    # DC and DT read "has arc 0 -> 1" (bit 1 of a labelled mask), which
+    # complement and converse flip; DTP and DWQT hold everywhere; D12 is
+    # swapped for D1 in the D12-D15 family
+    everywhere = _word(ClassId.DTP, ClassId.DWQT)
+    arc01 = everywhere | _word(ClassId.DC, ClassId.DT)
+
+    def labelled_words(universe, n, masks):
+        return np.where((n == 1) | (masks & np.uint64(2) != 0), np.uint64(arc01), np.uint64(everywhere))
+
+    monkeypatch.setattr(mine, "class_words", labelled_words)
     monkeypatch.setattr(mine, "PATTERNS", {**PATTERNS, "D12": PATTERNS["D1"]})
     assert verify_closures(n_max=3).render() == "\n".join(_FORCED_CLOSURES)
     monkeypatch.undo()
 
     # every digraph is a member of every class
-    monkeypatch.setattr(mine, "member", lambda g, x: True)
+    every = _word(*ClassId)
+    monkeypatch.setattr(mine, "class_words", lambda universe, n, masks: np.full(masks.size, every, dtype=np.uint64))
     assert verify_projections(n_max=3).render() == "\n".join(_FORCED_PROJECTIONS)

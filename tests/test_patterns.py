@@ -5,12 +5,14 @@ from __future__ import annotations
 import os
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcograph import patterns
 from dcograph.construct import transitive_tournament
-from dcograph.core import Digraph, parse_edge_list
+from dcograph.core import Digraph, _full_offdiag, parse_edge_list
 from dcograph.mine import is_minimal_obstruction
 from dcograph.patterns import (
     ANTICIRCUIT,
@@ -26,6 +28,8 @@ from dcograph.patterns import (
     induced_canon_set,
     is_free,
     match_partial,
+    name_word,
+    pattern_words,
     patterns_in,
     write_pattern_fixtures,
 )
@@ -292,6 +296,21 @@ def test_patterns_in_matches_the_subset_loop_on_one_to_eight_vertices(data) -> N
 def test_equal_pattern_sets_are_one_object(reps_by_n) -> None:
     results = [patterns_in(g) for n in range(1, 6) for g in reps_by_n[n]]
     assert len({id(r) for r in results}) == len(set(results))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_batched_pattern_words_equal_one_row_calls(data) -> None:
+    # batches of 1 to 2 chunks and a bit, so some end just past a chunk boundary
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    rows = patterns._gather(n)[-1]
+    size = data.draw(st.one_of(
+        st.sampled_from([1, rows - 1, rows, rows + 1, 2 * rows + 1]), st.integers(1, 2 * rows + 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    masks = rng.integers(0, 2**63, size=size, dtype=np.uint64) << np.uint64(1) & np.uint64(_full_offdiag(n))
+    # one one-row call per distinct mask: at two vertices a chunk holds far more masks than there are digraphs
+    one_row = {mask: name_word(patterns_in(Digraph.from_mask(n, mask))) for mask in set(masks.tolist())}
+    assert pattern_words(n, masks).tolist() == [one_row[mask] for mask in masks.tolist()], n
 
 
 def test_patterns_in_rejects_more_than_eight_vertices() -> None:

@@ -5,7 +5,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ def _rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
     return [((masks >> np.uint64(u * n)) & low).astype(np.intp) for u in range(n)]
 
 
-# room for every permutation, deletion, embedding and transpose map on at most 6 vertices (921)
-@lru_cache(maxsize=1024)
+# room for every deletion, embedding and transpose map on at most 6 vertices (46)
+@lru_cache(maxsize=64)
 def _column_table(vmap: tuple[int | None, ...]) -> np.ndarray:
     """Every len(vmap)-bit row with column v moved to column vmap[v], or dropped for None."""
     tab = np.zeros(1 << len(vmap), dtype=np.uint64)
@@ -62,15 +62,72 @@ def _relabel(rows: list[np.ndarray], vmap: tuple[int | None, ...], m: int) -> np
     return out
 
 
+# entries of the widest array one block of `_relabellings` makes (512 KB of
+# uint64); a block's column gather makes one more of the same size
+_CHUNK = 1 << 16
+
+
+@lru_cache(maxsize=6)
+def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row shifts and column tables of all n! permutations p of range(n), stacked in one row per p.
+
+    Row k of the (n!, n) shifts holds p[u]*n for each vertex u, and row k of
+    the (n!, 2^n) table is `_column_table(p)`: 403 KB together at n = 6.
+    """
+    perms = np.array(list(permutations(range(n))), dtype=np.uint64).reshape(-1, n)
+    tab = np.zeros((len(perms), 1 << n), dtype=np.uint64)
+    for v in range(n):
+        tab[:, 1 << v : 2 << v] = tab[:, : 1 << v] | np.uint64(1) << perms[:, v : v + 1]
+    shifts = perms * np.uint64(n)
+    for table in (shifts, tab):
+        table.setflags(write=False)
+    return shifts, tab
+
+
+def _relabellings(n: int, masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Every relabelling of each n-vertex mask, in blocks (lo, block) of at most _CHUNK entries.
+
+    block[k, i] is masks[lo + i] relabelled by one permutation, and the blocks
+    at one lo together cover all n! permutations once. A block is one 2-D
+    gather per vertex u: row u of every mask goes through the column tables of
+    the block's permutations, each shifted to the row that u moves to.
+    """
+    shifts, tab = _perm_tables(n)
+    for lo in range(0, masks.size, _CHUNK):
+        part = masks[lo : lo + _CHUNK]
+        rows = _rows(n, part)
+        step = _CHUNK // part.size
+        for k in range(0, len(tab), step):
+            tables, moves = tab[k : k + step], shifts[k : k + step]
+            block = np.take(tables << moves[:, :1], rows[0], axis=1)
+            for u in range(1, n):
+                block |= np.take(tables << moves[:, u : u + 1], rows[u], axis=1)
+            yield lo, block
+
+
 def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Per-element canonical (minimum over all relabelings) masks; n <= 6."""
-    if n > 6:
-        raise ValueError("bulk canonicalization supports n <= 6")
-    rows = _rows(n, masks)
-    best = masks.astype(np.uint64)
-    for perm in permutations(range(n)):
-        np.minimum(best, _relabel(rows, perm, n), out=best)
+    """Per-element canonical (minimum over all n! relabelings) masks; 1 <= n <= 6.
+
+    A mask with a bit at or above n*n is a ValueError: it has no n-vertex digraph.
+    """
+    if not 1 <= n <= 6:
+        raise ValueError(f"bulk canonicalization supports 1..6 vertices, got {n}")
+    masks = np.asarray(masks, dtype=np.uint64)
+    if masks.size and int(masks.max()) >> n * n:
+        raise ValueError(f"a mask has a bit at or above {n * n}, outside every {n}-vertex digraph")
+    best = masks.copy()
+    for lo, block in _relabellings(n, masks):
+        part = best[lo : lo + block.shape[1]]
+        np.minimum(part, block.min(axis=0), out=part)
     return best
+
+
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """The distinct masks, ascending; np.unique would import numpy.ma on its first call."""
+    ordered = np.sort(masks)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
 
 # pair states (u -> new) | (new -> u) << 1 that each universe admits; every
@@ -88,9 +145,11 @@ def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
     """The n-vertex digraphs of the universe up to isomorphism (n <= 6), by ascending minimum mask.
 
     Extends every (n-1)-vertex representative by one vertex in every way the
-    universe's pair states allow: each n-vertex member is such an extension
-    of its own last-vertex deletion, up to isomorphism. Each representative
-    carries the minimum mask over its isomorphism class.
+    universe's pair states allow, and keeps the extensions whose new vertex
+    has a maximal key (`_orderly`): each n-vertex member is such an extension
+    of its deletion of a max-key vertex, up to isomorphism. Only those are
+    canonicalised. Each representative carries the minimum mask over its
+    isomorphism class.
     """
     if universe not in _STATES:
         raise ValueError(f"unknown universe {universe!r}")
@@ -99,7 +158,9 @@ def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
     if n == 1:
         return (Digraph.edgeless(1),)
     base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
-    canon = np.unique(canonical_masks(n, _one_vertex_extensions(n, base, _STATES[universe])))
+    extensions = _one_vertex_extensions(n, base, _STATES[universe])
+    extensions = extensions[_orderly(n, extensions, _rows(n, extensions))]
+    canon = _distinct(canonical_masks(n, extensions))
     return tuple(Digraph.from_mask(n, int(m)) for m in canon)
 
 
@@ -142,6 +203,27 @@ def _transpose(n: int, masks: np.ndarray) -> np.ndarray:
     return out
 
 
+# the number of set bits of every row of at most 6 columns
+_POPCOUNT = np.array([bin(row).count("1") for row in range(1 << 6)], dtype=np.intp)
+
+
+def _orderly(n: int, masks: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
+    """Whether vertex n-1 of each n-vertex mask has a maximal key among its vertices.
+
+    rows are the masks' `_rows`. A vertex's key is (total degree, out-degree,
+    mutual pairs), which relabelling does not change. So every n-vertex
+    digraph H is isomorphic to an extension that passes: attach a max-key
+    vertex v of H as vertex n-1 to the canonical mask of H - v. An
+    enumeration that extends every class of H - v therefore still meets every
+    class of H after keeping only the extensions that pass.
+    """
+    keys = [
+        (_POPCOUNT[row] + _POPCOUNT[col]) << 8 | _POPCOUNT[row] << 4 | _POPCOUNT[row & col]
+        for row, col in zip(rows, _rows(n, _transpose(n, masks)))
+    ]
+    return keys[-1] >= np.max(keys, axis=0)
+
+
 @lru_cache(maxsize=len(_STATES) * 6)
 def _level(universe: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The masks of `_representatives(universe, n)`, ascending, with each one's class word and pattern word.
@@ -161,15 +243,20 @@ def _level(universe: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
     """The class word of each labelled n-vertex digraph of the universe, given by its mask.
 
-    Each mask is reduced to its minimum over all relabellings and found among
-    the level's representatives, so no digraph is built or decomposed. A mask
-    outside the universe is a ValueError. The sweeps read every membership here.
+    Each mask is found among the level's sorted masks: one equal to a
+    representative's mask is that representative, and only the others are
+    reduced to their minimum over all relabellings and found again. No digraph
+    is built or decomposed. A mask outside the universe is a ValueError. The
+    sweeps read every membership here.
     """
     reps, words, _ = _level(universe, n)
-    canon = canonical_masks(n, masks)
-    at = np.minimum(np.searchsorted(reps, canon), reps.size - 1)
-    if not np.array_equal(reps[at], canon):
-        raise ValueError(f"a mask is not a digraph of the {universe} universe on {n} vertices")
+    at = np.minimum(np.searchsorted(reps, masks), reps.size - 1)
+    miss = np.flatnonzero(reps[at] != masks)
+    if miss.size:
+        canon = canonical_masks(n, masks[miss])
+        at[miss] = np.minimum(np.searchsorted(reps, canon), reps.size - 1)
+        if not np.array_equal(reps[at[miss]], canon):
+            raise ValueError(f"a mask is not a digraph of the {universe} universe on {n} vertices")
     return words[at]
 
 
@@ -266,15 +353,17 @@ def _mine_level(
     a one-vertex extension of some member whose other deletions are members
     too. A deletion is a member exactly when its labelled mask is some
     relabelling of a member, so the filter looks deletions up in the sorted
-    relabellings of all members and canonicalises none of them. Only the
-    extensions that pass are tested for membership. Returns the sorted
-    canonical masks of the n-vertex members and the minimal obstructions, each
-    carrying the minimum mask over its isomorphism class. The deadline is
-    checked before each batch.
+    relabellings of all members and canonicalises none of them. Of the
+    extensions that pass, only those whose new vertex has a maximal key
+    (`_orderly`) are canonicalised and tested for membership: the deletion of
+    a max-key vertex is a member, so every class still arises. Returns the
+    sorted canonical masks of the n-vertex members and the minimal
+    obstructions, each carrying the minimum mask over its isomorphism class.
+    The deadline is checked before each batch.
     """
-    member_rows = _rows(n - 1, members)
-    labelled = np.sort(np.concatenate(
-        [_relabel(member_rows, perm, n - 1) for perm in permutations(range(n - 1))]))
+    if not members.size:
+        return members, []
+    labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, members)]))
     seen: set[int] = set()
     inside: list[int] = []
     obstructions: list[Digraph] = []
@@ -291,7 +380,7 @@ def _mine_level(
             pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
             keep = labelled[pos] == deleted
             cands, rows = cands[keep], [row[keep] for row in rows]
-        for m in np.unique(canonical_masks(n, cands)).tolist():
+        for m in _distinct(canonical_masks(n, cands[_orderly(n, cands, rows)])).tolist():
             if m in seen:
                 continue
             seen.add(m)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -107,6 +109,83 @@ def test_canonical_masks_match_a_permutation_reference(reps_by_n) -> None:
     assert got == _reference_canonical(6, six)
 
 
+# sizes on and across the block boundaries of the real chunk: n!*m fits one
+# block up to 546 masks at n = 5 and 91 at n = 6
+_BLOCK_EDGES = {5: (546, 547), 6: (91, 92)}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_canonical_masks_across_chunk_boundaries(n: int, monkeypatch) -> None:
+    rng = random.Random(n)
+    pool = [_random_mask(n, rng, tournament=i % 4 == 0) for i in range(max(_BLOCK_EDGES[n]))]
+    expected = _reference_canonical(n, pool)
+    for size in (1, 2, *_BLOCK_EDGES[n]):
+        got = canonical_masks(n, np.array(pool[:size], dtype=np.uint64)).tolist()
+        assert got == expected[:size], size
+    # a 64-entry chunk splits the masks themselves into parts of 64
+    monkeypatch.setattr(mine, "_CHUNK", 64)
+    for size in (63, 64, 65, 129):
+        got = canonical_masks(n, np.array(pool[:size], dtype=np.uint64)).tolist()
+        assert got == expected[:size], size
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_masks_of_no_masks(n: int) -> None:
+    got = canonical_masks(n, np.zeros(0, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.size == 0
+
+
+def test_canonical_masks_reject_bits_outside_the_vertices() -> None:
+    # bit 9 is no arc of a 3-vertex digraph; dropping it would read 518 as mask 6
+    with pytest.raises(ValueError):
+        canonical_masks(3, np.array([518], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        mine.class_words("digraphs", 3, np.array([518], dtype=np.uint64))
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            canonical_masks(n, np.zeros(1, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "universe, n",
+    [(u, n) for u in mine._STATES for n in range(2, 6)]
+    + [(u, 6) for u in ("tournaments", "oriented", "undirected")],
+)
+def test_orderly_filter_keeps_every_class(universe: str, n: int) -> None:
+    # canonicalising every extension, unfiltered, gives the same representatives
+    base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
+    extensions = mine._one_vertex_extensions(n, base, mine._STATES[universe])
+    unfiltered = mine._distinct(canonical_masks(n, extensions)).tolist()
+    assert [g.mask for g in _representatives(universe, n)] == unfiltered
+
+
+def test_class_words_look_representatives_up_uncanonicalised(monkeypatch) -> None:
+    levels = [(u, n) for u in mine._STATES for n in range(1, 6)]
+    for universe, n in levels:
+        mine._level(universe, n)
+
+    def canonicalise(n, masks):
+        raise AssertionError(f"canonicalised {masks.size} masks on {n} vertices")
+
+    monkeypatch.setattr(mine, "canonical_masks", canonicalise)
+    for universe, n in levels:
+        masks, words, _ = mine._level(universe, n)
+        assert mine.class_words(universe, n, masks).tolist() == words.tolist()
+
+
+def test_mining_leaves_numpy_ma_unimported() -> None:
+    # np.unique imports numpy.ma on its first call, a cost every cold mine paid
+    code = (
+        "import sys\n"
+        "from dcograph.mine import minimal_forbidden\n"
+        "from dcograph.recognize import ClassId\n"
+        "minimal_forbidden(ClassId.DC, 4)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
     # the deletion filter looks each deletion's labelled mask up among the
     # members' relabellings, so level n canonicalises n-vertex masks only
@@ -130,7 +209,48 @@ def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
 
 
 def test_six_vertex_permutation_tables_stay_small() -> None:
-    assert sum(mine._column_table(p).nbytes for p in permutations(range(6))) < 1 << 20
+    # every table canonical_masks keeps: one stack of shifts and column tables per size
+    assert sum(table.nbytes for n in range(1, 7) for table in mine._perm_tables(n)) < 1 << 20
+
+
+# per mineable class: the member counts and the minimal obstruction counts of
+# the levels n = 2..6
+_LEVEL_COUNTS = {
+    "DC": ((3, 11, 51, 253, 1373), (0, 5, 3, 0, 0)),
+    "OC": ((2, 5, 15, 48, 167), (1, 2, 1, 0, 0)),
+    "DTP": ((3, 11, 44, 181, 780), (0, 5, 10, 0, 0)),
+    "OTP": ((2, 5, 14, 40, 121), (1, 2, 2, 0, 0)),
+    "DCTP": ((3, 11, 44, 181, 780), (0, 5, 10, 0, 0)),
+    "OCTP": ((2, 5, 13, 34, 89), (1, 2, 3, 0, 0)),
+    "DT": ((3, 11, 41, 153, 571), (0, 5, 13, 0, 0)),
+    "OT": ((2, 5, 13, 34, 89), (1, 2, 3, 0, 0)),
+    "DWQT": ((3, 11, 49, 227, 1104), (0, 5, 5, 3, 2)),
+    "OWQT": ((2, 5, 15, 48, 166), (1, 2, 1, 0, 1)),
+    "DCWQT": ((3, 11, 49, 227, 1104), (0, 5, 5, 3, 2)),
+    "OCWQT": ((2, 5, 14, 40, 118), (1, 2, 2, 0, 3)),
+    "DSC": ((3, 11, 46, 199, 876), (0, 5, 8, 3, 2)),
+    "OSC": ((2, 5, 14, 42, 131), (1, 2, 2, 0, 1)),
+    "DCSC": ((3, 11, 46, 199, 876), (0, 5, 8, 3, 2)),
+    "OCSC": ((2, 5, 14, 40, 118), (1, 2, 2, 0, 3)),
+    "TT": ((1, 1, 1, 1, 1), (2, 1, 0, 0, 0)),
+    "EdgelessD": ((1, 1, 1, 1, 1), (2, 0, 0, 0, 0)),
+    "BidirComplete": ((1, 1, 1, 1, 1), (2, 0, 0, 0, 0)),
+    "TwoBidirCliques": ((2, 2, 3, 3, 4), (1, 2, 0, 0, 0)),
+    "BidirCompleteBipartite": ((2, 2, 3, 3, 4), (1, 2, 0, 0, 0)),
+    "SeriesOfStableSets": ((2, 3, 5, 7, 11), (1, 1, 0, 0, 0)),
+    "UnionOfBidirCliques": ((2, 3, 5, 7, 11), (1, 1, 0, 0, 0)),
+}
+
+
+def test_level_counts_are_pinned() -> None:
+    assert set(_LEVEL_COUNTS) == {x.value for x in MINEABLE_CLASSES}
+    for x in MINEABLE_CLASSES:
+        members, counts = np.array([0], dtype=np.uint64), ([], [])
+        for n in range(2, 7):
+            members, obstructions = _mine_level(x, n, members)
+            counts[0].append(members.size)
+            counts[1].append(len(obstructions))
+        assert tuple(map(tuple, counts)) == _LEVEL_COUNTS[x.value], x.value
 
 
 def test_oriented_counts() -> None:
@@ -198,7 +318,7 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 def test_per_digraph_memos_are_bounded() -> None:
     memos = (
         _canonize, induced_canon_set, patterns_in, patterns._names, patterns._gather, _tree,
-        mine._column_table, mine._level,
+        mine._column_table, mine._perm_tables, mine._level,
     )
     for memo in memos:
         maxsize = memo.cache_info().maxsize

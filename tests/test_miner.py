@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -109,17 +110,14 @@ def test_canonical_masks_match_a_permutation_reference(reps_by_n) -> None:
     assert got == _reference_canonical(6, six)
 
 
-# sizes on and across the block boundaries of the real chunk: n!*m fits one
-# block up to 546 masks at n = 5 and 91 at n = 6
-_BLOCK_EDGES = {5: (546, 547), 6: (91, 92)}
-
-
 @pytest.mark.parametrize("n", [5, 6])
 def test_canonical_masks_across_chunk_boundaries(n: int, monkeypatch) -> None:
+    # up to `edge` masks, all n! relabellings fit one block of the real chunk
+    edge = mine._CHUNK // factorial(n)
     rng = random.Random(n)
-    pool = [_random_mask(n, rng, tournament=i % 4 == 0) for i in range(max(_BLOCK_EDGES[n]))]
+    pool = [_random_mask(n, rng, tournament=i % 4 == 0) for i in range(max(edge + 1, 129))]
     expected = _reference_canonical(n, pool)
-    for size in (1, 2, *_BLOCK_EDGES[n]):
+    for size in (1, 2, edge, edge + 1):
         got = canonical_masks(n, np.array(pool[:size], dtype=np.uint64)).tolist()
         assert got == expected[:size], size
     # a 64-entry chunk splits the masks themselves into parts of 64

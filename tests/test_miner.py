@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -171,16 +172,19 @@ def test_class_words_look_representatives_up_uncanonicalised(monkeypatch) -> Non
         assert mine.class_words(universe, n, masks).tolist() == words.tolist()
 
 
-def test_mining_leaves_numpy_ma_unimported() -> None:
+def test_mining_and_enumeration_leave_numpy_ma_unimported() -> None:
     # np.unique imports numpy.ma on its first call, a cost every cold mine paid
     code = (
         "import sys\n"
-        "from dcograph.mine import minimal_forbidden\n"
+        "from dcograph.mine import enumerate_digraphs, minimal_forbidden\n"
         "from dcograph.recognize import ClassId\n"
         "minimal_forbidden(ClassId.DC, 4)\n"
+        "enumerate_digraphs(4)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mine.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
 

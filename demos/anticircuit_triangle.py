@@ -11,19 +11,15 @@ roles, avoids both small patterns, and is too small to hold a two-switch.
 from __future__ import annotations
 
 from dcograph.mine import enumerate_digraphs
-from dcograph.patterns import PATTERNS, contains_induced, has_anticircuit, has_two_switch
+from dcograph.patterns import PATTERNS, has_anticircuit, has_two_switch, patterns_in
 
 
 def two_pattern_claim(g) -> bool:
-    return (
-        contains_induced(g, PATTERNS["D1"]) is None
-        and contains_induced(g, PATTERNS["K2bidir"]) is None
-        and not has_two_switch(g)
-    )
+    return not patterns_in(g) & {"D1", "K2bidir"} and not has_two_switch(g)
 
 
 def three_pattern_claim(g) -> bool:
-    return two_pattern_claim(g) and contains_induced(g, PATTERNS["D5"]) is None
+    return two_pattern_claim(g) and "D5" not in patterns_in(g)
 
 
 def main() -> None:
@@ -44,8 +40,8 @@ def main() -> None:
     print(f"\nsmallest counterexample: arcs {smallest.arcs}")
     print(f"isomorphic to D5: {smallest.isomorphic_to(PATTERNS['D5'])}")
     print(f"has anticircuit: {has_anticircuit(smallest)}")
-    print(f"contains D1: {contains_induced(smallest, PATTERNS['D1']) is not None}")
-    print(f"contains K2bidir: {contains_induced(smallest, PATTERNS['K2bidir']) is not None}")
+    print(f"contains D1: {'D1' in patterns_in(smallest)}")
+    print(f"contains K2bidir: {'K2bidir' in patterns_in(smallest)}")
     print(f"has two-switch: {has_two_switch(smallest)}")
 
 

@@ -1,6 +1,7 @@
 """Immutable bit-matrix digraphs, undirected graphs, isomorphism, and edge-list IO."""
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 from itertools import permutations, product
@@ -27,6 +28,11 @@ def _full_offdiag(n: int) -> int:
     return mask
 
 
+# bit v of a row, for v = 0..63, as a Python int: an arc's endpoints index it,
+# so a numpy integer endpoint sets the same bit without a conversion per arc
+_BIT = tuple(1 << v for v in range(MAX_VERTICES))
+
+
 def _join_rows(rows: list[int], n: int) -> int:
     """The bit matrix whose row u is rows[u], assembled in one pass."""
     mask = 0
@@ -48,6 +54,7 @@ class Digraph:
     __slots__ = ("n", "_mask")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
+        n = operator.index(n)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         self.n = n
@@ -57,7 +64,7 @@ class Digraph:
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop ({u}, {u}) not allowed")
-            rows[u] |= 1 << v
+            rows[u] |= _BIT[v]
         object.__setattr__(self, "_mask", _join_rows(rows, n))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -69,6 +76,7 @@ class Digraph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> Digraph:
         """Build from a raw bit-matrix; diagonal bits must be clear."""
+        n, mask = operator.index(n), operator.index(mask)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         if mask < 0 or mask >> n * n:
@@ -109,12 +117,14 @@ class Digraph:
         return self._mask.bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = operator.index(u), operator.index(v)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) out of range")
         return bool(self._mask >> u * self.n + v & 1)
 
     def out_row(self, u: int) -> int:
         """Out-neighbourhood of u as an n-bit mask."""
+        u = operator.index(u)
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range for n={self.n}")
         return self._mask >> u * self.n & (1 << self.n) - 1
@@ -176,7 +186,7 @@ class Digraph:
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
         """Induced subdigraph; kept vertices are relabeled 0.. preserving order."""
-        sub = sorted(set(vertices))
+        sub = sorted(set(map(operator.index, vertices)))
         if not sub:
             raise ValueError("induced subdigraph needs at least one vertex")
         if sub[0] < 0 or sub[-1] >= self.n:
@@ -203,7 +213,7 @@ class Digraph:
 
     def relabel(self, perm: Iterable[int]) -> Digraph:
         """Apply a bijection old-label -> new-label."""
-        p = tuple(perm)
+        p = tuple(map(operator.index, perm))
         if sorted(p) != list(range(self.n)):
             raise ValueError("perm is not a bijection on the vertex set")
         rows = [0] * self.n
@@ -362,6 +372,7 @@ class UndirectedGraph:
     __slots__ = ("_sym",)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        n = operator.index(n)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         rows = [0] * n
@@ -370,8 +381,8 @@ class UndirectedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-edge ({u}, {u}) not allowed")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            rows[u] |= _BIT[v]
+            rows[v] |= _BIT[u]
         object.__setattr__(self, "_sym", Digraph._of(n, _join_rows(rows, n)))
 
     @classmethod

@@ -32,8 +32,9 @@ class BudgetExceeded(Exception):
 # -- vectorized bit-mask machinery --------------------------------------------
 #
 # A labeled n-vertex digraph is one uint64 with bit u*n+v per arc, matching
-# core.Digraph. Relabelings, embeddings and vertex deletions are vertex maps,
-# applied in bulk to masks split once into their n out-rows.
+# core.Digraph. Relabelings, embeddings, vertex deletions and the transpose are
+# vertex maps, applied in bulk to masks split once into their n out-rows: each
+# row goes through its map's column table and is shifted into place.
 
 
 def _rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
@@ -42,23 +43,20 @@ def _rows(n: int, masks: np.ndarray) -> list[np.ndarray]:
     return [((masks >> np.uint64(u * n)) & low).astype(np.intp) for u in range(n)]
 
 
-# room for every deletion, embedding and transpose map on at most 6 vertices (46)
-@lru_cache(maxsize=64)
-def _column_table(vmap: tuple[int | None, ...]) -> np.ndarray:
-    """Every len(vmap)-bit row with column v moved to column vmap[v], or dropped for None."""
-    tab = np.zeros(1 << len(vmap), dtype=np.uint64)
-    for v, target in enumerate(vmap):
-        tab[1 << v : 2 << v] = tab[: 1 << v] | np.uint64(0 if target is None else 1 << target)
+def _column_tables(bits: np.ndarray) -> np.ndarray:
+    """The column tables of a stack of maps: entry r of row k is the row r with
+    each column v replaced by the bit bits[k, v], which is 0 to drop the column."""
+    tab = np.zeros((len(bits), 1 << bits.shape[1]), dtype=np.uint64)
+    for v in range(bits.shape[1]):
+        tab[:, 1 << v : 2 << v] = tab[:, : 1 << v] | bits[:, v : v + 1]
     return tab
 
 
-def _relabel(rows: list[np.ndarray], vmap: tuple[int | None, ...], m: int) -> np.ndarray:
-    """The m-vertex masks with vertex u of each split mask moved to vmap[u], or deleted for None."""
-    tab = _column_table(vmap)
-    out = np.zeros(rows[0].size, dtype=np.uint64)
-    for row, target in zip(rows, vmap):
-        if target is not None:
-            out |= tab[row] << np.uint64(target * m)
+def _gather(rows: list[np.ndarray], tables: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The (k, m) masks whose entry [k, i] ORs, over each row u, tables[k][rows[u][i]] << shifts[k, u]."""
+    out = np.take(tables << shifts[:, :1], rows[0], axis=1)
+    for u in range(1, len(rows)):
+        out |= np.take(tables << shifts[:, u : u + 1], rows[u], axis=1)
     return out
 
 
@@ -74,13 +72,10 @@ def _perm_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The row shifts and column tables of all n! permutations p of range(n), stacked in one row per p.
 
     Row k of the (n!, n) shifts holds p[u]*n for each vertex u, and row k of
-    the (n!, 2^n) table is `_column_table(p)`: 403 KB together at n = 6.
+    the (n!, 2^n) table moves column v to column p[v]: 403 KB together at n = 6.
     """
     perms = np.array(list(permutations(range(n))), dtype=np.uint64).reshape(-1, n)
-    tab = np.zeros((len(perms), 1 << n), dtype=np.uint64)
-    for v in range(n):
-        tab[:, 1 << v : 2 << v] = tab[:, : 1 << v] | np.uint64(1) << perms[:, v : v + 1]
-    shifts = perms * np.uint64(n)
+    shifts, tab = perms * np.uint64(n), _column_tables(np.uint64(1) << perms)
     for table in (shifts, tab):
         table.setflags(write=False)
     return shifts, tab
@@ -90,9 +85,8 @@ def _relabellings(n: int, masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]
     """Every relabelling of each n-vertex mask, in blocks (lo, block) of at most _CHUNK entries.
 
     block[k, i] is masks[lo + i] relabelled by one permutation, and the blocks
-    at one lo together cover all n! permutations once. A block is one 2-D
-    gather per vertex u: row u of every mask goes through the column tables of
-    the block's permutations, each shifted to the row that u moves to.
+    at one lo together cover all n! permutations once, each block one
+    `_gather` through the stacked tables of its permutations.
     """
     shifts, tab = _perm_tables(n)
     for lo in range(0, masks.size, _CHUNK):
@@ -100,23 +94,21 @@ def _relabellings(n: int, masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]
         rows = _rows(n, part)
         step = _CHUNK // part.size
         for k in range(0, len(tab), step):
-            tables, moves = tab[k : k + step], shifts[k : k + step]
-            block = np.take(tables << moves[:, :1], rows[0], axis=1)
-            for u in range(1, n):
-                block |= np.take(tables << moves[:, u : u + 1], rows[u], axis=1)
-            yield lo, block
+            yield lo, _gather(rows, tab[k : k + step], shifts[k : k + step])
 
 
 def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
     """Per-element canonical (minimum over all n! relabelings) masks; 1 <= n <= 6.
 
-    A mask with a bit at or above n*n is a ValueError: it has no n-vertex digraph.
+    A mask that is not an integer, is negative or has a bit at or above n*n is
+    a ValueError: it has no n-vertex digraph.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"bulk canonicalization supports 1..6 vertices, got {n}")
-    masks = np.asarray(masks, dtype=np.uint64)
-    if masks.size and int(masks.max()) >> n * n:
-        raise ValueError(f"a mask has a bit at or above {n * n}, outside every {n}-vertex digraph")
+    masks = np.asarray(masks)
+    if masks.size and (masks.dtype.kind not in "iu" or int(masks.min()) < 0 or int(masks.max()) >> n * n):
+        raise ValueError(f"every mask must be an integer in 0..2^{n * n}-1, the masks of {n}-vertex digraphs")
+    masks = masks.astype(np.uint64, copy=False)
     best = masks.copy()
     for lo, block in _relabellings(n, masks):
         part = best[lo : lo + block.shape[1]]
@@ -180,7 +172,8 @@ def _one_vertex_extensions(
     n: int, base: np.ndarray, states: tuple[int, ...] = _STATES["digraphs"]
 ) -> np.ndarray:
     """Every (n-1)-vertex mask in base with new vertex n-1 attached in all len(states)^(n-1) ways."""
-    embedded = _relabel(_rows(n - 1, base), tuple(range(n - 1)), n)
+    ranks = np.arange(n - 1, dtype=np.uint64)[None, :]
+    embedded = _gather(_rows(n - 1, base), _column_tables(np.uint64(1) << ranks), ranks * np.uint64(n))[0]
     return (embedded[:, None] | _extension_masks(n, states)[None, :]).ravel()
 
 
@@ -197,12 +190,18 @@ def _extension_masks(n: int, states: tuple[int, ...]) -> np.ndarray:
     return masks
 
 
+def _delete(n: int, rows: list[np.ndarray], d: int) -> np.ndarray:
+    """The split n-vertex masks with vertex d deleted: its row and column go,
+    and the vertices above it move down one."""
+    ranks = np.arange(n - 1, dtype=np.uint64)[None, :]
+    tables = _column_tables(np.insert(np.uint64(1) << ranks, d, 0, axis=1))
+    return _gather(rows[:d] + rows[d + 1 :], tables, ranks * np.uint64(n - 1))[0]
+
+
 def _transpose(n: int, masks: np.ndarray) -> np.ndarray:
     """The converse of each n-vertex mask: out-row u moves into column u."""
-    out = np.zeros(masks.size, dtype=np.uint64)
-    for u, row in enumerate(_rows(n, masks)):
-        out |= _column_table(tuple(v * n + u for v in range(n)))[row]
-    return out
+    ranks = np.arange(n, dtype=np.uint64)[None, :]
+    return _gather(_rows(n, masks), _column_tables(np.uint64(1) << ranks * np.uint64(n)), ranks)[0]
 
 
 # the number of set bits of every row of at most 6 columns
@@ -378,7 +377,7 @@ def _mine_level(
         # deleting the attached vertex n-1 returns the base member, so only
         # deletions of vertices 0..n-2 need checking
         for d in range(n - 1):
-            deleted = _relabel(rows, tuple(None if u == d else u - (u > d) for u in range(n)), n - 1)
+            deleted = _delete(n, rows, d)
             pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
             keep = labelled[pos] == deleted
             cands, rows = cands[keep], [row[keep] for row in rows]

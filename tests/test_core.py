@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,37 @@ def test_undirected_has_edge_rejects_a_vertex_out_of_range() -> None:
     for a, b in ((1, 5), (-1, 2), (3, 0)):
         with pytest.raises(ValueError):
             u.has_edge(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 9, 64])
+def test_numpy_integers_read_as_the_python_ints_they_equal(n: int) -> None:
+    # a numpy endpoint once made a numpy mask: wrapped past 64 bits, and
+    # without the int methods that arcs and repr read
+    rng = random.Random(n)
+    arcs = [(n - 1, 0), (0, 1)] + [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+    g = Digraph(n, arcs)
+    for kind in (np.int64, np.uint8, np.intp):
+        h = Digraph(kind(n), [(kind(u), kind(v)) for u, v in arcs])
+        assert h == g and type(h.mask) is int and h.arcs == g.arcs and repr(h) == repr(g)
+        assert Digraph.from_mask(kind(n), np.uint64(2)) == Digraph(n, [(0, 1)])
+        assert h.has_arc(kind(n - 1), kind(0)) and h.out_row(kind(n - 1)) == g.out_row(n - 1)
+        picked = np.arange(0, n, 2, dtype=kind)
+        assert h.induced(picked) == g.induced(range(0, n, 2)) and type(h.induced(picked).mask) is int
+        assert h.delete_vertex(kind(0)) == g.delete_vertex(0)
+        perm = list(range(1, n)) + [0]
+        assert h.relabel(np.array(perm, dtype=kind)) == g.relabel(perm)
+        assert repr(h.relabel(np.array(perm, dtype=kind))) == repr(g.relabel(perm))
+        edges = [(u, v) for u, v in arcs if u < v]
+        u = UndirectedGraph(kind(n), [(kind(a), kind(b)) for a, b in edges])
+        assert u == UndirectedGraph(n, edges) and repr(u) == repr(UndirectedGraph(n, edges))
+        assert u.has_edge(kind(1), kind(0))
+    for bad in ((0, 1.0), (1.0, 0)):
+        with pytest.raises(TypeError):
+            Digraph(n, [bad])
+        with pytest.raises(TypeError):
+            UndirectedGraph(n, [bad])
+    with pytest.raises(TypeError):
+        Digraph(float(n))
 
 
 @given(digraphs())

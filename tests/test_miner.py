@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,8 +14,9 @@ from math import factorial
 import numpy as np
 import pytest
 
+import dcograph
 from dcograph import mine, patterns
-from dcograph.core import Digraph, _canonize, _full_offdiag
+from dcograph.core import Digraph, _full_offdiag
 from dcograph.decompose import _tree
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
 from dcograph.recognize import WORD_BIT, ClassId, member
@@ -143,6 +146,39 @@ def test_canonical_masks_reject_bits_outside_the_vertices() -> None:
     for n in (0, 7):
         with pytest.raises(ValueError):
             canonical_masks(n, np.zeros(1, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("masks", [[1.5], np.array([1.0]), [-1], np.array([2, -3])])
+def test_canonical_masks_reject_non_integer_and_negative_masks(masks) -> None:
+    # a float would be truncated to another digraph's mask, and a negative
+    # mask has no digraph at all
+    with pytest.raises(ValueError):
+        canonical_masks(2, masks)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_vertex_map_matches_the_digraph_reference(n: int) -> None:
+    # each kind of map the one gather serves; the largest size is one mask
+    # more than a block of all n! relabellings holds
+    rng = random.Random(n)
+    perms = list(permutations(range(n)))
+    for size in (0, 1, mine._CHUNK // factorial(n) + 1):
+        graphs = [Digraph.from_mask(n, _random_mask(n, rng, tournament=False)) for _ in range(size)]
+        masks = np.array([g.mask for g in graphs], dtype=np.uint64)
+        # the blocks at one lo hold the permutations in order
+        by_lo: dict[int, list[np.ndarray]] = {}
+        for lo, block in mine._relabellings(n, masks):
+            by_lo.setdefault(lo, []).append(block)
+        parts = [np.concatenate(blocks) for blocks in by_lo.values()]
+        stacked = np.concatenate(parts or [np.zeros((len(perms), 0), dtype=np.uint64)], axis=1)
+        k = rng.randrange(len(perms))
+        assert stacked[k].tolist() == [g.relabel(perms[k]).mask for g in graphs], (size, perms[k])
+        embedded = mine._one_vertex_extensions(n + 1, masks, (0,))
+        assert embedded.tolist() == [Digraph(n + 1, g.arcs).mask for g in graphs], size
+        rows = mine._rows(n, masks)
+        for d in range(n if n > 1 else 0):
+            assert mine._delete(n, rows, d).tolist() == [g.delete_vertex(d).mask for g in graphs], (size, d)
+        assert mine._transpose(n, masks).tolist() == [g.converse().mask for g in graphs], size
 
 
 @pytest.mark.parametrize(
@@ -318,13 +354,19 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
 
 
 def test_per_digraph_memos_are_bounded() -> None:
-    memos = (
-        _canonize, induced_canon_set, patterns_in, patterns._names, patterns._gather, _tree,
-        mine._column_table, mine._perm_tables, mine._level,
-    )
-    for memo in memos:
-        maxsize = memo.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0, memo.__name__
+    # every functools.lru_cache of the package, found by walking its modules,
+    # so a new memo is checked without being named here
+    memos = {}
+    for info in pkgutil.iter_modules(dcograph.__path__, "dcograph."):
+        module = importlib.import_module(info.name)
+        for owner in (module, *(v for v in vars(module).values() if isinstance(v, type))):
+            for value in vars(owner).values():
+                if hasattr(value, "cache_parameters") and value.__module__ == info.name:
+                    memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
+    known = {"core._canonize", "patterns.patterns_in", "decompose._tree", "mine._perm_tables", "mine._level"}
+    assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
+    for name, maxsize in memos.items():
+        assert maxsize is not None and maxsize > 0, name
 
 
 def _member_word(g: Digraph) -> int:

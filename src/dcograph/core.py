@@ -28,6 +28,24 @@ def _full_offdiag(n: int) -> int:
     return mask
 
 
+def mask_array(n: int, masks: object) -> np.ndarray:
+    """masks (an array, a sequence or one integer) as an array of uint64 n-vertex digraph masks.
+
+    A mask that is not an integer, is negative, or has a bit on the diagonal or
+    at or above n*n is a ValueError: it has no n-vertex digraph. The bits are
+    tested on a Python int, since a uint64 shift by 64 is not 0.
+    """
+    masks = np.asarray(masks)
+    kind = masks.dtype.kind
+    if masks.size and (
+        kind not in "iu"
+        or kind == "i" and masks.min() < 0
+        or int(np.bitwise_or.reduce(masks, axis=None)) & ~_full_offdiag(n)
+    ):
+        raise ValueError(f"every mask must be a non-negative integer whose bits are arcs of {n} vertices")
+    return masks.astype(np.uint64, copy=False)
+
+
 # bit v of a row, for v = 0..63, as a Python int: an arc's endpoints index it,
 # so a numpy integer endpoint sets the same bit without a conversion per arc
 _BIT = tuple(1 << v for v in range(MAX_VERTICES))

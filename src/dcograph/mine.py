@@ -10,7 +10,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import Digraph, _full_offdiag
+from dcograph.core import Digraph, _full_offdiag, mask_array
 from dcograph.decompose import di_co_tree
 from dcograph.patterns import CATALOG, PATTERNS, has_anticircuit, has_two_switch, name_word, pattern_words
 from dcograph.recognize import (
@@ -98,22 +98,19 @@ def _relabellings(n: int, masks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]
 
 
 def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Per-element canonical (minimum over all n! relabelings) masks; 1 <= n <= 6.
+    """Per-element canonical (minimum over all n! relabelings) masks, shaped as masks; 1 <= n <= 6.
 
-    A mask that is not an integer, is negative or has a bit at or above n*n is
-    a ValueError: it has no n-vertex digraph.
+    A mask that has no n-vertex digraph is a ValueError (`core.mask_array`).
     """
     if not 1 <= n <= 6:
         raise ValueError(f"bulk canonicalization supports 1..6 vertices, got {n}")
-    masks = np.asarray(masks)
-    if masks.size and (masks.dtype.kind not in "iu" or int(masks.min()) < 0 or int(masks.max()) >> n * n):
-        raise ValueError(f"every mask must be an integer in 0..2^{n * n}-1, the masks of {n}-vertex digraphs")
-    masks = masks.astype(np.uint64, copy=False)
-    best = masks.copy()
-    for lo, block in _relabellings(n, masks):
+    masks = mask_array(n, masks)
+    flat = masks.reshape(-1)
+    best = flat.copy()
+    for lo, block in _relabellings(n, flat):
         part = best[lo : lo + block.shape[1]]
         np.minimum(part, block.min(axis=0), out=part)
-    return best
+    return best.reshape(masks.shape)
 
 
 def _distinct(masks: np.ndarray) -> np.ndarray:
@@ -247,10 +244,13 @@ def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
     Each mask is found among the level's sorted masks: one equal to a
     representative's mask is that representative, and only the others are
     reduced to their minimum over all relabellings and found again. No digraph
-    is built or decomposed. A mask outside the universe is a ValueError. The
-    sweeps read every membership here.
+    is built or decomposed. A mask outside the universe, or of no n-vertex
+    digraph (`core.mask_array`), is a ValueError. The words are shaped as masks.
+    The sweeps read every membership here.
     """
     reps, words, _ = _level(universe, n)
+    given = mask_array(n, masks)
+    masks = given.reshape(-1)
     at = np.minimum(np.searchsorted(reps, masks), reps.size - 1)
     miss = np.flatnonzero(reps[at] != masks)
     if miss.size:
@@ -258,7 +258,7 @@ def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
         at[miss] = np.minimum(np.searchsorted(reps, canon), reps.size - 1)
         if not np.array_equal(reps[at[miss]], canon):
             raise ValueError(f"a mask is not a digraph of the {universe} universe on {n} vertices")
-    return words[at]
+    return words[at].reshape(given.shape)
 
 
 # -- reports ------------------------------------------------------------------

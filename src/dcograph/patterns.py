@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from dcograph.construct import compose
-from dcograph.core import _MEMO_SIZE, Digraph, format_edge_list
+from dcograph.core import _MEMO_SIZE, Digraph, format_edge_list, mask_array
 
 
 def _dg(n: int, *arcs: tuple[int, int]) -> Digraph:
@@ -262,30 +262,28 @@ def _gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int
     return (*tables, _CHUNK_BYTES // max(tables[0].nbytes, 1))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _names(word: int) -> frozenset[str]:
-    """The names of PATTERNS whose bits are set in word; memoized, so equal results are one object."""
-    return frozenset(name for bit, name in enumerate(PATTERNS) if word >> bit & 1)
+# the bit of each PATTERNS name in a name word
+_NAME_BIT: dict[str, int] = {name: bit for bit, name in enumerate(PATTERNS)}
 
 
 def name_word(names: Iterable[str]) -> int:
-    """The word with the bit of each named pattern set: the inverse of `_names`."""
-    bits = {name: bit for bit, name in enumerate(PATTERNS)}
-    return sum(1 << bits[name] for name in set(names))
+    """The word with the bit of each named pattern set."""
+    return sum(1 << _NAME_BIT[name] for name in set(names))
 
 
 def pattern_words(n: int, masks: np.ndarray) -> np.ndarray:
     """The name word of the PATTERNS occurring induced in each labelled n-vertex mask (n <= 8).
 
-    masks is a 1-d uint64 array, or one np.uint64 for a 0-d word. Every
-    2-6-vertex subset's size-tagged labelled mask is gathered from the input
-    mask at once and looked up in the step function of the labelled pattern
-    copies; no subset is canonicalised. A mask's word is the OR of its subsets'
+    masks is a 1-d array or sequence, or one integer for a 0-d word, checked by
+    `core.mask_array`. Every 2-6-vertex subset's size-tagged labelled mask is
+    gathered from the input mask at once and looked up in the step function of
+    the labelled pattern copies; no subset is canonicalised. A mask's word is the OR of its subsets'
     words. Arrays go through in chunks, so no intermediate array passes about
-    _CHUNK_BYTES. Raises ValueError above PATTERN_ROUTE_MAX_N vertices.
+    _CHUNK_BYTES. Raises ValueError outside 1..PATTERN_ROUTE_MAX_N vertices.
     """
-    if n > PATTERN_ROUTE_MAX_N:
-        raise ValueError(f"the pattern pass reads at most {PATTERN_ROUTE_MAX_N} vertices, got {n}")
+    if not 1 <= n <= PATTERN_ROUTE_MAX_N:
+        raise ValueError(f"the pattern pass reads at least 1 and at most {PATTERN_ROUTE_MAX_N} vertices, got {n}")
+    masks = mask_array(n, masks)
     drop, bit, start, tag, rows = _gather(n)
     if masks.size > rows:
         return np.concatenate([pattern_words(n, masks[lo : lo + rows]) for lo in range(0, masks.size, rows)])
@@ -294,10 +292,10 @@ def pattern_words(n: int, masks: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(words[np.searchsorted(steps, subsets, side="right")], axis=-1)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def patterns_in(g: Digraph) -> frozenset[str]:
-    """Names of the PATTERNS that occur induced in g (g.n <= 8): the one-row case of `pattern_words`; memoized."""
-    return _names(int(pattern_words(g.n, np.uint64(g.mask))))
+    """Names of the PATTERNS that occur induced in g (g.n <= 8): the one-mask case of `pattern_words`."""
+    word = int(pattern_words(g.n, np.uint64(g.mask)))
+    return frozenset(name for name, bit in _NAME_BIT.items() if word >> bit & 1)
 
 
 @dataclass(frozen=True)

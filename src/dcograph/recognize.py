@@ -7,7 +7,9 @@ construction and are decided by patterns on out-rows.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
+
+import numpy as np
 
 from dcograph.construct import (
     Expression,
@@ -38,7 +40,8 @@ from dcograph.patterns import (
     contains_small,
     is_free,
     match_partial,
-    patterns_in,
+    name_word,
+    pattern_words,
     ANTICIRCUIT,
     TWO_SWITCH,
 )
@@ -107,13 +110,15 @@ def member(g: Digraph, x: ClassId) -> bool:
 WORD_BIT: dict[ClassId, int] = {
     **CLASS_BIT, **{x: len(CLASS_BIT) + i for i, x in enumerate(PATTERN_ONLY_CLASSES)}
 }
+# each constructive class's catalog as a name word: a member's pattern word shares no bit with it
+_CATALOG_WORD: dict[ClassId, int] = {x: name_word(CATALOG[x.value]) for x in CLASS_BIT}
 
 
-def class_word(g: Digraph) -> int:
-    """Every class g is in, as one word with bit WORD_BIT[x] set for each class x."""
+def class_word(g: Digraph, classes: Container[ClassId] | None = None) -> int:
+    """Every class g is in, as one word with bit WORD_BIT[x] set per class x; TD and FD only if in classes."""
     word = _tree(g).classes
     for x in PATTERN_ONLY_CLASSES:
-        if member_by_patterns(g, x):
+        if (classes is None or x in classes) and member_by_patterns(g, x):
             word |= 1 << WORD_BIT[x]
     return word
 
@@ -144,24 +149,21 @@ def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] 
 
 
 def classify(g: Digraph, classes: Iterable[ClassId] | None = None) -> set[ClassId]:
-    """All classes g belongs to; runs both routes and insists they agree when both can run.
+    """The classes g belongs to among classes (by default all), read from one class word.
 
-    Up to PATTERN_ROUTE_MAX_N vertices the pattern route reads every catalog
-    from one patterns_in(g) pass, made on the first class that needs it.
+    Up to PATTERN_ROUTE_MAX_N vertices each constructive class asked is checked against
+    one pattern word, and a disagreement raises RouteDisagreement at the first such class.
     """
-    out = set()
-    present: frozenset[str] | None = None
-    for x in classes if classes is not None else list(ClassId):
-        verdict = member(g, x)
-        if x not in PATTERN_ONLY_CLASSES and g.n <= PATTERN_ROUTE_MAX_N:
-            if present is None:
-                present = patterns_in(g)
-            by_patterns = present.isdisjoint(CATALOG[x.value])
+    chosen = list(ClassId) if classes is None else list(classes)
+    word = class_word(g, chosen)
+    checked = [x for x in chosen if x in _CATALOG_WORD]
+    if checked and g.n <= PATTERN_ROUTE_MAX_N:
+        present = int(pattern_words(g.n, np.uint64(g.mask)))
+        for x in checked:
+            verdict, by_patterns = bool(word >> WORD_BIT[x] & 1), not present & _CATALOG_WORD[x]
             if by_patterns != verdict:
                 raise RouteDisagreement(x, g, verdict, by_patterns)
-        if verdict:
-            out.add(x)
-    return out
+    return {x for x in chosen if word >> WORD_BIT[x] & 1}
 
 
 # -- literal-grammar oracle ---------------------------------------------------

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import dcograph
-from dcograph import mine, patterns
+from dcograph import mine
 from dcograph.core import Digraph, _full_offdiag
 from dcograph.decompose import _tree
-from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, patterns_in
+from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, name_word, patterns_in
 from dcograph.recognize import WORD_BIT, ClassId, member
 from dcograph.mine import (
     MINEABLE_CLASSES,
@@ -154,6 +154,29 @@ def test_canonical_masks_reject_non_integer_and_negative_masks(masks) -> None:
     # mask has no digraph at all
     with pytest.raises(ValueError):
         canonical_masks(2, masks)
+
+
+@pytest.mark.parametrize("mask", [np.uint64(4), 4])
+def test_canonical_masks_of_one_integer_are_0_d(mask) -> None:
+    # bit 2 is the arc 1 -> 0, which relabels to the arc 0 -> 1 at bit 1
+    got = canonical_masks(2, mask)
+    assert got.shape == () and int(got) == 2
+
+
+def test_canonical_masks_reject_a_loop() -> None:
+    # bit 0 lies below 2^(n*n) but is the loop at vertex 0, no digraph's arc
+    with pytest.raises(ValueError):
+        canonical_masks(2, [1])
+
+
+def test_class_words_reject_a_loop() -> None:
+    with pytest.raises(ValueError):
+        mine.class_words("digraphs", 2, [1])
+
+
+def test_class_words_of_one_integer_are_0_d() -> None:
+    got = mine.class_words("digraphs", 2, 4)
+    assert got.shape == () and int(got) == mine.class_words("digraphs", 2, np.array([2], dtype=np.uint64))[0]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -363,7 +386,7 @@ def test_per_digraph_memos_are_bounded() -> None:
             for value in vars(owner).values():
                 if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                     memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
-    known = {"core._canonize", "patterns.patterns_in", "decompose._tree", "mine._perm_tables", "mine._level"}
+    known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level"}
     assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
     for name, maxsize in memos.items():
         assert maxsize is not None and maxsize > 0, name
@@ -391,7 +414,7 @@ def test_columns_agree_with_per_graph_calls(universe: str) -> None:
         reps = list(_representatives(universe, n))
         masks, _, words = mine._level(universe, n)
         assert masks.tolist() == [g.mask for g in reps]
-        assert [patterns._names(w) for w in words.tolist()] == [patterns_in(g) for g in reps], (universe, n)
+        assert words.tolist() == [name_word(patterns_in(g)) for g in reps], (universe, n)
         _check_words(universe, n, masks, reps)
         _check_words(complements, n, masks ^ np.uint64(_full_offdiag(n)), [g.complement() for g in reps])
         _check_words(universe, n, mine._transpose(n, masks), [g.converse() for g in reps])

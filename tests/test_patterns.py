@@ -293,11 +293,6 @@ def test_patterns_in_matches_the_subset_loop_on_one_to_eight_vertices(data) -> N
     assert patterns_in(g) == _patterns_in_by_loop(g), g
 
 
-def test_equal_pattern_sets_are_one_object(reps_by_n) -> None:
-    results = [patterns_in(g) for n in range(1, 6) for g in reps_by_n[n]]
-    assert len({id(r) for r in results}) == len(set(results))
-
-
 @settings(max_examples=40)
 @given(st.data())
 def test_batched_pattern_words_equal_one_row_calls(data) -> None:
@@ -316,6 +311,33 @@ def test_batched_pattern_words_equal_one_row_calls(data) -> None:
 def test_patterns_in_rejects_more_than_eight_vertices() -> None:
     with pytest.raises(ValueError, match="at most 8 vertices, got 9"):
         patterns_in(Digraph(9))
+
+
+@pytest.mark.parametrize(("n", "mask"), [(2, 1), (2, 1 << 20), (8, 1 << 63)])
+def test_pattern_words_reject_masks_of_no_digraph(n: int, mask: int) -> None:
+    # a loop (bit 0, or bit 63 at eight vertices) or a bit past the n*n matrix
+    # would otherwise read as the subsets it leaves, here the edgeless I2
+    with pytest.raises(ValueError):
+        pattern_words(n, np.array([mask], dtype=np.uint64))
+
+
+def test_pattern_words_read_the_last_arc_of_eight_vertices() -> None:
+    # bit 62 is the arc 7 -> 6; the range test must not shift a uint64 by 64
+    got = pattern_words(8, np.array([1 << 62], dtype=np.uint64))
+    assert got.tolist() == [name_word(patterns_in(Digraph.from_mask(8, 1 << 62)))]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_pattern_words_reject_vertex_counts_below_one(n: int) -> None:
+    with pytest.raises(ValueError, match=f"got {n}"):
+        pattern_words(n, np.zeros(1, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("masks", [np.array([2, 4], dtype=np.int64), [2, 4], 4])
+def test_pattern_words_read_any_integer_masks(masks) -> None:
+    want = pattern_words(2, np.asarray(masks, dtype=np.uint64))
+    got = pattern_words(2, masks)
+    assert np.shape(got) == np.shape(want) and got.tolist() == want.tolist()
 
 
 def test_patterns_in_names_every_pattern_and_its_alias() -> None:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from dcograph import decompose, patterns, recognize
 from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import maximal_split
-from dcograph.patterns import ANTICIRCUIT, CATALOG, PATTERNS, TWO_SWITCH, patterns_in
+from dcograph.patterns import ANTICIRCUIT, CATALOG, PATTERNS, TWO_SWITCH, name_word, patterns_in
 from dcograph.recognize import (
     _ORACLE_SPEC,
     _SIDE_BUILDERS,
@@ -277,11 +278,11 @@ def test_route_disagreement_carries_context() -> None:
     assert "DC" in str(exc) and "constructive=True" in str(exc)
 
 
-def test_cross_check_reads_patterns_in(monkeypatch) -> None:
+def test_cross_check_reads_the_pattern_word(monkeypatch) -> None:
     # a pattern pass that misses the directed triangle must make classify
     # disagree with the constructive route, which rejects the prime D5
-    real = recognize.patterns_in
-    monkeypatch.setattr(recognize, "patterns_in", lambda g: real(g) - {"D5"})
+    real, d5 = recognize.pattern_words, np.uint64(name_word(["D5"]))
+    monkeypatch.setattr(recognize, "pattern_words", lambda n, masks: real(n, masks) & ~d5)
     with pytest.raises(RouteDisagreement):
         classify(PATTERNS["D5"])
 
@@ -304,6 +305,65 @@ def test_classify_runs_no_occurrence_search_up_to_eight_vertices(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "contains_induced", no_search)
         assert classify(g) == expected
+
+
+def _draw_input(data, min_n: int, max_n: int) -> Digraph:
+    """A random digraph, or a relabelled grammar member, perhaps with one arc flipped."""
+    n = data.draw(st.integers(min_value=min_n, max_value=max_n))
+    if data.draw(st.booleans()):
+        rng = data.draw(st.randoms(use_true_random=False))
+        return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.5])
+    g = _draw_member(data, data.draw(st.sampled_from(GRAMMAR_CLASSES)), n)
+    if n > 1 and data.draw(st.booleans()):
+        u, v = data.draw(st.permutations(range(n)))[:2]
+        g = Digraph.from_mask(n, g.mask ^ 1 << u * n + v)
+    return g.relabel(data.draw(st.permutations(range(n))))
+
+
+_CONSTRUCTIVE = tuple(x for x in ClassId if x not in PATTERN_ONLY_CLASSES)
+_SUBSETS = st.one_of(
+    st.sampled_from([(), PATTERN_ONLY_CLASSES, (ClassId.TD,), (ClassId.FD,), _CONSTRUCTIVE]),
+    st.lists(st.sampled_from(list(ClassId)), unique=True),
+)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(1, 8), (9, 64)]), _SUBSETS, st.data())
+def test_classify_equals_the_per_class_members(sizes: tuple[int, int], subset, data) -> None:
+    g = _draw_input(data, *sizes)
+    assert classify(g, subset) == {x for x in subset if member(g, x)}
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 24])
+@pytest.mark.parametrize(
+    "subset", [None, (), PATTERN_ONLY_CLASSES, (ClassId.FD,), GRAMMAR_CLASSES, (ClassId.TD, ClassId.DC)]
+)
+def test_classify_reads_one_class_word_and_one_pattern_word(n: int, subset, monkeypatch) -> None:
+    calls = dict.fromkeys(("_tree", "match_partial", "pattern_words"), 0)
+
+    def counted(name: str):
+        real = getattr(recognize, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    def per_class(*args):
+        raise AssertionError("classify asked a class on its own")
+
+    for name in calls:
+        monkeypatch.setattr(recognize, name, counted(name))
+    for name in ("member", "member_constructive"):
+        monkeypatch.setattr(recognize, name, per_class)
+    monkeypatch.setattr(patterns, "patterns_in", per_class)
+    g = Digraph(n, [(u, (u + 1) % n) for u in range(n)] + [(0, 2)])
+    classify(g, subset)
+    asked = list(ClassId) if subset is None else subset
+    assert calls["_tree"] == 1
+    assert calls["match_partial"] == sum(x in asked for x in PATTERN_ONLY_CLASSES)
+    assert calls["pattern_words"] == (n <= 8 and any(x not in PATTERN_ONLY_CLASSES for x in asked))
 
 
 def test_copy_table_is_built_on_first_use_only() -> None:

@@ -283,10 +283,10 @@ def pattern_words(n: int, masks: np.ndarray) -> np.ndarray:
     """
     if not 1 <= n <= PATTERN_ROUTE_MAX_N:
         raise ValueError(f"the pattern pass reads at least 1 and at most {PATTERN_ROUTE_MAX_N} vertices, got {n}")
-    masks = mask_array(n, masks)
     drop, bit, start, tag, rows = _gather(n)
-    if masks.size > rows:
-        return np.concatenate([pattern_words(n, masks[lo : lo + rows]) for lo in range(0, masks.size, rows)])
+    if np.size(masks) > rows:  # each chunk's call checks its masks
+        return np.concatenate([pattern_words(n, masks[lo : lo + rows]) for lo in range(0, np.size(masks), rows)])
+    masks = mask_array(n, masks)
     steps, words = _key_table()
     subsets = np.bitwise_or.reduceat(masks[..., None] >> drop & bit, start, axis=-1) | tag
     return np.bitwise_or.reduce(words[np.searchsorted(steps, subsets, side="right")], axis=-1)

@@ -281,10 +281,18 @@ def creation_sequence(g: Digraph, allow_series: bool = True) -> CreationSequence
 def creation_sequence_raw(
     n: int, arcs: Iterable[tuple[int, int]], allow_series: bool = True
 ) -> CreationSequence | None:
-    """Creation-sequence recognition on a raw arc list, O(n + m)."""
+    """Creation-sequence recognition on a raw arc list, O(n + m).
+
+    A repeated arc is counted twice. n < 1, a loop, or an endpoint outside
+    0..n-1 is a ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"a creation sequence needs at least 1 vertex, got {n}")
     outdeg = [0] * n
     indeg = [0] * n
     for u, v in arcs:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) is a loop or has an endpoint outside 0..{n - 1}")
         outdeg[u] += 1
         indeg[v] += 1
     return _peel(n, outdeg, indeg, allow_series)

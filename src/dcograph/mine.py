@@ -627,47 +627,6 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
 # -- characterization theorem suite --------------------------------------------
 
 
-# a sweep predicate: one boolean per row of the universe's columns; the class
-# is named by a string, so typing's cache of subscripted generics keeps no
-# re-imported copy of this module alive
-_Pred = Callable[["_Columns"], np.ndarray]
-
-
-@dataclass(frozen=True)
-class TheoremSpec:
-    name: str
-    universe: str  # "digraphs" | "oriented" | "tournaments"
-    items: tuple[tuple[str, _Pred], ...]
-
-
-def _free(*names: str) -> _Pred:
-    return lambda c: c.free(*names)
-
-
-def _member(x: ClassId, flip: str | None = None) -> _Pred:
-    return lambda c: c.has(x, flip)
-
-
-def _un_in(u: UClassId) -> _Pred:
-    return _member(DIRECTED[u], "underlying")
-
-
-def _each(pred: Callable[[Digraph], bool]) -> _Pred:
-    return lambda c: c.each(pred)
-
-
-def _none(pred: Callable[[Digraph], bool]) -> _Pred:
-    return lambda c: ~c.each(pred)
-
-
-def _both(p: _Pred, q: _Pred) -> _Pred:
-    return lambda c: p(c) & q(c)
-
-
-def _transitive_and(q: _Pred) -> _Pred:
-    return _both(_each(Digraph.is_transitive), q)
-
-
 def _source_elimination(g: Digraph) -> bool:
     # on tournaments: repeatedly peel the vertex beating all remaining ones;
     # sink elimination is this on the converse
@@ -685,144 +644,86 @@ _D1_8 = _D1_6 + ("D7", "D8")
 _DTP_CORE = _D1_6 + ("D10", "D11", "D13", "D14", "D15")
 _Q_ALL = tuple(f"Q{i}" for i in range(1, 8))
 
-THEOREMS: dict[str, TheoremSpec] = {}
 
+def verify_theorems(n_max: int = 5) -> VerifyReport:
+    """Cross-check each characterization pointwise on its universe.
 
-def _register(name: str, universe: str, *items: tuple[str, _Pred]) -> None:
-    THEOREMS[name] = TheoremSpec(name, universe, tuple(items))
+    A theorem is its name, its universe's columns, and (label, column) pairs;
+    each later column is checked row by row against the first.
+    """
+    dig, tour, ori = (_Columns(kind, n_max) for kind in ("digraphs", "tournaments", "oriented"))
+    transitive = dig.each(Digraph.is_transitive)
+    no_two_switch = ~dig.each(has_two_switch)
 
+    def under(u: UClassId) -> np.ndarray:
+        return dig.has(DIRECTED[u], "underlying")
 
-_register(
-    "dc-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DC)),
-    ("full obstruction set", _free(*CATALOG["DC"])),
-    ("reduced set + underlying cograph", _both(_free(*_D1_6), _un_in(UClassId.C))),
-)
-_register(
-    "oc-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OC)),
-    ("full obstruction set", _free(*CATALOG["OC"])),
-    ("reduced set + underlying cograph", _both(_free("D1", "D5", "K2bidir"), _un_in(UClassId.C))),
-    ("transitive + reduced set", _transitive_and(_free("K2bidir", "D8"))),
-)
-_register(
-    "dtp-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DTP)),
-    ("full obstruction set", _free(*CATALOG["DTP"])),
-    ("reduced set + underlying trivially-perfect", _both(_free(*_DTP_CORE), _un_in(UClassId.TP))),
-)
-_register(
-    "otp-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OTP)),
-    ("full obstruction set", _free(*CATALOG["OTP"])),
-    ("reduced set + underlying trivially-perfect", _both(_free("D1", "D5", "K2bidir"), _un_in(UClassId.TP))),
-    ("transitive + reduced set", _transitive_and(_free("K2bidir", "D8", "D12"))),
-)
-_register(
-    "dwqt-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DWQT)),
-    ("full obstruction set", _free(*CATALOG["DWQT"])),
-    ("reduced set + underlying weakly-quasi-threshold",
-     _both(_free(*(_D1_6 + ("Q1", "Q2", "Q4", "Q5", "Q6"))), _un_in(UClassId.WQT))),
-)
-_register(
-    "owqt-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OWQT)),
-    ("full obstruction set", _free(*CATALOG["OWQT"])),
-    ("transitive + reduced set", _transitive_and(_free("D8", "K2bidir", "Q7"))),
-    ("reduced set + underlying weakly-quasi-threshold",
-     _both(_free("D1", "D5", "K2bidir"), _un_in(UClassId.WQT))),
-)
-_register(
-    "dcwqt-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DCWQT)),
-    ("full obstruction set", _free(*CATALOG["DCWQT"])),
-)
-_register(
-    "ocwqt-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OCWQT)),
-    ("full obstruction set", _free(*CATALOG["OCWQT"])),
-    ("oriented-cograph + extra obstructions",
-     _both(_member(ClassId.OC), _free("D12", "D21", "D22", "D23"))),
-    ("transitive + reduced set", _transitive_and(_free("D8", "K2bidir", "D12", "D21", "D22", "D23"))),
-)
-_register(
-    "dsc-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DSC)),
-    ("full obstruction set", _free(*CATALOG["DSC"])),
-    ("reduced set + underlying simple-cograph", _both(_free(*(_D1_8 + _Q_ALL)), _un_in(UClassId.SC))),
-)
-_register(
-    "osc-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OSC)),
-    ("full obstruction set", _free(*CATALOG["OSC"])),
-    ("transitive + reduced set", _transitive_and(_free("D8", "Q7", "coD11", "K2bidir"))),
-)
-_register(
-    "dcsc-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DCSC)),
-    ("full obstruction set", _free(*CATALOG["DCSC"])),
-    ("reduced set + underlying co-simple-cograph",
-     _both(_free(*(_D1_8 + ("coQ1", "coQ4", "coQ5", "coQ6", "Q1", "D10"))), _un_in(UClassId.CSC))),
-)
-_register(
-    "dt-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.DT)),
-    ("full obstruction set", _free(*CATALOG["DT"])),
-    ("reduced set + underlying threshold", _both(_free(*_DTP_CORE), _un_in(UClassId.T))),
-    ("trivially-perfect both ways", _both(_member(ClassId.DTP), _member(ClassId.DTP, "complement"))),
-)
-_register(
-    "ot-characterization", "digraphs",
-    ("constructive recognizer", _member(ClassId.OT)),
-    ("oriented co-trivially-perfect recognizer", _member(ClassId.OCTP)),
-    ("full obstruction set", _free(*CATALOG["OT"])),
-    ("reduced set + underlying threshold", _both(_free("D1", "D5", "K2bidir"), _un_in(UClassId.T))),
-    ("transitive + reduced set", _transitive_and(_free("D8", "D12", "coD11", "K2bidir"))),
-)
-_register(
-    "transitive-tournament-equivalences", "tournaments",
-    ("transitive arc relation", _each(Digraph.is_transitive)),
-    ("acyclic", _each(Digraph.is_acyclic)),
-    ("no directed triangle", _free("D5")),
-    ("source elimination", _each(_source_elimination)),
-    ("sink elimination", _each(lambda g: _source_elimination(g.converse()))),
-)
-# restating no-anticircuit via small patterns plus two-switch-freeness needs
-# the directed triangle: resolving the vertex coincidences of an anticircuit
-# can produce D5, not just D1 or K2bidir, so the two-pattern variant fails
-# (first counterexample D5) while the three-pattern variant holds
-_register(
-    "ferrers-two-switch", "digraphs",
-    ("no alternating anticircuit", _none(has_anticircuit)),
-    ("catalog route", _member(ClassId.FD)),
-    ("two-pattern variant: D1, K2bidir free and no two-switch",
-     _both(_free("D1", "K2bidir"), _none(has_two_switch))),
-    ("three-pattern variant: D1, D5, K2bidir free and no two-switch",
-     _both(_free("D1", "D5", "K2bidir"), _none(has_two_switch))),
-)
-_register(
-    "oriented-transitivity", "oriented",
-    ("transitive arc relation", _each(Digraph.is_transitive)),
-    ("forbidden pair", _free("D1", "D5")),
-)
+    def grammar(x: ClassId, *items: tuple[str, np.ndarray]) -> tuple:
+        return (f"{x.value.lower()}-characterization", dig, ("constructive recognizer", dig.has(x)),
+                ("full obstruction set", dig.free(*CATALOG[x.value])), *items)
 
-
-def verify_theorems(n_max: int = 5, names: Sequence[str] | None = None) -> VerifyReport:
-    """Cross-check every registered characterization pointwise on its universe."""
-    chosen = list(names) if names is not None else list(THEOREMS)
+    theorems = (
+        grammar(ClassId.DC, ("reduced set + underlying cograph", dig.free(*_D1_6) & under(UClassId.C))),
+        grammar(ClassId.OC,
+                ("reduced set + underlying cograph", dig.free("D1", "D5", "K2bidir") & under(UClassId.C)),
+                ("transitive + reduced set", transitive & dig.free("K2bidir", "D8"))),
+        grammar(ClassId.DTP,
+                ("reduced set + underlying trivially-perfect", dig.free(*_DTP_CORE) & under(UClassId.TP))),
+        grammar(ClassId.OTP,
+                ("reduced set + underlying trivially-perfect",
+                 dig.free("D1", "D5", "K2bidir") & under(UClassId.TP)),
+                ("transitive + reduced set", transitive & dig.free("K2bidir", "D8", "D12"))),
+        grammar(ClassId.DWQT,
+                ("reduced set + underlying weakly-quasi-threshold",
+                 dig.free(*_D1_6, "Q1", "Q2", "Q4", "Q5", "Q6") & under(UClassId.WQT))),
+        grammar(ClassId.OWQT,
+                ("transitive + reduced set", transitive & dig.free("D8", "K2bidir", "Q7")),
+                ("reduced set + underlying weakly-quasi-threshold",
+                 dig.free("D1", "D5", "K2bidir") & under(UClassId.WQT))),
+        grammar(ClassId.DCWQT),
+        grammar(ClassId.OCWQT,
+                ("oriented-cograph + extra obstructions", dig.has(ClassId.OC) & dig.free("D12", "D21", "D22", "D23")),
+                ("transitive + reduced set", transitive & dig.free("D8", "K2bidir", "D12", "D21", "D22", "D23"))),
+        grammar(ClassId.DSC,
+                ("reduced set + underlying simple-cograph", dig.free(*_D1_8, *_Q_ALL) & under(UClassId.SC))),
+        grammar(ClassId.OSC, ("transitive + reduced set", transitive & dig.free("D8", "Q7", "coD11", "K2bidir"))),
+        grammar(ClassId.DCSC,
+                ("reduced set + underlying co-simple-cograph",
+                 dig.free(*_D1_8, "coQ1", "coQ4", "coQ5", "coQ6", "Q1", "D10") & under(UClassId.CSC))),
+        grammar(ClassId.DT,
+                ("reduced set + underlying threshold", dig.free(*_DTP_CORE) & under(UClassId.T)),
+                ("trivially-perfect both ways", dig.has(ClassId.DTP) & dig.has(ClassId.DTP, "complement"))),
+        ("ot-characterization", dig,
+         ("constructive recognizer", dig.has(ClassId.OT)),
+         ("oriented co-trivially-perfect recognizer", dig.has(ClassId.OCTP)),
+         ("full obstruction set", dig.free(*CATALOG["OT"])),
+         ("reduced set + underlying threshold", dig.free("D1", "D5", "K2bidir") & under(UClassId.T)),
+         ("transitive + reduced set", transitive & dig.free("D8", "D12", "coD11", "K2bidir"))),
+        ("transitive-tournament-equivalences", tour,
+         ("transitive arc relation", tour.each(Digraph.is_transitive)),
+         ("acyclic", tour.each(Digraph.is_acyclic)),
+         ("no directed triangle", tour.free("D5")),
+         ("source elimination", tour.each(_source_elimination)),
+         ("sink elimination", tour.each(lambda g: _source_elimination(g.converse())))),
+        # restating no-anticircuit via small patterns plus two-switch-freeness
+        # needs the directed triangle: resolving the vertex coincidences of an
+        # anticircuit can produce D5, not just D1 or K2bidir, so the two-pattern
+        # variant fails (first counterexample D5) while the three-pattern variant holds
+        ("ferrers-two-switch", dig,
+         ("no alternating anticircuit", ~dig.each(has_anticircuit)),
+         ("catalog route", dig.has(ClassId.FD)),
+         ("two-pattern variant: D1, K2bidir free and no two-switch", dig.free("D1", "K2bidir") & no_two_switch),
+         ("three-pattern variant: D1, D5, K2bidir free and no two-switch",
+          dig.free("D1", "D5", "K2bidir") & no_two_switch)),
+        ("oriented-transitivity", ori,
+         ("transitive arc relation", ori.each(Digraph.is_transitive)),
+         ("forbidden pair", ori.free("D1", "D5"))),
+    )
     report = VerifyReport(suite="theorems")
-    columns: dict[str, _Columns] = {}
-    for key in chosen:
-        spec = THEOREMS[key]
-        if spec.universe not in columns:
-            columns[spec.universe] = _Columns(spec.universe, n_max)
-        cols = columns[spec.universe]
-        base_label, base_pred = spec.items[0]
-        base = base_pred(cols)
-        for label, pred in spec.items[1:]:
+    for name, cols, (base_label, base), *items in theorems:
+        for label, column in items:
             report.rows.append(cols.row(
-                f"{spec.name}: {label} == {base_label}", base != pred(cols), False,
+                f"{name}: {label} == {base_label}", base != column, False,
                 f"agree on {len(cols.graphs)} {cols.noun} with at most {cols.eff} vertices",
                 lambda g, i: f"{base_label}={bool(base[i])} but {label}={not base[i]} on {g.n} vertices"))
     return report
@@ -899,21 +800,19 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
          ClassId.DT, UClassId.T, ClassId.OT),
     )
 
-    # each property reads the scope's members, so per-graph predicates run on members only
-    checks: list[tuple[str, Callable[[_Columns, np.ndarray], np.ndarray], ClassId]] = [
-        *((subject, lambda c, _, u=u: c.has(DIRECTED[u], "underlying"), x) for subject, x, u in untests),
-        *((subject,
-           lambda c, _, u=u, ox=ox: c.has(DIRECTED[u], "symmetric part") & c.has(ox, "asymmetric part"),
-           x) for subject, x, u, ox in symtests),
-        ("OC: acyclic", lambda c, members: c.each(Digraph.is_acyclic, members), ClassId.OC),
-        ("DT: free of two-switches", lambda c, members: ~c.each(has_two_switch, members), ClassId.DT),
-        ("DC: expression round-trip rebuilds the digraph",
-         lambda c, members: c.each(_round_trip, members), ClassId.DC),
+    # a per-graph predicate runs on its scope's members only
+    checks: list[tuple[str, ClassId, np.ndarray]] = [
+        *((subject, x, cols.has(DIRECTED[u], "underlying")) for subject, x, u in untests),
+        *((subject, x, cols.has(DIRECTED[u], "symmetric part") & cols.has(ox, "asymmetric part"))
+          for subject, x, u, ox in symtests),
+        ("OC: acyclic", ClassId.OC, cols.each(Digraph.is_acyclic, cols.has(ClassId.OC))),
+        ("DT: free of two-switches", ClassId.DT, ~cols.each(has_two_switch, cols.has(ClassId.DT))),
+        ("DC: expression round-trip rebuilds the digraph", ClassId.DC, cols.each(_round_trip, cols.has(ClassId.DC))),
     ]
-    for subject, prop, scope in checks:
+    for subject, scope, holds in checks:
         members = cols.has(scope)
         report.rows.append(cols.row(
-            subject, members & ~prop(cols, members), False,
+            subject, members & ~holds, False,
             f"holds for all {int(members.sum())} members with at most {n_max} vertices",
             lambda g, _: f"member on {g.n} vertices violates the projection"))
     return report

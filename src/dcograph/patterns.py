@@ -274,18 +274,23 @@ def name_word(names: Iterable[str]) -> int:
 def pattern_words(n: int, masks: np.ndarray) -> np.ndarray:
     """The name word of the PATTERNS occurring induced in each labelled n-vertex mask (n <= 8).
 
-    masks is a 1-d array or sequence, or one integer for a 0-d word, checked by
-    `core.mask_array`. Every 2-6-vertex subset's size-tagged labelled mask is
-    gathered from the input mask at once and looked up in the step function of
-    the labelled pattern copies; no subset is canonicalised. A mask's word is the OR of its subsets'
-    words. Arrays go through in chunks, so no intermediate array passes about
-    _CHUNK_BYTES. Raises ValueError outside 1..PATTERN_ROUTE_MAX_N vertices.
+    masks is an array or sequence of any shape, or one integer, checked by
+    `core.mask_array`; the words are shaped as masks. Every 2-6-vertex
+    subset's size-tagged labelled mask is gathered from the input mask at once
+    and looked up in the step function of the labelled pattern copies; no
+    subset is canonicalised. A mask's word is the OR of its subsets' words.
+    Arrays go through in chunks of the flattened masks, so no intermediate
+    array passes about _CHUNK_BYTES. Raises ValueError outside
+    1..PATTERN_ROUTE_MAX_N vertices.
     """
     if not 1 <= n <= PATTERN_ROUTE_MAX_N:
         raise ValueError(f"the pattern pass reads at least 1 and at most {PATTERN_ROUTE_MAX_N} vertices, got {n}")
     drop, bit, start, tag, rows = _gather(n)
     if np.size(masks) > rows:  # each chunk's call checks its masks
-        return np.concatenate([pattern_words(n, masks[lo : lo + rows]) for lo in range(0, np.size(masks), rows)])
+        masks = np.asarray(masks)
+        flat = masks.reshape(-1)
+        words = [pattern_words(n, flat[lo : lo + rows]) for lo in range(0, flat.size, rows)]
+        return np.concatenate(words).reshape(masks.shape)
     masks = mask_array(n, masks)
     steps, words = _key_table()
     subsets = np.bitwise_or.reduceat(masks[..., None] >> drop & bit, start, axis=-1) | tag

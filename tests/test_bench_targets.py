@@ -7,9 +7,12 @@ function's per-layer metrics from the benchmark output.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import sys
+import types
+import weakref
 
 import pytest
 
@@ -40,3 +43,44 @@ def test_traced_target_resolves(target) -> None:
     owner = getattr(module, owner_name, None) if owner_name else module
     assert owner is not None, target.full_name
     assert callable(vars(owner).get(attr)), target.full_name
+
+
+def _is_dcograph(name: str) -> bool:
+    return name == "dcograph" or name.startswith("dcograph.")
+
+
+def _run_a_fresh_copy() -> list[weakref.ref]:
+    """Import dcograph.cli afresh as perfbench/run.py's load_api does, use it, and put the original modules back.
+
+    Returns weak references to every class and function the fresh copy defined.
+    """
+    saved = {name: module for name, module in sys.modules.items() if _is_dcograph(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        importlib.import_module("dcograph.cli")
+        fresh = [module for name, module in sys.modules.items() if _is_dcograph(name)]
+        core, recognize, mine = (sys.modules[f"dcograph.{m}"] for m in ("core", "recognize", "mine"))
+        recognize.classify(core.parse_edge_list("n 3\n0 1\n1 2\n"))
+        assert mine.verify_suite("theorems", 3).rows
+        return [
+            weakref.ref(obj)
+            for module in fresh
+            for obj in vars(module).values()
+            if isinstance(obj, (type, types.FunctionType)) and obj.__module__ == module.__name__
+        ]
+    finally:
+        for name in [name for name in sys.modules if _is_dcograph(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_a_re_imported_copy_is_freed_once_dropped() -> None:
+    # the benchmark re-imports the package in every set-up round and reads the
+    # process's peak memory, so nothing may keep an old copy alive (a typing
+    # alias subscripted with a package class would, through typing's cache)
+    refs = _run_a_fresh_copy()
+    assert refs
+    gc.collect()
+    alive = [ref() for ref in refs if ref() is not None]
+    assert not alive, [f"{obj.__module__}.{obj.__qualname__}" for obj in alive]

@@ -25,6 +25,8 @@ def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
+        # the subprocess does not see pytest's pythonpath setting
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
     )
 
 

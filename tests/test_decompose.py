@@ -135,3 +135,20 @@ def test_raw_recognizer_agrees_with_object_form(n: int, data) -> None:
     assert (seq is None) == (raw is None)
     if seq is not None and raw is not None:
         assert seq.digits == raw.digits and seq.order == raw.order
+
+
+@pytest.mark.parametrize(
+    ("n", "arcs"),
+    [(3, [(-1, 0)]), (2, [(0, 0)]), (2, [(0, 5)]), (0, [])],
+    ids=["negative-endpoint", "loop", "endpoint-past-n", "no-vertex"],
+)
+def test_raw_recognizer_rejects_what_is_no_digraph(n: int, arcs: list[tuple[int, int]]) -> None:
+    # a negative endpoint would index from the end, a loop read as two degrees,
+    # and n = 0 leave nothing to peel
+    with pytest.raises(ValueError):
+        creation_sequence_raw(n, arcs)
+
+
+def test_raw_recognizer_counts_a_repeated_arc_twice() -> None:
+    assert creation_sequence_raw(2, [(0, 1)]).digits == "12"
+    assert creation_sequence_raw(2, [(0, 1), (0, 1)]) is None

@@ -458,6 +458,47 @@ def test_closures_decompose_each_representative_once() -> None:
     assert _tree.cache_info().misses <= sum(len(enumerate_digraphs(n)) for n in range(1, 6)) == 9846
 
 
+def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypatch) -> None:
+    # each predicate given to _Columns.each sees a representative of its
+    # universe at most once per suite call, and the projection predicates see
+    # exactly their scope's members
+    runs: dict[tuple, int] = {}
+    counted = {}
+    real_each = mine._Columns.each
+
+    def each(cols, pred, where=None):
+        if (cols, pred) not in counted:
+            def count(g):
+                key = (cols, pred, g.n, g.mask)
+                runs[key] = runs.get(key, 0) + 1
+                return pred(g)
+            counted[cols, pred] = count
+        return real_each(cols, counted[cols, pred], where)
+
+    seen: dict[str, set[tuple[int, int]]] = {"round trip": set(), "acyclic": set(), "two-switch": set()}
+
+    def recorder(name, real):
+        def record(g):
+            seen[name].add((g.n, g.mask))
+            return real(g)
+        return record
+
+    monkeypatch.setattr(mine._Columns, "each", each)
+    monkeypatch.setattr(mine, "_round_trip", recorder("round trip", mine._round_trip))
+    monkeypatch.setattr(Digraph, "is_acyclic", recorder("acyclic", Digraph.is_acyclic))
+    monkeypatch.setattr(mine, "has_two_switch", recorder("two-switch", mine.has_two_switch))
+    verify_theorems(5)
+    assert runs and max(runs.values()) == 1
+    runs.clear()
+    for found in seen.values():
+        found.clear()
+    verify_projections(5)
+    assert runs and max(runs.values()) == 1
+    for name, x in (("round trip", ClassId.DC), ("acyclic", ClassId.OC), ("two-switch", ClassId.DT)):
+        members = {(g.n, g.mask) for n in range(1, 6) for g in enumerate_digraphs(n) if member(g, x)}
+        assert seen[name] == members, name
+
+
 def test_theorem_sweep_makes_no_canon_set_call() -> None:
     # the pattern predicates read the levels' pattern words; induced_canon_set is a test reference only
     before = induced_canon_set.cache_info()

@@ -333,6 +333,24 @@ def test_pattern_words_reject_vertex_counts_below_one(n: int) -> None:
         pattern_words(n, np.zeros(1, dtype=np.uint64))
 
 
+@pytest.mark.parametrize(("n", "shape"), [(8, (10, 10)), (5, (2, 30, 15))])
+def test_pattern_words_keep_the_shape_of_chunked_arrays(monkeypatch, n: int, shape: tuple[int, ...]) -> None:
+    # 100 masks cross the 41-mask chunks of eight vertices, 900 the 819-mask chunks of five
+    rows = patterns._gather(n)[-1]
+    size = int(np.prod(shape))
+    assert size > rows
+    rng = np.random.default_rng(n)
+    masks = rng.integers(0, 2**63, size=size, dtype=np.uint64) << np.uint64(1) & np.uint64(_full_offdiag(n))
+    want = pattern_words(n, masks)
+    checked = []
+    real = patterns.mask_array
+    monkeypatch.setattr(patterns, "mask_array", lambda n, m: checked.append(np.size(m)) or real(n, m))
+    got = pattern_words(n, masks.reshape(shape))
+    assert got.shape == shape and got.tolist() == want.reshape(shape).tolist()
+    # each chunk is checked once, in its own call
+    assert checked == [min(rows, size - lo) for lo in range(0, size, rows)]
+
+
 @pytest.mark.parametrize("masks", [np.array([2, 4], dtype=np.int64), [2, 4], 4])
 def test_pattern_words_read_any_integer_masks(masks) -> None:
     want = pattern_words(2, np.asarray(masks, dtype=np.uint64))

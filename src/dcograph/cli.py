@@ -35,7 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ROUTE_DISAGREEMENT = 3
-EXIT_BUDGET = 4
 
 _TRANSFORM_OPS = ("complement", "converse", "underlying", "sym", "asym")
 
@@ -148,10 +147,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    report = minimal_forbidden(ClassId(args.class_id), n_max=args.nmax, budget_seconds=args.budget)
+    report = minimal_forbidden(ClassId(args.class_id), n_max=args.nmax)
     print(report.render())
-    if report.partial:
-        return EXIT_BUDGET
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
 
@@ -216,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[x.value for x in MINEABLE_CLASSES],
     )
     p.add_argument("--nmax", type=int, default=5, help="largest vertex count to sweep (2..6)")
-    p.add_argument("--budget", type=float, help="time budget in seconds for the n=6 sweep")
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("verify", help="run a verification suite and print its report")

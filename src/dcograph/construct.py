@@ -98,7 +98,12 @@ def series(*children: Expression) -> Expression:
 
 
 def _cross_arcs(kind: str, starts: list[int]) -> list[tuple[int, int]]:
-    """Arcs an order/series node adds between its children, child i being starts[i]..starts[i+1]-1."""
+    """Arcs an order/series node adds between its children, child i being starts[i]..starts[i+1]-1.
+
+    A kind outside OPS is an ExpressionError.
+    """
+    if kind not in OPS:
+        raise ExpressionError(f"unknown composition {kind!r}; expected one of {', '.join(OPS)}")
     if kind == "union":
         return []
     forward = [

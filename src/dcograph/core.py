@@ -541,9 +541,9 @@ def format_edge_list(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Digraph, name: str = "G") -> str:
-    """GraphViz text with one node per vertex and one `->` line per arc."""
-    lines = [f"digraph {name} {{"]
+def to_dot(g: Digraph) -> str:
+    """GraphViz text: a digraph named G with one node per vertex and one `->` line per arc."""
+    lines = ["digraph G {"]
     lines.extend(f"  {v};" for v in range(g.n))
     lines.extend(f"  {u} -> {v};" for u, v in g.arcs)
     lines.append("}")

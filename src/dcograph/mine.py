@@ -1,7 +1,6 @@
 """Exhaustive small-digraph enumeration, obstruction mining, and verification suites."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -23,10 +22,6 @@ from dcograph.recognize import (
     member,
 )
 from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected
-
-
-class BudgetExceeded(Exception):
-    """Raised when an n=6 mining pass overruns its time budget; report is partial."""
 
 
 # -- vectorized bit-mask machinery --------------------------------------------
@@ -303,10 +298,9 @@ class ObstructionReport:
     missing: list[str]
     extra: list[Digraph]
     out_of_reach: list[str]
-    partial: bool = False
 
     def ok(self) -> bool:
-        return not self.missing and not self.extra and not self.partial
+        return not self.missing and not self.extra
 
     def lines(self) -> list[str]:
         cname = self.class_id.value
@@ -319,8 +313,6 @@ class ObstructionReport:
             out.append(f"{cname}\textra\t{g.canonical_form().hex()}\tmined non-catalog obstruction on {g.n} vertices")
         for name in self.out_of_reach:
             out.append(f"{cname}\tout-of-reach\t{PATTERNS[name].canonical_form().hex()}\t{name} has {PATTERNS[name].n} > {self.n_max} vertices")
-        if self.partial:
-            out.append(f"{cname}\tpartial\t-\ttime budget exhausted before completing n = 6")
         return out
 
     def render(self) -> str:
@@ -343,9 +335,7 @@ def is_minimal_obstruction(g: Digraph, x: ClassId) -> bool:
     return all(member(g.delete_vertex(v), x) for v in range(g.n))
 
 
-def _mine_level(
-    x: ClassId, n: int, members: np.ndarray, deadline: float | None = None
-) -> tuple[np.ndarray, list[Digraph]]:
+def _mine_level(x: ClassId, n: int, members: np.ndarray) -> tuple[np.ndarray, list[Digraph]]:
     """The n-vertex members and minimal obstructions, from the (n-1)-vertex members.
 
     members holds the sorted canonical masks of the (n-1)-vertex members. The
@@ -360,18 +350,13 @@ def _mine_level(
     a max-key vertex is a member, so every class still arises. Returns the
     sorted canonical masks of the n-vertex members and the minimal
     obstructions, each carrying the minimum mask over its isomorphism class.
-    The deadline is checked before each batch.
     """
     if not members.size:
         return members, []
     labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, members)]))
-    seen: set[int] = set()
-    inside: list[int] = []
-    obstructions: list[Digraph] = []
-    batch = 200
+    survivors: list[np.ndarray] = []
+    batch = 200  # members extended at once, which bounds memory
     for start in range(0, members.size, batch):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
         cands = _one_vertex_extensions(n, members[start : start + batch])
         rows = _rows(n, cands)
         # deleting the attached vertex n-1 returns the base member, so only
@@ -381,49 +366,37 @@ def _mine_level(
             pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
             keep = labelled[pos] == deleted
             cands, rows = cands[keep], [row[keep] for row in rows]
-        for m in _distinct(canonical_masks(n, cands[_orderly(n, cands, rows)])).tolist():
-            if m in seen:
-                continue
-            seen.add(m)
-            g = Digraph.from_mask(n, m)
-            if member(g, x):
-                inside.append(m)
-            else:
-                obstructions.append(g)
-    return np.array(sorted(inside), dtype=np.uint64), obstructions
+        survivors.append(canonical_masks(n, cands[_orderly(n, cands, rows)]))
+    inside: list[int] = []
+    obstructions: list[Digraph] = []
+    for m in _distinct(np.concatenate(survivors)).tolist():
+        g = Digraph.from_mask(n, m)
+        if member(g, x):
+            inside.append(m)
+        else:
+            obstructions.append(g)
+    return np.array(inside, dtype=np.uint64), obstructions
 
 
-def minimal_forbidden(
-    x: ClassId, n_max: int = 5, budget_seconds: float | None = None
-) -> ObstructionReport:
+def minimal_forbidden(x: ClassId, n_max: int = 5) -> ObstructionReport:
     """Mine all minimal non-members with <= n_max vertices and diff against the catalog.
 
     A digraph is a minimal obstruction when it is outside the class but every
     single-vertex deletion is inside. Membership comes from the constructive
     recognizer only, so the catalog under test never influences the search.
     Each size is mined from the members of the size below (`_mine_level`),
-    which assumes the class is hereditary. The time budget is checked only
-    during the n = 6 level; when it runs out, that level's obstructions are
-    dropped and the report is partial. A negative or NaN budget is a ValueError.
+    which assumes the class is hereditary.
     """
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer to mine against")
     if not 2 <= n_max <= 6:
         raise ValueError("minimal_forbidden supports n_max in 2..6")
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"budget must be a non-negative number of seconds, got {budget_seconds}")
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
 
     # level 1: the single vertex, whose canonical mask is 0
     members = np.array([0] if member(Digraph.edgeless(1), x) else [], dtype=np.uint64)
     found: list[Digraph] = []
-    partial = False
     for n in range(2, n_max + 1):
-        try:
-            members, obstructions = _mine_level(x, n, members, deadline if n == 6 else None)
-        except BudgetExceeded:
-            partial = True
-            break
+        members, obstructions = _mine_level(x, n, members)
         found.extend(obstructions)
 
     found.sort(key=lambda g: (g.n, g.mask))
@@ -441,7 +414,7 @@ def minimal_forbidden(
     extra = [g for g in found if g.canonical_form() not in catalog_forms]
     return ObstructionReport(
         class_id=x, n_max=n_max, found=found, confirmed=confirmed,
-        missing=missing, extra=extra, out_of_reach=out_of_reach, partial=partial,
+        missing=missing, extra=extra, out_of_reach=out_of_reach,
     )
 
 
@@ -494,8 +467,6 @@ class _Columns:
         self.graphs = [g for n in range(1, self.eff + 1) for g in level(n)]
         self.patterns = np.concatenate([_level(kind, n)[2] for n in range(1, self.eff + 1)])
         self._words: dict[str | None, np.ndarray] = {}
-        # per predicate and row: -1 where it has not run yet, else its value
-        self._each: dict[Callable[[Digraph], bool], np.ndarray] = {}
 
     def has(self, x: ClassId, flip: str | None = None) -> np.ndarray:
         """Per row, whether the representative, or its flip, is in class x."""
@@ -512,12 +483,11 @@ class _Columns:
 
     def each(self, pred: Callable[[Digraph], bool], where: np.ndarray | None = None) -> np.ndarray:
         """Per row, pred of the representative, on the rows where `where` holds (all by default) and
-        False elsewhere; pred runs at most once per row."""
-        where = np.ones(len(self.graphs), dtype=bool) if where is None else where
-        known = self._each.setdefault(pred, np.full(len(self.graphs), -1, dtype=np.int8))
-        rows = np.flatnonzero(where & (known < 0))
-        known[rows] = [pred(self.graphs[i]) for i in rows]
-        return where & (known == 1)
+        False elsewhere; pred runs once per such row."""
+        found = np.zeros(len(self.graphs), dtype=bool)
+        rows = np.arange(len(self.graphs)) if where is None else np.flatnonzero(where)
+        found[rows] = [pred(self.graphs[i]) for i in rows]
+        return found
 
     def row(self, subject: str, found: np.ndarray, passes_if_found: bool, if_none: str,
             if_found: Callable[[Digraph, int], str]) -> CheckRow:

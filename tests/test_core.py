@@ -399,6 +399,12 @@ def test_dot_export_golden() -> None:
     assert to_dot(g) == "digraph G {\n  0;\n  1;\n  1 -> 0;\n}\n"
 
 
+def test_dot_export_takes_no_graph_name() -> None:
+    # the header is always `digraph G {`, so no name can break the DOT text
+    with pytest.raises(TypeError):
+        to_dot(Digraph(1), 'a"b')  # type: ignore[call-arg]
+
+
 def test_undirected_graph_basics() -> None:
     u = UndirectedGraph(3, [(0, 1)])
     assert u.edges == ((0, 1),)

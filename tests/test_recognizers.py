@@ -273,6 +273,13 @@ def test_classify_returns_closed_upward_sets() -> None:
     assert ClassId.TD in out and ClassId.FD not in out
 
 
+def test_classify_reads_classes_by_member_or_by_value() -> None:
+    t3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+    assert classify(t3, ["TT", ClassId.OC, "EdgelessD"]) == {ClassId.TT, ClassId.OC}
+    with pytest.raises(ValueError):
+        classify(t3, ["XX"])
+
+
 def test_route_disagreement_carries_context() -> None:
     exc = RouteDisagreement(ClassId.DC, Digraph(1), True, False)
     assert "DC" in str(exc) and "constructive=True" in str(exc)

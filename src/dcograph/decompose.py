@@ -136,7 +136,7 @@ class _Tree:
     only its root split: it is in no constructive class and has no tree.
     """
 
-    split: Split | None
+    root: tuple[str, tuple[int, ...]]  # the root split: its operation and its parts as vertex bit sets
     classes: int
     ops: tuple[str, ...]
     kids: tuple[range, ...]
@@ -216,8 +216,6 @@ def _root_bits(op: str, rests: list[int], kids: range) -> int:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _tree(g: Digraph) -> _Tree:
     """Decompose g once; every split, membership and certificate question reads this."""
-    n = g.n
-    full = (1 << n) - 1
     out_rows, in_rows = g.out_rows(), g.in_rows()
     # neighbour rows of the underlying graph, of its complement, and of M;
     # bits outside the set being split are masked off there
@@ -227,7 +225,7 @@ def _tree(g: Digraph) -> _Tree:
 
     ops: list[str] = []
     kids: list[range] = []
-    sets = [full]
+    sets = [(1 << g.n) - 1]
     for s in sets:  # grows as it goes: children follow their parent
         if s & s - 1 == 0:
             ops.append("leaf")
@@ -239,23 +237,24 @@ def _tree(g: Digraph) -> _Tree:
         sets.extend(parts)
         if op == "prime":
             break
-    split = Split(ops[0], tuple(_bits(sets[c]) for c in kids[0])) if n > 1 else None
+    root = (ops[0], tuple(sets[c] for c in kids[0]))
     if ops[-1] == "prime":
-        return _Tree(split, 0, (), ())
+        return _Tree(root, 0, (), ())
 
     classes = [(1 << len(GRAMMAR_CLASSES)) - 1] * len(ops)
     rests = [_LEAF_REST] * len(ops)
     for i in reversed(range(len(ops))):
         if ops[i] != "leaf":
             classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in kids[i]], [rests[c] for c in kids[i]])
-    return _Tree(split, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
+    return _Tree(root, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
 
 
 def maximal_split(g: Digraph) -> Split:
     """Split into maximal parts joined by one operation, or report prime (see `_split`)."""
     if g.n < 2:
         raise ValueError("splits need at least 2 vertices")
-    return _tree(g).split  # type: ignore[return-value]
+    op, parts = _tree(g).root
+    return Split(op, tuple(_bits(part) for part in parts))
 
 
 def di_co_tree(g: Digraph) -> Expression | None:

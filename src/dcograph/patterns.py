@@ -150,36 +150,6 @@ def contains_induced(g: Digraph, pattern: Digraph) -> tuple[int, ...] | None:
     return None
 
 
-def contains_small(g: Digraph, pattern: Digraph) -> bool:
-    """True iff the 2- or 3-vertex pattern occurs as an induced subdigraph of g; O(n^2) on rows.
-
-    Vertices u, v, w play pattern vertices 0, 1, 2 iff each pair has the kind of the pattern's pair.
-    """
-    if not 2 <= pattern.n <= 3:
-        raise ValueError(f"row containment needs a 2- or 3-vertex pattern, got {pattern.n}")
-    rows, cols = g.out_rows(), g.in_rows()
-    everyone = (1 << g.n) - 1
-
-    def pairs(a: int, b: int) -> list[int]:
-        # per u, the v != u whose pair with u has the kind of the pattern pair (a, b)
-        ab, ba = pattern.has_arc(a, b), pattern.has_arc(b, a)
-        return [
-            (row if ab else ~row) & (col if ba else ~col) & everyone & ~(1 << u)
-            for u, (row, col) in enumerate(zip(rows, cols))
-        ]
-
-    if pattern.n == 2:
-        return any(pairs(0, 1))
-    p01, p02, p12 = pairs(0, 1), pairs(0, 2), pairs(1, 2)
-    for u, vs in enumerate(p01):
-        while vs:
-            v = (vs & -vs).bit_length() - 1
-            vs &= vs - 1
-            if p02[u] & p12[v]:
-                return True
-    return False
-
-
 def is_free(g: Digraph, patterns: tuple[Digraph, ...]) -> bool:
     """True iff no pattern in the tuple occurs as an induced subdigraph of g."""
     return all(contains_induced(g, p) is None for p in patterns)
@@ -353,6 +323,20 @@ def has_two_switch(g: Digraph) -> bool:
 
 def has_anticircuit(g: Digraph) -> bool:
     return match_partial(g, ANTICIRCUIT) is not None
+
+
+def has_directed_triangle(g: Digraph) -> bool:
+    """True iff D5 occurs induced, as a 3-cycle of one-way arcs; O(n + one-way arcs)."""
+    rows, cols = g.out_rows(), g.in_rows()
+    # ahead[u]: the vertices u reaches by a one-way arc; behind[u]: those reaching u by one
+    ahead, behind = [r & ~c for r, c in zip(rows, cols)], [c & ~r for r, c in zip(rows, cols)]
+    for u, vs in enumerate(ahead):
+        while vs:
+            v = (vs & -vs).bit_length() - 1
+            vs &= vs - 1
+            if ahead[v] & behind[u]:
+                return True
+    return False
 
 
 def write_pattern_fixtures(directory: str) -> list[str]:

@@ -37,7 +37,7 @@ from dcograph.patterns import (
     PATTERN_ROUTE_MAX_N,
     PATTERNS,
     catalog,
-    contains_small,
+    has_directed_triangle,
     is_free,
     match_partial,
     name_word,
@@ -87,15 +87,12 @@ _PARTIAL = {ClassId.TD: TWO_SWITCH, ClassId.FD: ANTICIRCUIT}
 
 
 def member_by_patterns(g: Digraph, x: ClassId) -> bool:
-    """Membership by freeness from the class catalog (plus TD/FD partial patterns).
+    """Membership by freeness from the class catalog, or for TD and FD by out-row scans at any n.
 
-    TD and FD, whose catalog patterns have 2-3 vertices, are decided on rows at any n.
+    TD is free of two-switches and of D5; FD needs only its anticircuit scan, as D1 and K2bidir each hold one.
     """
     if x in PATTERN_ONLY_CLASSES:
-        # the partial-pattern scan rejects most digraphs, so it runs first
-        return match_partial(g, _PARTIAL[x]) is None and not any(
-            contains_small(g, PATTERNS[name]) for name in CATALOG[x.value]
-        )
+        return match_partial(g, _PARTIAL[x]) is None and not (x is ClassId.TD and has_directed_triangle(g))
     return is_free(g, catalog(x.value))
 
 
@@ -153,8 +150,11 @@ def classify(g: Digraph, classes: Iterable[ClassId | str] | None = None) -> set[
 
     Up to PATTERN_ROUTE_MAX_N vertices each constructive class asked is checked against
     one pattern word, and a disagreement raises RouteDisagreement at the first such class.
-    A class may be given by its value ("DC"); an unknown one is a ValueError.
+    A class may be given by its value ("DC"); an unknown one is a ValueError, and
+    a bare string for classes is a TypeError.
     """
+    if isinstance(classes, str):
+        raise TypeError(f"classes must be a collection of classes, not the string {classes!r}; try [{classes!r}]")
     # ClassId(x) costs about 0.6 µs even on a member, so members pass as they are
     chosen = list(ClassId) if classes is None else [x if isinstance(x, ClassId) else ClassId(x) for x in classes]
     word = class_word(g, chosen)

@@ -22,8 +22,8 @@ from dcograph.patterns import (
     PartialPattern,
     catalog,
     contains_induced,
-    contains_small,
     has_anticircuit,
+    has_directed_triangle,
     has_two_switch,
     induced_canon_set,
     is_free,
@@ -141,7 +141,6 @@ _INTERPRETER_RULES = {
 }
 
 _ALL_FORMS = {name: p.canonical_form() for name, p in PATTERNS.items()}
-_SMALL_FORMS = {name: form for name, form in _ALL_FORMS.items() if PATTERNS[name].n <= 3}
 
 
 def _interpret(g: Digraph, pp: PartialPattern) -> tuple[int, ...] | None:
@@ -181,12 +180,25 @@ def _pair_formula(g: Digraph, pp: PartialPattern) -> bool:
     return False
 
 
+def _one_way_triangle_by_loop(g: Digraph) -> bool:
+    """Reference for has_directed_triangle: some vertex triple whose three pairs are one-way arcs around a cycle."""
+    one_way = [[g.has_arc(u, v) and not g.has_arc(v, u) for v in range(g.n)] for u in range(g.n)]
+    return any(
+        one_way[a][b] and one_way[b][c] and one_way[c][a] or one_way[b][a] and one_way[c][b] and one_way[a][c]
+        for a, b, c in combinations(range(g.n), 3)
+    )
+
+
 def _assert_rows_match_references(g: Digraph, forms: frozenset[bytes] | set[bytes]) -> None:
     """forms: canonical forms of (at least) every 2- and 3-vertex induced subdigraph of g."""
     for pp in (TWO_SWITCH, ANTICIRCUIT):
         assert match_partial(g, pp) == _interpret(g, pp), (pp.name, g)
-    for name, form in _SMALL_FORMS.items():
-        assert contains_small(g, PATTERNS[name]) == (form in forms), (name, g)
+    triangle = _ALL_FORMS["D5"] in forms
+    assert has_directed_triangle(g) == triangle, g
+    # the catalog definitions the row scans replace: FD's D1 and K2bidir each hold an anticircuit
+    fd_catalog = {_ALL_FORMS["D1"], _ALL_FORMS["K2bidir"]}
+    assert member_by_patterns(g, ClassId.FD) == (_interpret(g, ANTICIRCUIT) is None and not fd_catalog & forms), g
+    assert member_by_patterns(g, ClassId.TD) == (_interpret(g, TWO_SWITCH) is None and not triangle), g
 
 
 def _draw_digraph(data, min_n: int, max_n: int) -> Digraph:
@@ -228,6 +240,10 @@ def test_partial_patterns_match_pair_formula_on_25_to_64_vertices(data) -> None:
     g = _draw_digraph(data, 25, 64)
     for pp in (TWO_SWITCH, ANTICIRCUIT):
         assert (match_partial(g, pp) is not None) == _pair_formula(g, pp), (pp.name, g)
+    triangle = _one_way_triangle_by_loop(g)
+    assert has_directed_triangle(g) == triangle, g
+    assert member_by_patterns(g, ClassId.FD) == (not _pair_formula(g, ANTICIRCUIT)), g
+    assert member_by_patterns(g, ClassId.TD) == (not _pair_formula(g, TWO_SWITCH) and not triangle), g
 
 
 def _named_in(g: Digraph) -> frozenset[str]:
@@ -366,11 +382,6 @@ def test_patterns_in_names_every_pattern_and_its_alias() -> None:
         assert name in found, name
         # a pattern contains none of its own size but itself and its alias
         assert {m for m in found if PATTERNS[m].n == p.n} == {name, aliases.get(name, name)}, name
-
-
-def test_contains_small_rejects_larger_patterns() -> None:
-    with pytest.raises(ValueError):
-        contains_small(PATTERNS["D8"], PATTERNS["D8"])
 
 
 def test_committed_fixture_files_match_patterns() -> None:

@@ -280,6 +280,12 @@ def test_classify_reads_classes_by_member_or_by_value() -> None:
         classify(t3, ["XX"])
 
 
+def test_classify_rejects_a_bare_class_string() -> None:
+    # a string is an iterable of its characters, which name no class the caller wrote
+    with pytest.raises(TypeError, match=r"'DC'.*\['DC'\]"):
+        classify(Digraph(3, [(0, 1), (0, 2), (1, 2)]), "DC")
+
+
 def test_route_disagreement_carries_context() -> None:
     exc = RouteDisagreement(ClassId.DC, Digraph(1), True, False)
     assert "DC" in str(exc) and "constructive=True" in str(exc)

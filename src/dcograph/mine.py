@@ -18,6 +18,7 @@ from dcograph.recognize import (
     MICRO_CLASSES,
     PATTERN_ONLY_CLASSES,
     WORD_BIT,
+    _class_id,
     class_word,
     member,
 )
@@ -130,12 +131,9 @@ _STATES: dict[str, tuple[int, ...]] = {
 def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
     """The n-vertex digraphs of the universe up to isomorphism (n <= 6), by ascending minimum mask.
 
-    Extends every (n-1)-vertex representative by one vertex in every way the
-    universe's pair states allow, and keeps the extensions whose new vertex
-    has a maximal key (`_orderly`): each n-vertex member is such an extension
-    of its deletion of a max-key vertex, up to isomorphism. Only those are
-    canonicalised. Each representative carries the minimum mask over its
-    isomorphism class.
+    The universe is closed under vertex deletion, so its n-vertex level is
+    `_extend` of its (n-1)-vertex level. Each representative carries the
+    minimum mask over its isomorphism class.
     """
     if universe not in _STATES:
         raise ValueError(f"unknown universe {universe!r}")
@@ -144,10 +142,8 @@ def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
     if n == 1:
         return (Digraph.edgeless(1),)
     base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
-    extensions = _one_vertex_extensions(n, base, _STATES[universe])
-    extensions = extensions[_orderly(n, extensions, _rows(n, extensions))]
-    canon = _distinct(canonical_masks(n, extensions))
-    return tuple(Digraph.from_mask(n, int(m)) for m in canon)
+    # every mask comes out of canonical_masks, which checked it
+    return tuple(Digraph._of(n, m) for m in _extend(n, base, _STATES[universe]).tolist())
 
 
 def enumerate_digraphs(n: int) -> list[Digraph]:
@@ -160,9 +156,7 @@ def enumerate_tournaments(n: int) -> list[Digraph]:
     return list(_representatives("tournaments", n))
 
 
-def _one_vertex_extensions(
-    n: int, base: np.ndarray, states: tuple[int, ...] = _STATES["digraphs"]
-) -> np.ndarray:
+def _one_vertex_extensions(n: int, base: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
     """Every (n-1)-vertex mask in base with new vertex n-1 attached in all len(states)^(n-1) ways."""
     ranks = np.arange(n - 1, dtype=np.uint64)[None, :]
     embedded = _gather(_rows(n - 1, base), _column_tables(np.uint64(1) << ranks), ranks * np.uint64(n))[0]
@@ -215,6 +209,36 @@ def _orderly(n: int, masks: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
         for row, col in zip(rows, _rows(n, _transpose(n, masks)))
     ]
     return keys[-1] >= np.max(keys, axis=0)
+
+
+def _extend(n: int, base: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
+    """The sorted canonical masks of the n-vertex digraphs whose single-vertex deletions all lie in base.
+
+    base holds the sorted canonical (n-1)-vertex masks of a class closed under
+    isomorphism, and each pair of the new vertex takes one of states. A
+    deletion lies in base when its labelled mask is a relabelling of a base
+    mask, so deletions are looked up, never canonicalised. Only extensions
+    whose new vertex has a maximal key (`_orderly`) are canonicalised: every
+    class still arises.
+    """
+    if not base.size:
+        return base
+    labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, base)]))
+    survivors: list[np.ndarray] = []
+    batch = 200  # base masks extended at once, which bounds memory
+    for start in range(0, base.size, batch):
+        cands = _one_vertex_extensions(n, base[start : start + batch], states)
+        rows = _rows(n, cands)
+        # deleting the attached vertex n-1 returns the base mask, so only
+        # deletions of vertices 0..n-2 need checking
+        for d in range(n - 1):
+            deleted = _delete(n, rows, d)
+            pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
+            keep = labelled[pos] == deleted
+            if not keep.all():  # on a whole universe every deletion is kept
+                cands, rows = cands[keep], [row[keep] for row in rows]
+        survivors.append(canonical_masks(n, cands[_orderly(n, cands, rows)]))
+    return _distinct(np.concatenate(survivors))
 
 
 @lru_cache(maxsize=len(_STATES) * 6)
@@ -328,8 +352,9 @@ class ObstructionReport:
 MINEABLE_CLASSES: tuple[ClassId, ...] = GRAMMAR_CLASSES + (ClassId.TT,) + MICRO_CLASSES
 
 
-def is_minimal_obstruction(g: Digraph, x: ClassId) -> bool:
+def is_minimal_obstruction(g: Digraph, x: ClassId | str) -> bool:
     """True when g is outside the class but every single-vertex deletion is inside."""
+    x = _class_id(x)
     if member(g, x):
         return False
     return all(member(g.delete_vertex(v), x) for v in range(g.n))
@@ -340,53 +365,26 @@ def _mine_level(x: ClassId, n: int, members: np.ndarray) -> tuple[np.ndarray, li
 
     members holds the sorted canonical masks of the (n-1)-vertex members. The
     class is assumed hereditary: then every n-vertex member and every minimal
-    obstruction has all its single-vertex deletions inside the class, so it is
-    a one-vertex extension of some member whose other deletions are members
-    too. A deletion is a member exactly when its labelled mask is some
-    relabelling of a member, so the filter looks deletions up in the sorted
-    relabellings of all members and canonicalises none of them. Of the
-    extensions that pass, only those whose new vertex has a maximal key
-    (`_orderly`) are canonicalised and tested for membership: the deletion of
-    a max-key vertex is a member, so every class still arises. Returns the
+    obstruction has all its single-vertex deletions inside the class, so both
+    are among the digraphs `_extend` builds from the members. Returns the
     sorted canonical masks of the n-vertex members and the minimal
     obstructions, each carrying the minimum mask over its isomorphism class.
     """
-    if not members.size:
-        return members, []
-    labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, members)]))
-    survivors: list[np.ndarray] = []
-    batch = 200  # members extended at once, which bounds memory
-    for start in range(0, members.size, batch):
-        cands = _one_vertex_extensions(n, members[start : start + batch])
-        rows = _rows(n, cands)
-        # deleting the attached vertex n-1 returns the base member, so only
-        # deletions of vertices 0..n-2 need checking
-        for d in range(n - 1):
-            deleted = _delete(n, rows, d)
-            pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
-            keep = labelled[pos] == deleted
-            cands, rows = cands[keep], [row[keep] for row in rows]
-        survivors.append(canonical_masks(n, cands[_orderly(n, cands, rows)]))
-    inside: list[int] = []
-    obstructions: list[Digraph] = []
-    for m in _distinct(np.concatenate(survivors)).tolist():
-        g = Digraph.from_mask(n, m)
-        if member(g, x):
-            inside.append(m)
-        else:
-            obstructions.append(g)
-    return np.array(inside, dtype=np.uint64), obstructions
+    masks = _extend(n, members, _STATES["digraphs"])
+    inside = np.array([member(Digraph._of(n, m), x) for m in masks.tolist()], dtype=bool)
+    return masks[inside], [Digraph._of(n, m) for m in masks[~inside].tolist()]
 
 
-def minimal_forbidden(x: ClassId, n_max: int = 5) -> ObstructionReport:
+def minimal_forbidden(x: ClassId | str, n_max: int = 5) -> ObstructionReport:
     """Mine all minimal non-members with <= n_max vertices and diff against the catalog.
 
     A digraph is a minimal obstruction when it is outside the class but every
     single-vertex deletion is inside. Membership comes from the constructive
     recognizer only, so the catalog under test never influences the search.
     Each size is mined from the members of the size below (`_mine_level`),
-    which assumes the class is hereditary.
+    which assumes the class is hereditary. The class may be given by value ("DC").
     """
+    x = _class_id(x)
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer to mine against")
     if not 2 <= n_max <= 6:

@@ -63,15 +63,22 @@ class RouteDisagreement(Exception):
         )
 
 
-def member_constructive(g: Digraph, x: ClassId) -> bool:
+def _class_id(x: ClassId | str) -> ClassId:
+    """The class given by member or by value ("DC"); an unknown value is a ValueError."""
+    # ClassId(x) costs about 0.6 µs even on a member, so members pass as they are
+    return x if isinstance(x, ClassId) else ClassId(x)
+
+
+def member_constructive(g: Digraph, x: ClassId | str) -> bool:
     """Membership via the class's construction: one bit of the digraph's one di-co-tree."""
+    x = _class_id(x)
     bit = CLASS_BIT.get(x)
     if bit is None:
         raise ValueError(f"{x.value} has no constructive recognizer; use member_by_patterns")
     return bool(_tree(g).classes >> bit & 1)
 
 
-def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:
+def constructive_certificate(g: Digraph, x: ClassId | str) -> Expression | None:
     """A construction expression conforming to the class grammar, or None.
 
     The di-co-tree certifies every constructive class: a part of a rest kind
@@ -86,18 +93,20 @@ def constructive_certificate(g: Digraph, x: ClassId) -> Expression | None:
 _PARTIAL = {ClassId.TD: TWO_SWITCH, ClassId.FD: ANTICIRCUIT}
 
 
-def member_by_patterns(g: Digraph, x: ClassId) -> bool:
+def member_by_patterns(g: Digraph, x: ClassId | str) -> bool:
     """Membership by freeness from the class catalog, or for TD and FD by out-row scans at any n.
 
     TD is free of two-switches and of D5; FD needs only its anticircuit scan, as D1 and K2bidir each hold one.
     """
+    x = _class_id(x)
     if x in PATTERN_ONLY_CLASSES:
         return match_partial(g, _PARTIAL[x]) is None and not (x is ClassId.TD and has_directed_triangle(g))
     return is_free(g, catalog(x.value))
 
 
-def member(g: Digraph, x: ClassId) -> bool:
+def member(g: Digraph, x: ClassId | str) -> bool:
     """Membership in x by its one recognizer: out-rows for TD and FD, the construction for the rest."""
+    x = _class_id(x)
     if x in PATTERN_ONLY_CLASSES:
         return member_by_patterns(g, x)
     return member_constructive(g, x)
@@ -120,13 +129,14 @@ def class_word(g: Digraph, classes: Container[ClassId] | None = None) -> int:
     return word
 
 
-def violating_occurrence(g: Digraph, x: ClassId) -> tuple[str, tuple[int, ...]] | None:
+def violating_occurrence(g: Digraph, x: ClassId | str) -> tuple[str, tuple[int, ...]] | None:
     """A minimal obstruction as (pattern name, vertex occurrence), or None if member.
 
     Every class is hereditary, so dropping v = n-1, ..., 0 whenever the rest stays a
     non-member keeps a minimal one in n membership tests. It is named from the class
     catalog, or for TD/FD by partial-pattern roles; anything else raises RouteDisagreement.
     """
+    x = _class_id(x)
     if member(g, x):
         return None
     kept = list(range(g.n))
@@ -155,8 +165,7 @@ def classify(g: Digraph, classes: Iterable[ClassId | str] | None = None) -> set[
     """
     if isinstance(classes, str):
         raise TypeError(f"classes must be a collection of classes, not the string {classes!r}; try [{classes!r}]")
-    # ClassId(x) costs about 0.6 µs even on a member, so members pass as they are
-    chosen = list(ClassId) if classes is None else [x if isinstance(x, ClassId) else ClassId(x) for x in classes]
+    chosen = list(ClassId) if classes is None else [_class_id(x) for x in classes]
     word = class_word(g, chosen)
     checked = [x for x in chosen if x in _CATALOG_WORD]
     if checked and g.n <= PATTERN_ROUTE_MAX_N:

@@ -1,7 +1,9 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module, and
+every private module-level name is read by some package module.
 
 No linter ships with the project, so this stands in for pyflakes' unused-import
-check: a deletion that leaves its imports behind fails here.
+check and a dead-code scan: a deletion that leaves its imports or its private
+helpers behind fails here.
 """
 
 from __future__ import annotations
@@ -50,3 +52,41 @@ def test_module_reads_every_name_it_imports(module: str) -> None:
         if name not in _read(tree) and name not in RE_EXPORTS.get(module, set())
     }
     assert not unread, f"{module} imports names it never reads: {unread}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level `_name` (function, class or constant) the module defines, with its line."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def test_every_private_name_is_read_by_some_module() -> None:
+    trees = {}
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            trees[module] = ast.parse(fh.read(), filename=module)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not unread, f"private names no package module reads: {unread}"

@@ -269,6 +269,34 @@ def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
     assert all(size == n for n, size in calls), sorted(set(calls))
 
 
+def test_universes_and_classes_extend_through_one_batched_engine(monkeypatch) -> None:
+    # a whole universe's level and a class's members go through _extend,
+    # which extends at most 200 base masks at once and each of them once
+    members = np.array([g.mask for g in enumerate_digraphs(4) if member(g, ClassId.DC)], dtype=np.uint64)
+    engine: list[tuple[int, int, tuple[int, ...]]] = []
+    batches: list[int] = []
+    extend, one_vertex_extensions = mine._extend, mine._one_vertex_extensions
+
+    def record_extend(n, base, states):
+        engine.append((n, base.size, states))
+        return extend(n, base, states)
+
+    def record_batch(n, base, states):
+        batches.append(base.size)
+        return one_vertex_extensions(n, base, states)
+
+    monkeypatch.setattr(mine, "_extend", record_extend)
+    monkeypatch.setattr(mine, "_one_vertex_extensions", record_batch)
+    _representatives.cache_clear()
+    assert len(_representatives("oriented", 6)) == 21480
+    _mine_level(ClassId.DC, 5, members)
+    oriented, digraphs = mine._STATES["oriented"], mine._STATES["digraphs"]
+    assert engine == [(2, 1, oriented), (3, 2, oriented), (4, 7, oriented), (5, 42, oriented),
+                      (6, 582, oriented), (5, 51, digraphs)]
+    assert max(batches) <= 200
+    assert sum(batches) == sum(size for _, size, _ in engine)
+
+
 def test_six_vertex_permutation_tables_stay_small() -> None:
     # every table canonical_masks keeps: one stack of shifts and column tables per size
     assert sum(table.nbytes for n in range(1, 7) for table in mine._perm_tables(n)) < 1 << 20

@@ -16,6 +16,7 @@ from dcograph import decompose, patterns, recognize
 from dcograph.construct import Expression, compose, evaluate
 from dcograph.core import Digraph
 from dcograph.decompose import maximal_split
+from dcograph.mine import is_minimal_obstruction, minimal_forbidden
 from dcograph.patterns import ANTICIRCUIT, CATALOG, PATTERNS, TWO_SWITCH, name_word, patterns_in
 from dcograph.recognize import (
     _ORACLE_SPEC,
@@ -278,6 +279,28 @@ def test_classify_reads_classes_by_member_or_by_value() -> None:
     assert classify(t3, ["TT", ClassId.OC, "EdgelessD"]) == {ClassId.TT, ClassId.OC}
     with pytest.raises(ValueError):
         classify(t3, ["XX"])
+
+
+_T3 = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+
+# each public entry point that takes one class, called on that class
+_ONE_CLASS = {
+    "member": lambda x: member(_T3, x),
+    "member_constructive": lambda x: member_constructive(_T3, x),
+    "member_by_patterns": lambda x: member_by_patterns(_T3, x),
+    "constructive_certificate": lambda x: constructive_certificate(_T3, x),
+    "violating_occurrence": lambda x: violating_occurrence(PATTERNS["D1"], x),
+    "minimal_forbidden": lambda x: minimal_forbidden(x, 3),
+    "is_minimal_obstruction": lambda x: is_minimal_obstruction(PATTERNS["D1"], x),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_CLASS)
+def test_one_class_entry_points_read_a_class_by_value(name: str) -> None:
+    call = _ONE_CLASS[name]
+    assert call("DC") == call(ClassId.DC)
+    with pytest.raises(ValueError, match="XX"):
+        call("XX")
 
 
 def test_classify_rejects_a_bare_class_string() -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks
 from dcograph.construct import Expression, leaf, order, series, union
@@ -247,6 +247,64 @@ def _tree(g: Digraph) -> _Tree:
         if ops[i] != "leaf":
             classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in kids[i]], [rests[c] for c in kids[i]])
     return _Tree(root, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
+
+
+def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every normal-form di-co-tree with n leaves, once, as its out-rows and its class word.
+
+    A node's children are smaller trees none of which has the node's
+    operation: a multiset of them under union and series, a sequence under
+    order. A maximal decomposition is unique up to the order of union and
+    series children, so the listed trees are the n-vertex members of DC, one
+    per isomorphism class. Leaves are numbered depth-first, left to right, as
+    `construct.evaluate` numbers them, and each node's class bits come from
+    its children's through `_node_bits` and `_root_bits`, as in `_tree`.
+    """
+    if n < 1:
+        raise ValueError(f"a di-co-tree has at least 1 leaf, got {n}")
+    # per leaf count, each tree as (operation, out-rows, grammar bits, rest bits, class word)
+    grammar = (1 << len(GRAMMAR_CLASSES)) - 1
+    sized = [[], [("leaf", (0,), grammar, _LEAF_REST, grammar | _root_bits("leaf", [_LEAF_REST], range(0)))]]
+    for k in range(2, n + 1):
+        trees = []
+        for op in ("union", "order", "series"):
+            pool = [t for size in range(1, k) for t in sized[size] if t[0] != op]
+            for kids in _child_lists(pool, k, op == "order"):
+                classes, rest = _node_bits(op, [c[2] for c in kids], [c[3] for c in kids])
+                rests = [rest] + [c[3] for c in kids]
+                word = classes | _root_bits(op, rests, range(1, len(rests)))
+                trees.append((op, _joined_rows(op, [c[1] for c in kids]), classes, rest, word))
+        sized.append(trees)
+    return [(t[1], t[4]) for t in sized[n]]
+
+
+def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tuple, ...]]:
+    """Every sequence (ordered) or multiset, as a sequence in pool order, of pool's trees with k leaves in all.
+
+    pool is sorted by leaf count and holds trees smaller than k, so every list has at least 2 trees.
+    """
+    if not k:
+        yield ()
+        return
+    for i, tree in enumerate(pool):
+        size = len(tree[1])
+        if size > k:
+            break
+        for rest in _child_lists(pool if ordered else pool[i:], k - size, ordered):
+            yield (tree, *rest)
+
+
+def _joined_rows(op: str, children: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The out-rows of op over the children's out-rows, each child's vertices after the previous child's."""
+    full = (1 << sum(map(len, children))) - 1
+    joined: list[int] = []
+    for rows in children:
+        start, end = len(joined), len(joined) + len(rows)
+        # a child's vertices beat every later child's under order, every other child's under series
+        later = full >> end << end
+        cross = later if op == "order" else later | (1 << start) - 1 if op == "series" else 0
+        joined.extend([row << start | cross for row in rows])
+    return tuple(joined)
 
 
 def maximal_split(g: Digraph) -> Split:

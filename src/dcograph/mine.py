@@ -9,8 +9,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import Digraph, _full_offdiag, mask_array
-from dcograph.decompose import di_co_tree
+from dcograph.core import Digraph, _full_offdiag, _join_rows, mask_array
+from dcograph.decompose import di_co_tree, listed_trees
 from dcograph.patterns import CATALOG, PATTERNS, has_two_switch, name_word, pattern_words
 from dcograph.recognize import (
     ClassId,
@@ -19,8 +19,8 @@ from dcograph.recognize import (
     PATTERN_ONLY_CLASSES,
     WORD_BIT,
     _class_id,
-    class_word,
     member,
+    member_by_patterns,
 )
 from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected
 
@@ -143,7 +143,7 @@ def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
         return (Digraph.edgeless(1),)
     base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
     # every mask comes out of canonical_masks, which checked it
-    return tuple(Digraph._of(n, m) for m in _extend(n, base, _STATES[universe]).tolist())
+    return tuple(Digraph._of(n, m) for m in _extend(n, base, _STATES[universe], True).tolist())
 
 
 def enumerate_digraphs(n: int) -> list[Digraph]:
@@ -211,19 +211,22 @@ def _orderly(n: int, masks: np.ndarray, rows: list[np.ndarray]) -> np.ndarray:
     return keys[-1] >= np.max(keys, axis=0)
 
 
-def _extend(n: int, base: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
+def _extend(n: int, base: np.ndarray, states: tuple[int, ...], whole: bool) -> np.ndarray:
     """The sorted canonical masks of the n-vertex digraphs whose single-vertex deletions all lie in base.
 
     base holds the sorted canonical (n-1)-vertex masks of a class closed under
     isomorphism, and each pair of the new vertex takes one of states. A
     deletion lies in base when its labelled mask is a relabelling of a base
-    mask, so deletions are looked up, never canonicalised. Only extensions
-    whose new vertex has a maximal key (`_orderly`) are canonicalised: every
-    class still arises.
+    mask, so deletions are looked up, never canonicalised. When base is a
+    whole level of a universe (whole), no deletion is looked up: the universe
+    is closed under vertex deletion, so every one lies in base. Only
+    extensions whose new vertex has a maximal key (`_orderly`) are
+    canonicalised: every class still arises.
     """
     if not base.size:
         return base
-    labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, base)]))
+    if not whole:
+        labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, base)]))
     survivors: list[np.ndarray] = []
     batch = 200  # base masks extended at once, which bounds memory
     for start in range(0, base.size, batch):
@@ -231,14 +234,37 @@ def _extend(n: int, base: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
         rows = _rows(n, cands)
         # deleting the attached vertex n-1 returns the base mask, so only
         # deletions of vertices 0..n-2 need checking
-        for d in range(n - 1):
+        for d in range(0 if whole else n - 1):
             deleted = _delete(n, rows, d)
             pos = np.minimum(np.searchsorted(labelled, deleted), labelled.size - 1)
             keep = labelled[pos] == deleted
-            if not keep.all():  # on a whole universe every deletion is kept
-                cands, rows = cands[keep], [row[keep] for row in rows]
+            cands, rows = cands[keep], [row[keep] for row in rows]
         survivors.append(canonical_masks(n, cands[_orderly(n, cands, rows)]))
     return _distinct(np.concatenate(survivors))
+
+
+@lru_cache(maxsize=6)
+def _tree_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted canonical masks of the n-vertex members of DC (n <= 6), one per listed
+    di-co-tree, and each one's class word over the 23 constructive classes.
+
+    No digraph is split. Every member of a constructive class is in DC, so a
+    mask absent from the table is in no constructive class.
+    """
+    rows, words = zip(*listed_trees(n))
+    masks = canonical_masks(n, np.array([_join_rows(list(r), n) for r in rows], dtype=np.uint64))
+    order = np.argsort(masks)
+    table = (masks[order], np.array(words, dtype=np.uint64)[order])
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _constructive_words(n: int, masks: np.ndarray) -> np.ndarray:
+    """The constructive class word of each canonical n-vertex mask, by one `searchsorted` into `_tree_table`."""
+    table, words = _tree_table(n)
+    at = np.minimum(np.searchsorted(table, masks), table.size - 1)
+    return np.where(table[at] == masks, words[at], np.uint64(0))
 
 
 @lru_cache(maxsize=len(_STATES) * 6)
@@ -247,11 +273,15 @@ def _level(universe: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Bit WORD_BIT[x] of a class word is set when the representative is in class
     x; a pattern word has the bit of each PATTERNS name occurring in it
-    (`patterns.pattern_words`).
+    (`patterns.pattern_words`). The 23 constructive bits are read from the
+    listed di-co-trees (`_tree_table`), so no representative is split; TD and
+    FD come from each representative's out-row scans.
     """
     reps = _representatives(universe, n)
     masks = np.array([g.mask for g in reps], dtype=np.uint64)
-    columns = (masks, np.array([class_word(g) for g in reps], dtype=np.uint64), pattern_words(n, masks))
+    scans = [sum(1 << WORD_BIT[x] for x in PATTERN_ONLY_CLASSES if member_by_patterns(g, x)) for g in reps]
+    words = _constructive_words(n, masks) | np.array(scans, dtype=np.uint64)
+    columns = (masks, words, pattern_words(n, masks))
     for column in columns:
         column.setflags(write=False)
     return columns
@@ -369,9 +399,10 @@ def _mine_level(x: ClassId, n: int, members: np.ndarray) -> tuple[np.ndarray, li
     are among the digraphs `_extend` builds from the members. Returns the
     sorted canonical masks of the n-vertex members and the minimal
     obstructions, each carrying the minimum mask over its isomorphism class.
+    Each extension's membership is one lookup in the listed di-co-trees.
     """
-    masks = _extend(n, members, _STATES["digraphs"])
-    inside = np.array([member(Digraph._of(n, m), x) for m in masks.tolist()], dtype=bool)
+    masks = _extend(n, members, _STATES["digraphs"], False)
+    inside = (_constructive_words(n, masks) >> np.uint64(WORD_BIT[x]) & np.uint64(1)).astype(bool)
     return masks[inside], [Digraph._of(n, m) for m in masks[~inside].tolist()]
 
 
@@ -379,8 +410,9 @@ def minimal_forbidden(x: ClassId | str, n_max: int = 5) -> ObstructionReport:
     """Mine all minimal non-members with <= n_max vertices and diff against the catalog.
 
     A digraph is a minimal obstruction when it is outside the class but every
-    single-vertex deletion is inside. Membership comes from the constructive
-    recognizer only, so the catalog under test never influences the search.
+    single-vertex deletion is inside. Membership comes from the listed
+    di-co-trees read through `RULES` (`_tree_table`), so the catalog under
+    test never influences the search.
     Each size is mined from the members of the size below (`_mine_level`),
     which assumes the class is hereditary. The class may be given by value ("DC").
     """

@@ -1,24 +1,28 @@
-"""Decomposition: maximal splits, expression trees, creation sequences."""
+"""Decomposition: maximal splits, expression trees, listed trees, creation sequences."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dcograph.construct import evaluate, leaf, order, parse_expression, series, union
-from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag
+from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag, _join_rows
 from dcograph.decompose import (
+    CLASS_BIT,
     creation_sequence,
     creation_sequence_raw,
     di_co_tree,
+    listed_trees,
     maximal_split,
     replay,
     replay_arcs,
 )
+from dcograph.mine import canonical_masks
 from dcograph.patterns import PATTERNS
 from dcograph.recognize import GRAMMAR_CLASSES, ClassId, member_constructive
 
@@ -152,3 +156,31 @@ def test_raw_recognizer_rejects_what_is_no_digraph(n: int, arcs: list[tuple[int,
 def test_raw_recognizer_counts_a_repeated_arc_twice() -> None:
     assert creation_sequence_raw(2, [(0, 1)]).digits == "12"
     assert creation_sequence_raw(2, [(0, 1), (0, 1)]) is None
+
+
+def _listed_counts(x: ClassId, n_max: int) -> list[int]:
+    return [sum(word >> CLASS_BIT[x] & 1 for _, word in listed_trees(n)) for n in range(1, n_max + 1)]
+
+
+def test_listed_trees_count_the_classes(reps_by_n) -> None:
+    # DC lists every tree; OT = OCTP has F(2n-1) members and DT satisfies
+    # a(n) = 4a(n-1) - a(n-2); at n <= 5 every constructive class counts as
+    # many members as the enumerator holds
+    assert [len(listed_trees(n)) for n in range(1, 7)] == [1, 3, 11, 51, 253, 1373]
+    assert _listed_counts(ClassId.DC, 6) == [1, 3, 11, 51, 253, 1373]
+    assert _listed_counts(ClassId.OT, 6) == [1, 2, 5, 13, 34, 89]
+    assert _listed_counts(ClassId.DT, 6) == [1, 3, 11, 41, 153, 571]
+    for x in CLASS_BIT:
+        assert _listed_counts(x, 5) == [sum(member_constructive(g, x) for g in reps_by_n[n]) for n in range(1, 6)], x
+
+
+def test_listed_trees_are_pairwise_non_isomorphic() -> None:
+    # the normal form is unique, so no two listed trees share a canonical mask
+    for n in range(1, 7):
+        masks = np.array([_join_rows(list(rows), n) for rows, _ in listed_trees(n)], dtype=np.uint64)
+        assert np.unique(canonical_masks(n, masks)).size == masks.size, n
+
+
+def test_listed_trees_need_a_leaf() -> None:
+    with pytest.raises(ValueError, match="at least 1 leaf"):
+        listed_trees(0)

@@ -16,8 +16,8 @@ import pytest
 
 import dcograph
 from dcograph import mine
-from dcograph.core import Digraph, _full_offdiag
-from dcograph.decompose import _tree
+from dcograph.core import Digraph, _full_offdiag, _join_rows
+from dcograph.decompose import _tree, listed_trees
 from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, name_word, patterns_in
 from dcograph.recognize import WORD_BIT, ClassId, member
 from dcograph.mine import (
@@ -277,9 +277,9 @@ def test_universes_and_classes_extend_through_one_batched_engine(monkeypatch) ->
     batches: list[int] = []
     extend, one_vertex_extensions = mine._extend, mine._one_vertex_extensions
 
-    def record_extend(n, base, states):
-        engine.append((n, base.size, states))
-        return extend(n, base, states)
+    def record_extend(n, base, states, whole):
+        engine.append((n, base.size, states, whole))
+        return extend(n, base, states, whole)
 
     def record_batch(n, base, states):
         batches.append(base.size)
@@ -291,10 +291,11 @@ def test_universes_and_classes_extend_through_one_batched_engine(monkeypatch) ->
     assert len(_representatives("oriented", 6)) == 21480
     _mine_level(ClassId.DC, 5, members)
     oriented, digraphs = mine._STATES["oriented"], mine._STATES["digraphs"]
-    assert engine == [(2, 1, oriented), (3, 2, oriented), (4, 7, oriented), (5, 42, oriented),
-                      (6, 582, oriented), (5, 51, digraphs)]
+    # a universe's level is whole, so its deletions are not looked up; a class's members are not
+    assert engine == [(2, 1, oriented, True), (3, 2, oriented, True), (4, 7, oriented, True),
+                      (5, 42, oriented, True), (6, 582, oriented, True), (5, 51, digraphs, False)]
     assert max(batches) <= 200
-    assert sum(batches) == sum(size for _, size, _ in engine)
+    assert sum(batches) == sum(size for _, size, _, _ in engine)
 
 
 def test_six_vertex_permutation_tables_stay_small() -> None:
@@ -414,7 +415,8 @@ def test_per_digraph_memos_are_bounded() -> None:
             for value in vars(owner).values():
                 if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                     memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
-    known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level"}
+    known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level",
+             "mine._tree_table"}
     assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
     for name, maxsize in memos.items():
         assert maxsize is not None and maxsize > 0, name
@@ -478,12 +480,50 @@ def test_class_words_reject_a_mask_outside_the_universe() -> None:
         mine.class_words("tournaments", 3, np.array([0], dtype=np.uint64))
 
 
-def test_closures_decompose_each_representative_once() -> None:
-    # complements and converses are looked up by canonical mask, never decomposed
+def test_the_sweep_jobs_decompose_at_most_one_digraph() -> None:
+    # levels, flips and mining candidates read the listed di-co-trees; only
+    # minimal_forbidden's one-vertex level asks member, which splits one digraph
     _tree.cache_clear()
     mine._level.cache_clear()
-    verify_closures(5)
-    assert _tree.cache_info().misses <= sum(len(enumerate_digraphs(n)) for n in range(1, 6)) == 9846
+    mine._tree_table.cache_clear()
+    for x in (ClassId.DC, ClassId.DWQT):
+        minimal_forbidden(x, 6)
+    for suite in ("closures", "theorems", "hierarchy"):
+        verify_suite(suite, 5)
+    assert _tree.cache_info().misses <= 1
+
+
+def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) -> None:
+    # n <= 5 is exhaustive in the column and mining-level tests; at n = 6 every
+    # listed tree gets its word back from _tree, and every candidate of the
+    # DC mining level the same verdict from the table as from member, for
+    # every mineable class
+    masks, words = mine._tree_table(6)
+    from_rows = [Digraph._of(6, _join_rows(list(rows), 6)) for rows, _ in listed_trees(6)]
+    assert [_tree(g).classes for g in from_rows] == [word for _, word in listed_trees(6)]
+    assert sorted(canonical_masks(6, np.array([g.mask for g in from_rows], dtype=np.uint64)).tolist()) == masks.tolist()
+
+    members = np.array([g.mask for g in enumerate_digraphs(5) if member(g, ClassId.DC)], dtype=np.uint64)
+    built: list[np.ndarray] = []
+    extend = mine._extend
+
+    def record(n, base, states, whole):
+        built.append(extend(n, base, states, whole))
+        return built[-1]
+
+    monkeypatch.setattr(mine, "_extend", record)
+    _mine_level(ClassId.DC, 6, members)
+    # at n = 6 every candidate is in DC, so add every attachment of a vertex
+    # to three members, most of them outside DC
+    (built_masks,) = built
+    extensions = mine._one_vertex_extensions(6, members[100:103], mine._STATES["digraphs"])
+    cands = mine._distinct(np.concatenate([built_masks, canonical_masks(6, extensions)]))
+    table = mine._constructive_words(6, cands)
+    assert built_masks.size == 1373 and (table == 0).sum() > 1500
+    graphs = [Digraph._of(6, m) for m in cands.tolist()]
+    for x in MINEABLE_CLASSES:
+        bit = np.uint64(WORD_BIT[x])
+        assert (table >> bit & np.uint64(1)).astype(bool).tolist() == [member(g, x) for g in graphs], x
 
 
 def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypatch) -> None:

@@ -1,9 +1,13 @@
-"""Expression language for building digraphs from vertices by union, order, and series."""
+"""Expression language for building digraphs from vertices by union, order, and series.
+
+`_compose_rows` is the one composition kernel: `evaluate`, `compose`, the
+named families and `decompose.listed_trees` build out-rows through it.
+"""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from dcograph.core import MAX_VERTICES, Digraph
+from dcograph.core import MAX_VERTICES, Digraph, _join_rows
 
 OPS = ("union", "order", "series")
 
@@ -97,22 +101,29 @@ def series(*children: Expression) -> Expression:
     return _node("series", children)
 
 
-def _cross_arcs(kind: str, starts: list[int]) -> list[tuple[int, int]]:
-    """Arcs an order/series node adds between its children, child i being starts[i]..starts[i+1]-1.
+def _compose_rows(kind: str, children: list[Sequence[int]]) -> tuple[int, ...]:
+    """The out-rows of a union/order/series of the children's out-rows, each child's vertices after the previous child's.
 
-    A kind outside OPS is an ExpressionError.
+    This is the only place that says which arcs a node adds: none under
+    union; under order every arc from a child to each later child; under
+    series both arcs between every two children. A kind outside OPS is an
+    ExpressionError.
     """
     if kind not in OPS:
         raise ExpressionError(f"unknown composition {kind!r}; expected one of {', '.join(OPS)}")
-    if kind == "union":
-        return []
-    forward = [
-        (u, v)
-        for i in range(len(starts) - 1)
-        for u in range(starts[i], starts[i + 1])
-        for v in range(starts[i + 1], starts[-1])
-    ]
-    return forward + [(v, u) for u, v in forward] if kind == "series" else forward
+    full = (1 << sum(map(len, children))) - 1
+    joined: list[int] = []
+    for rows in children:
+        start, end = len(joined), len(joined) + len(rows)
+        later = full >> end << end
+        cross = later if kind == "order" else later | (1 << start) - 1 if kind == "series" else 0
+        joined.extend([row << start | cross for row in rows])
+    return tuple(joined)
+
+
+def _digraph(rows: Sequence[int]) -> Digraph:
+    """The digraph with these out-rows; more than MAX_VERTICES of them is a ValueError."""
+    return Digraph.from_mask(len(rows), _join_rows(rows, len(rows)))
 
 
 def evaluate(e: Expression) -> Digraph:
@@ -120,31 +131,16 @@ def evaluate(e: Expression) -> Digraph:
     total = e.leaf_count
     if total > MAX_VERTICES:
         raise ExpressionError(f"expression evaluates to {total} vertices, cap is {MAX_VERTICES}")
-    arcs: list[tuple[int, int]] = []
 
-    def emit(node: Expression, base: int) -> int:
-        if node.is_leaf:
-            return base + 1
-        starts = []
-        cur = base
-        for c in node.children:
-            starts.append(cur)
-            cur = emit(c, cur)
-        starts.append(cur)
-        arcs.extend(_cross_arcs(node.kind, starts))
-        return cur
+    def rows(node: Expression) -> tuple[int, ...]:
+        return (0,) if node.is_leaf else _compose_rows(node.kind, [rows(c) for c in node.children])
 
-    emit(e, 0)
-    return Digraph(total, arcs)
+    return _digraph(rows(e))
 
 
 def compose(op: str, a: Digraph, b: Digraph) -> Digraph:
     """Binary union/order/series of two digraphs: a's vertices first, then b's shifted."""
-    n = a.n + b.n
-    arcs = list(a.arcs)
-    arcs.extend((u + a.n, v + a.n) for u, v in b.arcs)
-    arcs.extend(_cross_arcs(op, [0, a.n, n]))
-    return Digraph(n, arcs)
+    return _digraph(_compose_rows(op, [a.out_rows(), b.out_rows()]))
 
 
 def format_expression(e: Expression) -> str:
@@ -212,7 +208,7 @@ def parse_expression(text: str) -> Expression:
 def transitive_tournament(n: int) -> Digraph:
     """T_n: arc (u, v) whenever u < v."""
     _check_param(n)
-    return Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return _digraph(_compose_rows("order", [(0,)] * n))
 
 
 def edgeless(n: int) -> Digraph:
@@ -223,7 +219,7 @@ def edgeless(n: int) -> Digraph:
 def bidirectional_complete(n: int) -> Digraph:
     """K_n with every edge replaced by both arcs."""
     _check_param(n)
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    return _digraph(_compose_rows("series", [(0,)] * n))
 
 
 def oriented_path(n: int) -> Digraph:
@@ -243,18 +239,13 @@ def oriented_cycle(n: int) -> Digraph:
 def bidir_complete_bipartite(a: int, b: int) -> Digraph:
     """Both arcs between every left-right pair, none inside the sides."""
     _check_param(a, b)
-    arcs = []
-    for u in range(a):
-        for v in range(a, a + b):
-            arcs.append((u, v))
-            arcs.append((v, u))
-    return Digraph(a + b, arcs)
+    return _digraph(_compose_rows("series", [(0,) * a, (0,) * b]))
 
 
 def oriented_complete_bipartite(a: int, b: int) -> Digraph:
     """One arc left-to-right between every left-right pair."""
     _check_param(a, b)
-    return Digraph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+    return _digraph(_compose_rows("order", [(0,) * a, (0,) * b]))
 
 
 def _check_param(*sizes: int) -> None:

@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks
-from dcograph.construct import Expression, leaf, order, series, union
+from dcograph.construct import Expression, _compose_rows, leaf, order, series, union
 
 
 class ClassId(Enum):
@@ -256,9 +256,11 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
     operation: a multiset of them under union and series, a sequence under
     order. A maximal decomposition is unique up to the order of union and
     series children, so the listed trees are the n-vertex members of DC, one
-    per isomorphism class. Leaves are numbered depth-first, left to right, as
-    `construct.evaluate` numbers them, and each node's class bits come from
-    its children's through `_node_bits` and `_root_bits`, as in `_tree`.
+    per isomorphism class. Each node's out-rows come from its children's
+    through `construct._compose_rows`, the one composition kernel, so leaves
+    are numbered depth-first, left to right, as `construct.evaluate` numbers
+    them; its class bits come from its children's through `_node_bits` and
+    `_root_bits`, as in `_tree`.
     """
     if n < 1:
         raise ValueError(f"a di-co-tree has at least 1 leaf, got {n}")
@@ -273,7 +275,7 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
                 classes, rest = _node_bits(op, [c[2] for c in kids], [c[3] for c in kids])
                 rests = [rest] + [c[3] for c in kids]
                 word = classes | _root_bits(op, rests, range(1, len(rests)))
-                trees.append((op, _joined_rows(op, [c[1] for c in kids]), classes, rest, word))
+                trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
         sized.append(trees)
     return [(t[1], t[4]) for t in sized[n]]
 
@@ -292,19 +294,6 @@ def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tup
             break
         for rest in _child_lists(pool if ordered else pool[i:], k - size, ordered):
             yield (tree, *rest)
-
-
-def _joined_rows(op: str, children: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The out-rows of op over the children's out-rows, each child's vertices after the previous child's."""
-    full = (1 << sum(map(len, children))) - 1
-    joined: list[int] = []
-    for rows in children:
-        start, end = len(joined), len(joined) + len(rows)
-        # a child's vertices beat every later child's under order, every other child's under series
-        later = full >> end << end
-        cross = later if op == "order" else later | (1 << start) - 1 if op == "series" else 0
-        joined.extend([row << start | cross for row in rows])
-    return tuple(joined)
 
 
 def maximal_split(g: Digraph) -> Split:

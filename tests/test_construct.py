@@ -23,7 +23,7 @@ from dcograph.construct import (
     transitive_tournament,
     union,
 )
-from dcograph.core import MAX_VERTICES, Digraph
+from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag
 from dcograph.decompose import di_co_tree
 
 
@@ -131,6 +131,51 @@ def test_evaluate_cross_arcs_by_block() -> None:
     assert g == Digraph(3, [(0, 2), (1, 2)])
 
 
+def _leaf_paths(e: Expression) -> list[tuple[int, ...]]:
+    """The child indices from the root down to each leaf, leaves depth-first, left to right."""
+    return [()] if e.is_leaf else [(i, *p) for i, c in enumerate(e.children) for p in _leaf_paths(c)]
+
+
+@given(_expressions(64))
+def test_evaluate_follows_the_labelled_arc_rule(e: Expression) -> None:
+    # u -> v exactly when their lowest common ancestor is a series node, or an
+    # order node whose child holding u comes before the one holding v
+    paths = _leaf_paths(e)
+    expected = set()
+    for u, v in itertools.permutations(range(len(paths)), 2):
+        pu, pv = paths[u], paths[v]
+        k = next(k for k in itertools.count() if pu[k] != pv[k])
+        lca = e
+        for i in pu[:k]:
+            lca = lca.children[i]
+        if lca.kind == "series" or lca.kind == "order" and pu[k] < pv[k]:
+            expected.add((u, v))
+    assert set(evaluate(e).arcs) == expected
+
+
+@st.composite
+def _digraphs(draw) -> Digraph:
+    n = draw(st.integers(min_value=1, max_value=6))
+    return Digraph.from_mask(n, draw(st.integers(min_value=0, max_value=(1 << n * n) - 1)) & _full_offdiag(n))
+
+
+@given(st.sampled_from(["union", "order", "series"]), _digraphs(), _digraphs())
+def test_compose_keeps_both_sides_and_adds_the_cross_arcs(op: str, a: Digraph, b: Digraph) -> None:
+    g = compose(op, a, b)
+    forward = {(u, v) for u in range(a.n) for v in range(a.n, g.n)}
+    cross = {"union": set(), "order": forward, "series": forward | {(v, u) for u, v in forward}}[op]
+    assert g.n == a.n + b.n
+    assert set(g.arcs) == set(a.arcs) | {(u + a.n, v + a.n) for u, v in b.arcs} | cross
+
+
+def test_both_vertex_caps_are_checked() -> None:
+    with pytest.raises(ExpressionError, match=f"{MAX_VERTICES + 1} vertices"):
+        evaluate(order(*[leaf()] * (MAX_VERTICES + 1)))
+    assert evaluate(order(*[leaf()] * MAX_VERTICES)) == transitive_tournament(MAX_VERTICES)
+    with pytest.raises(ValueError, match="got 80"):
+        compose("union", transitive_tournament(40), transitive_tournament(40))
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "w", "union(v)", "union(v,v", "union(v,v))", "order()", "v v", "series(v,)"],
@@ -157,12 +202,14 @@ def test_unknown_composition_kind_is_rejected() -> None:
 def test_family_transitive_tournament() -> None:
     g = generate_family("tt", 4)
     assert g.is_tournament() and g.is_acyclic() and g.arc_count == 6
+    assert g.arcs == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_family_edgeless_and_bidir_complete() -> None:
     assert generate_family("edgeless", 3) == Digraph(3)
     k3 = generate_family("bidir-complete", 3)
     assert k3.is_bidirectional_complete() and k3.arc_count == 6
+    assert k3.arcs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def test_family_path_and_cycle() -> None:
@@ -175,8 +222,12 @@ def test_family_path_and_cycle() -> None:
 def test_family_bipartite_shapes() -> None:
     kb = generate_family("bidir-complete-bipartite", 2, 3)
     assert kb.n == 5 and kb.arc_count == 12 and kb.sym_part() == kb
+    assert kb.arcs == (
+        (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)
+    )
     ob = generate_family("oriented-complete-bipartite", 2, 3)
     assert ob.n == 5 and ob.arc_count == 6 and ob.is_oriented()
+    assert ob.arcs == ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))
 
 
 def test_family_parameter_errors() -> None:

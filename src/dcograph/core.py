@@ -78,11 +78,14 @@ class Digraph:
         self.n = n
         rows = [0] * n
         for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop ({u}, {u}) not allowed")
-            rows[u] |= _BIT[v]
+            try:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"loop ({u}, {u}) not allowed")
+                rows[u] |= _BIT[v]
+            except TypeError:
+                raise TypeError(f"arc ({u!r}, {v!r}) needs integer endpoints") from None
         object.__setattr__(self, "_mask", _join_rows(rows, n))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -395,12 +398,15 @@ class UndirectedGraph:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-edge ({u}, {u}) not allowed")
-            rows[u] |= _BIT[v]
-            rows[v] |= _BIT[u]
+            try:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-edge ({u}, {u}) not allowed")
+                rows[u] |= _BIT[v]
+                rows[v] |= _BIT[u]
+            except TypeError:
+                raise TypeError(f"edge ({u!r}, {v!r}) needs integer endpoints") from None
         object.__setattr__(self, "_sym", Digraph._of(n, _join_rows(rows, n)))
 
     @classmethod

@@ -262,6 +262,11 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
     them; its class bits come from its children's through `_node_bits` and
     `_root_bits`, as in `_tree`.
     """
+    return _listed_by_size(n)[n]
+
+
+def _listed_by_size(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """`listed_trees(k)` at index k for every k from 1 to n (index 0 is empty), from one listing."""
     if n < 1:
         raise ValueError(f"a di-co-tree has at least 1 leaf, got {n}")
     # per leaf count, each tree as (operation, out-rows, grammar bits, rest bits, class word)
@@ -277,7 +282,7 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
                 word = classes | _root_bits(op, rests, range(1, len(rests)))
                 trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
         sized.append(trees)
-    return [(t[1], t[4]) for t in sized[n]]
+    return [[(t[1], t[4]) for t in trees] for trees in sized]
 
 
 def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tuple, ...]]:
@@ -330,17 +335,20 @@ def creation_sequence_raw(
     """Creation-sequence recognition on a raw arc list, O(n + m).
 
     A repeated arc is counted twice. n < 1, a loop, or an endpoint outside
-    0..n-1 is a ValueError.
+    0..n-1 is a ValueError, and an endpoint that is no integer a TypeError.
     """
     if n < 1:
         raise ValueError(f"a creation sequence needs at least 1 vertex, got {n}")
     outdeg = [0] * n
     indeg = [0] * n
     for u, v in arcs:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"arc ({u}, {v}) is a loop or has an endpoint outside 0..{n - 1}")
-        outdeg[u] += 1
-        indeg[v] += 1
+        try:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) is a loop or has an endpoint outside 0..{n - 1}")
+            outdeg[u] += 1
+            indeg[v] += 1
+        except TypeError:
+            raise TypeError(f"arc ({u!r}, {v!r}) needs integer endpoints") from None
     return _peel(n, outdeg, indeg, allow_series)
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from dcograph.construct import evaluate
 from dcograph.core import Digraph, _full_offdiag, _join_rows, mask_array
-from dcograph.decompose import di_co_tree, listed_trees
-from dcograph.patterns import CATALOG, PATTERNS, has_two_switch, name_word, pattern_words
+from dcograph.decompose import _listed_by_size, di_co_tree
+from dcograph.patterns import CATALOG, PATTERNS, name_word, pattern_words
 from dcograph.recognize import (
     ClassId,
     GRAMMAR_CLASSES,
@@ -20,7 +20,6 @@ from dcograph.recognize import (
     WORD_BIT,
     _class_id,
     member,
-    member_by_patterns,
 )
 from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected
 
@@ -243,45 +242,60 @@ def _extend(n: int, base: np.ndarray, states: tuple[int, ...], whole: bool) -> n
     return _distinct(np.concatenate(survivors))
 
 
-@lru_cache(maxsize=6)
-def _tree_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted canonical masks of the n-vertex members of DC (n <= 6), one per listed
-    di-co-tree, and each one's class word over the 23 constructive classes.
+@lru_cache(maxsize=1)
+def _tree_table() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The sorted canonical masks of the n-vertex members of DC, one per listed di-co-tree, with each one's
+    class word over the 23 constructive classes, at index n - 1 for each n <= 6, all from one listing.
 
-    No digraph is split. Every member of a constructive class is in DC, so a
-    mask absent from the table is in no constructive class.
+    No digraph is split. A mask absent from a table is in no constructive class, as their members are in DC.
     """
-    rows, words = zip(*listed_trees(n))
-    masks = canonical_masks(n, np.array([_join_rows(list(r), n) for r in rows], dtype=np.uint64))
-    order = np.argsort(masks)
-    table = (masks[order], np.array(words, dtype=np.uint64)[order])
-    for column in table:
-        column.setflags(write=False)
-    return table
+    tables = []
+    for n, listed in enumerate(_listed_by_size(6)[1:], 1):
+        masks = canonical_masks(n, np.array([_join_rows(list(rows), n) for rows, _ in listed], dtype=np.uint64))
+        order = np.argsort(masks)
+        tables.append((masks[order], np.array([word for _, word in listed], dtype=np.uint64)[order]))
+        for column in tables[-1]:
+            column.setflags(write=False)
+    return tuple(tables)
 
 
 def _constructive_words(n: int, masks: np.ndarray) -> np.ndarray:
     """The constructive class word of each canonical n-vertex mask, by one `searchsorted` into `_tree_table`."""
-    table, words = _tree_table(n)
+    table, words = _tree_table()[n - 1]
     at = np.minimum(np.searchsorted(table, masks), table.size - 1)
     return np.where(table[at] == masks, words[at], np.uint64(0))
 
 
+def _row_scans(n: int, masks: np.ndarray) -> np.ndarray:
+    """Whether each n-vertex mask has an anticircuit, a two-switch, and a path u -> w -> x, x != u, with no arc
+    u -> x, as a (3, masks.size) boolean array from one pass over each pair of out-rows a of u and b of w: heads
+    in a & ~b and in b & ~a (`patterns.ANTICIRCUIT`), the same other than w and u (`patterns.TWO_SWITCH`), and
+    w in a with a head of b & ~a other than u."""
+    rows, found = _rows(n, masks), np.zeros((3, masks.size), dtype=bool)
+    for (u, a), (w, b) in permutations(enumerate(rows), 2):
+        only_b = (b & ~a & ~(1 << u)) != 0
+        found[0] |= (a & ~b != 0) & (b & ~a != 0)
+        found[1] |= (a & ~b & ~(1 << w) != 0) & only_b
+        found[2] |= (a >> w & 1 != 0) & only_b
+    return found
+
+
 @lru_cache(maxsize=len(_STATES) * 6)
-def _level(universe: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The masks of `_representatives(universe, n)`, ascending, with each one's class word and pattern word.
+def _level(universe: str, n: int) -> tuple[np.ndarray, ...]:
+    """The masks of `_representatives(universe, n)`, ascending, and each one's class word, pattern word and `_row_scans`.
 
     Bit WORD_BIT[x] of a class word is set when the representative is in class
     x; a pattern word has the bit of each PATTERNS name occurring in it
     (`patterns.pattern_words`). The 23 constructive bits are read from the
-    listed di-co-trees (`_tree_table`), so no representative is split; TD and
-    FD come from each representative's out-row scans.
+    listed di-co-trees (`_tree_table`), so no representative is split. FD is
+    free of anticircuits, and TD of two-switches and of D5 (its pattern-word bit).
     """
-    reps = _representatives(universe, n)
-    masks = np.array([g.mask for g in reps], dtype=np.uint64)
-    scans = [sum(1 << WORD_BIT[x] for x in PATTERN_ONLY_CLASSES if member_by_patterns(g, x)) for g in reps]
-    words = _constructive_words(n, masks) | np.array(scans, dtype=np.uint64)
-    columns = (masks, words, pattern_words(n, masks))
+    masks = np.array([g.mask for g in _representatives(universe, n)], dtype=np.uint64)
+    patterns, scans = pattern_words(n, masks), _row_scans(n, masks)
+    td = ~scans[1] & (patterns & np.uint64(name_word(["D5"])) == 0)
+    words = (_constructive_words(n, masks) | td.astype(np.uint64) << np.uint64(WORD_BIT[ClassId.TD])
+             | (~scans[0]).astype(np.uint64) << np.uint64(WORD_BIT[ClassId.FD]))
+    columns = (masks, words, patterns, scans)
     for column in columns:
         column.setflags(write=False)
     return columns
@@ -297,7 +311,7 @@ def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
     digraph (`core.mask_array`), is a ValueError. The words are shaped as masks.
     The sweeps read every membership here.
     """
-    reps, words, _ = _level(universe, n)
+    reps, words = _level(universe, n)[:2]
     given = mask_array(n, masks)
     masks = given.reshape(-1)
     at = np.minimum(np.searchsorted(reps, masks), reps.size - 1)
@@ -451,17 +465,13 @@ def minimal_forbidden(x: ClassId | str, n_max: int = 5) -> ObstructionReport:
 # -- the sweep as columns --------------------------------------------------------
 #
 # A suite reads a universe as columns over its representatives: the class
-# words and pattern words of `_level`, the class words of flipped digraphs
-# from `class_words`, and per-graph predicates run at most once per
+# words, pattern words and row scans of `_level`, the class words of flipped
+# digraphs (`_flip_words`), and per-graph predicates run at most once per
 # representative. A check is a boolean array over the rows, and its witness is
 # its first true row.
 
-_NOUNS: dict[str, str] = {
-    "digraphs": "digraphs",
-    "oriented": "oriented digraphs",
-    "tournaments": "tournaments",
-    "undirected": "undirected graphs",
-}
+# the universes reports name otherwise than by their own names
+_NOUNS: dict[str, str] = {"oriented": "oriented digraphs", "undirected": "undirected graphs"}
 
 # the labelled digraphs the suites ask about besides the representatives: a
 # representative's mask maps to the flip's mask, which lies in the named universe
@@ -474,38 +484,44 @@ _FLIPS: dict[str, tuple[Callable[[int, np.ndarray], np.ndarray], str]] = {
 }
 
 
-class _Columns:
-    """The graphs of a universe with at most n_max vertices (1 <= n_max <= 6), as columns built on first use.
+@lru_cache(maxsize=len(_STATES) * 6 * (len(_FLIPS) + 1))
+def _flip_words(universe: str, n: int, flip: str | None) -> np.ndarray:
+    """The class words of each representative of `_level(universe, n)`, or of its flip; kept for every suite."""
+    op, target = _FLIPS[flip] if flip is not None else (lambda n, m: m, universe)
+    words = class_words(target, n, op(n, _level(universe, n)[0]))
+    words.setflags(write=False)
+    return words
 
-    `graphs` holds the representatives level by level, `eff` the size bound
-    swept and `noun` the universe's name in reports.
+
+class _Columns:
+    """The graphs of a universe with at most n_max vertices (1 <= n_max <= 6), as columns over its levels.
+
+    `graphs` holds the representatives level by level, `eff` the size bound swept and `noun` the
+    universe's name in reports; `patterns`, `two_switch` and `transitive` are columns of `_level`.
     """
 
     def __init__(self, kind: str, n_max: int) -> None:
         if not 1 <= n_max <= 6:
             raise ValueError(f"universes support n_max in 1..6, got {n_max}")
         # tournaments are sparse enough to always sweep through 6 vertices
-        self.kind, self.noun = kind, _NOUNS[kind]
+        self.kind, self.noun = kind, _NOUNS.get(kind, kind)
         self.eff = max(n_max, 6) if kind == "tournaments" else n_max
         # read through the public enumerators where there is one, so profiles
         # (perfbench traces functions by name) see the enumeration under them
-        level = {
+        enumerate_level = {
             "digraphs": enumerate_digraphs,
             "tournaments": enumerate_tournaments,
             "undirected": enumerate_undirected,
         }.get(kind, lambda n: _representatives(kind, n))
-        self.graphs = [g for n in range(1, self.eff + 1) for g in level(n)]
-        self.patterns = np.concatenate([_level(kind, n)[2] for n in range(1, self.eff + 1)])
-        self._words: dict[str | None, np.ndarray] = {}
+        self.graphs = [g for n in range(1, self.eff + 1) for g in enumerate_level(n)]
+        levels = [_level(kind, n) for n in range(1, self.eff + 1)]
+        _, _, self.patterns, scans = (np.concatenate(column, axis=-1) for column in zip(*levels))
+        self.two_switch, self.transitive = scans[1], ~scans[2]
 
     def has(self, x: ClassId, flip: str | None = None) -> np.ndarray:
         """Per row, whether the representative, or its flip, is in class x."""
-        if flip not in self._words:
-            op, universe = _FLIPS[flip] if flip is not None else (lambda n, m: m, self.kind)
-            self._words[flip] = np.concatenate([
-                class_words(universe, n, op(n, _level(self.kind, n)[0])) for n in range(1, self.eff + 1)
-            ])
-        return (self._words[flip] >> np.uint64(WORD_BIT[x]) & np.uint64(1)).astype(bool)
+        words = np.concatenate([_flip_words(self.kind, n, flip) for n in range(1, self.eff + 1)])
+        return (words >> np.uint64(WORD_BIT[x]) & np.uint64(1)).astype(bool)
 
     def free(self, *names: str) -> np.ndarray:
         """Per row, whether none of the named patterns occurs induced."""
@@ -563,22 +579,6 @@ UNDIRECTED_HIERARCHY_EDGES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _reachability(nodes: Sequence[str], edges: Sequence[tuple[str, str]]) -> dict[str, set[str]]:
-    succ: dict[str, set[str]] = {a: set() for a in nodes}
-    for a, b in edges:
-        succ[a].add(b)
-    reach: dict[str, set[str]] = {}
-    for a in nodes:
-        stack, seen = [a], set()
-        while stack:
-            for b in succ[stack.pop()]:
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        reach[a] = seen
-    return reach
-
-
 def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     """Check every claimed edge (strict inclusion) and non-path pair (incomparability).
 
@@ -610,7 +610,12 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
             f"no separating witness with at most {n_max} vertices",
             lambda g, _: f"witness in {b} but not {a} on {g.n} vertices"))
 
-    reach = _reachability(nodes, edges)
+    # the classes below each class by a directed path: the transitive closure of the edges (Warshall)
+    reach = {a: {b for x, b in edges if x == a} for a in nodes}
+    for via in nodes:
+        for a in nodes:
+            if via in reach[a]:
+                reach[a] |= reach[via]
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
             if b in reach[a] or a in reach[b]:
@@ -652,8 +657,6 @@ def verify_theorems(n_max: int = 5) -> VerifyReport:
     each later column is checked row by row against the first.
     """
     dig, tour, ori = (_Columns(kind, n_max) for kind in ("digraphs", "tournaments", "oriented"))
-    transitive = dig.each(Digraph.is_transitive)
-    no_two_switch = ~dig.each(has_two_switch)
 
     def under(u: UClassId) -> np.ndarray:
         return dig.has(DIRECTED[u], "underlying")
@@ -666,27 +669,27 @@ def verify_theorems(n_max: int = 5) -> VerifyReport:
         grammar(ClassId.DC, ("reduced set + underlying cograph", dig.free(*_D1_6) & under(UClassId.C))),
         grammar(ClassId.OC,
                 ("reduced set + underlying cograph", dig.free("D1", "D5", "K2bidir") & under(UClassId.C)),
-                ("transitive + reduced set", transitive & dig.free("K2bidir", "D8"))),
+                ("transitive + reduced set", dig.transitive & dig.free("K2bidir", "D8"))),
         grammar(ClassId.DTP,
                 ("reduced set + underlying trivially-perfect", dig.free(*_DTP_CORE) & under(UClassId.TP))),
         grammar(ClassId.OTP,
                 ("reduced set + underlying trivially-perfect",
                  dig.free("D1", "D5", "K2bidir") & under(UClassId.TP)),
-                ("transitive + reduced set", transitive & dig.free("K2bidir", "D8", "D12"))),
+                ("transitive + reduced set", dig.transitive & dig.free("K2bidir", "D8", "D12"))),
         grammar(ClassId.DWQT,
                 ("reduced set + underlying weakly-quasi-threshold",
                  dig.free(*_D1_6, "Q1", "Q2", "Q4", "Q5", "Q6") & under(UClassId.WQT))),
         grammar(ClassId.OWQT,
-                ("transitive + reduced set", transitive & dig.free("D8", "K2bidir", "Q7")),
+                ("transitive + reduced set", dig.transitive & dig.free("D8", "K2bidir", "Q7")),
                 ("reduced set + underlying weakly-quasi-threshold",
                  dig.free("D1", "D5", "K2bidir") & under(UClassId.WQT))),
         grammar(ClassId.DCWQT),
         grammar(ClassId.OCWQT,
                 ("oriented-cograph + extra obstructions", dig.has(ClassId.OC) & dig.free("D12", "D21", "D22", "D23")),
-                ("transitive + reduced set", transitive & dig.free("D8", "K2bidir", "D12", "D21", "D22", "D23"))),
+                ("transitive + reduced set", dig.transitive & dig.free("D8", "K2bidir", "D12", "D21", "D22", "D23"))),
         grammar(ClassId.DSC,
                 ("reduced set + underlying simple-cograph", dig.free(*_D1_8, *_Q_ALL) & under(UClassId.SC))),
-        grammar(ClassId.OSC, ("transitive + reduced set", transitive & dig.free("D8", "Q7", "coD11", "K2bidir"))),
+        grammar(ClassId.OSC, ("transitive + reduced set", dig.transitive & dig.free("D8", "Q7", "coD11", "K2bidir"))),
         grammar(ClassId.DCSC,
                 ("reduced set + underlying co-simple-cograph",
                  dig.free(*_D1_8, "coQ1", "coQ4", "coQ5", "coQ6", "Q1", "D10") & under(UClassId.CSC))),
@@ -698,9 +701,9 @@ def verify_theorems(n_max: int = 5) -> VerifyReport:
          ("oriented co-trivially-perfect recognizer", dig.has(ClassId.OCTP)),
          ("full obstruction set", dig.free(*CATALOG["OT"])),
          ("reduced set + underlying threshold", dig.free("D1", "D5", "K2bidir") & under(UClassId.T)),
-         ("transitive + reduced set", transitive & dig.free("D8", "D12", "coD11", "K2bidir"))),
+         ("transitive + reduced set", dig.transitive & dig.free("D8", "D12", "coD11", "K2bidir"))),
         ("transitive-tournament-equivalences", tour,
-         ("transitive arc relation", tour.each(Digraph.is_transitive)),
+         ("transitive arc relation", tour.transitive),
          ("acyclic", tour.each(Digraph.is_acyclic)),
          ("no directed triangle", tour.free("D5")),
          ("source elimination", tour.each(_source_elimination)),
@@ -713,11 +716,11 @@ def verify_theorems(n_max: int = 5) -> VerifyReport:
         ("ferrers-two-switch", dig,
          ("no alternating anticircuit", dig.has(ClassId.FD)),
          ("catalog route", dig.free(*CATALOG["FD"]) & dig.has(ClassId.FD)),
-         ("two-pattern variant: D1, K2bidir free and no two-switch", dig.free("D1", "K2bidir") & no_two_switch),
+         ("two-pattern variant: D1, K2bidir free and no two-switch", dig.free("D1", "K2bidir") & ~dig.two_switch),
          ("three-pattern variant: D1, D5, K2bidir free and no two-switch",
-          dig.free("D1", "D5", "K2bidir") & no_two_switch)),
+          dig.free("D1", "D5", "K2bidir") & ~dig.two_switch)),
         ("oriented-transitivity", ori,
-         ("transitive arc relation", ori.each(Digraph.is_transitive)),
+         ("transitive arc relation", ori.transitive),
          ("forbidden pair", ori.free("D1", "D5"))),
     )
     report = VerifyReport(suite="theorems")
@@ -756,12 +759,9 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     ):
         forms = {PATTERNS[name].canonical_form() for name in names}
         co_forms = {PATTERNS[name].complement().canonical_form() for name in names}
-        if forms == co_forms:
-            report.rows.append(CheckRow(
-                label, "ok", "-", f"complement permutes the {len(names)} patterns"))
-        else:
-            report.rows.append(CheckRow(
-                label, "fail", "-", "complement maps the family to a different set"))
+        details = f"complement permutes the {len(names)} patterns" if forms == co_forms else (
+            "complement maps the family to a different set")
+        report.rows.append(CheckRow(label, "ok" if forms == co_forms else "fail", "-", details))
     return report
 
 
@@ -807,7 +807,7 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
         *((subject, x, cols.has(DIRECTED[u], "symmetric part") & cols.has(ox, "asymmetric part"))
           for subject, x, u, ox in symtests),
         ("OC: acyclic", ClassId.OC, cols.each(Digraph.is_acyclic, cols.has(ClassId.OC))),
-        ("DT: free of two-switches", ClassId.DT, ~cols.each(has_two_switch, cols.has(ClassId.DT))),
+        ("DT: free of two-switches", ClassId.DT, ~cols.two_switch),
         ("DC: expression round-trip rebuilds the digraph", ClassId.DC, cols.each(_round_trip, cols.has(ClassId.DC))),
     ]
     for subject, scope, holds in checks:

@@ -104,6 +104,22 @@ def test_numpy_integers_read_as_the_python_ints_they_equal(n: int) -> None:
         Digraph(float(n))
 
 
+_NON_INTEGER_ENDPOINTS = [
+    (lambda: Digraph(3, [(0, "1")]), "arc (0, '1') needs integer endpoints"),
+    (lambda: Digraph(3, [(0, 1), (1.5, 2)]), "arc (1.5, 2) needs integer endpoints"),
+    (lambda: UndirectedGraph(3, [(0, "1")]), "edge (0, '1') needs integer endpoints"),
+    (lambda: UndirectedGraph(3, [(0, 1), (1.0, 2)]), "edge (1.0, 2) needs integer endpoints"),
+]
+
+
+@pytest.mark.parametrize(("call", "message"), _NON_INTEGER_ENDPOINTS, ids=[m for _, m in _NON_INTEGER_ENDPOINTS])
+def test_a_non_integer_endpoint_is_a_type_error_naming_its_arc(call, message: str) -> None:
+    # Python's own words ("'<=' not supported between ...") named neither the arc nor the input
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @given(digraphs())
 def test_complement_and_converse_are_involutions(g: Digraph) -> None:
     assert g.complement().complement() == g

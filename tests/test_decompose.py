@@ -153,6 +153,14 @@ def test_raw_recognizer_rejects_what_is_no_digraph(n: int, arcs: list[tuple[int,
         creation_sequence_raw(n, arcs)
 
 
+@pytest.mark.parametrize("arc", [(0, 1.5), (0, "1"), (None, 2)], ids=["float", "str", "none"])
+def test_raw_recognizer_names_a_non_integer_arc(arc: tuple) -> None:
+    # a float endpoint used to end in "list indices must be integers or slices, not float"
+    with pytest.raises(TypeError) as info:
+        creation_sequence_raw(3, [(0, 1), arc])
+    assert str(info.value) == f"arc ({arc[0]!r}, {arc[1]!r}) needs integer endpoints"
+
+
 def test_raw_recognizer_counts_a_repeated_arc_twice() -> None:
     assert creation_sequence_raw(2, [(0, 1)]).digits == "12"
     assert creation_sequence_raw(2, [(0, 1), (0, 1)]) is None

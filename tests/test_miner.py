@@ -8,18 +8,31 @@ import pkgutil
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcograph
-from dcograph import mine
+from dcograph import mine, patterns, recognize
 from dcograph.core import Digraph, _full_offdiag, _join_rows
 from dcograph.decompose import _tree, listed_trees
-from dcograph.patterns import CATALOG, PATTERNS, contains_induced, induced_canon_set, name_word, patterns_in
-from dcograph.recognize import WORD_BIT, ClassId, member
+from dcograph.patterns import (
+    CATALOG,
+    PATTERNS,
+    contains_induced,
+    has_anticircuit,
+    has_directed_triangle,
+    has_two_switch,
+    induced_canon_set,
+    name_word,
+    patterns_in,
+)
+from dcograph.recognize import PATTERN_ONLY_CLASSES, WORD_BIT, ClassId, member, member_by_patterns
 from dcograph.mine import (
     MINEABLE_CLASSES,
     _mine_level,
@@ -227,7 +240,7 @@ def test_class_words_look_representatives_up_uncanonicalised(monkeypatch) -> Non
 
     monkeypatch.setattr(mine, "canonical_masks", canonicalise)
     for universe, n in levels:
-        masks, words, _ = mine._level(universe, n)
+        masks, words = mine._level(universe, n)[:2]
         assert mine.class_words(universe, n, masks).tolist() == words.tolist()
 
 
@@ -416,7 +429,7 @@ def test_per_digraph_memos_are_bounded() -> None:
                 if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                     memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
     known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level",
-             "mine._tree_table"}
+             "mine._tree_table", "mine._flip_words"}
     assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
     for name, maxsize in memos.items():
         assert maxsize is not None and maxsize > 0, name
@@ -442,7 +455,7 @@ def test_columns_agree_with_per_graph_calls(universe: str) -> None:
     n_max, complements = _SWEPT[universe]
     for n in range(1, n_max + 1):
         reps = list(_representatives(universe, n))
-        masks, _, words = mine._level(universe, n)
+        masks, _, words = mine._level(universe, n)[:3]
         assert masks.tolist() == [g.mask for g in reps]
         assert words.tolist() == [name_word(patterns_in(g)) for g in reps], (universe, n)
         _check_words(universe, n, masks, reps)
@@ -453,6 +466,38 @@ def test_columns_agree_with_per_graph_calls(universe: str) -> None:
             bit = np.uint64(WORD_BIT[DIRECTED[u]])
             assert (underlying >> bit & np.uint64(1)).astype(bool).tolist() == [
                 member_u(g.underlying(), u) for g in reps], (universe, n, u)
+
+
+def _scans_by_graph(g: Digraph) -> list[bool]:
+    """The rows of `mine._row_scans` for one digraph, from the per-graph scans."""
+    return [has_anticircuit(g), has_two_switch(g), not g.is_transitive()]
+
+
+@pytest.mark.parametrize("universe", mine._STATES)
+def test_row_scans_agree_with_per_graph_scans(universe: str) -> None:
+    # every level the sweep reads, and the 6-vertex oriented and undirected levels
+    d5 = np.uint64(name_word(["D5"]))
+    for n in range(1, (5 if universe == "digraphs" else 6) + 1):
+        reps = _representatives(universe, n)
+        _, words, pattern, scans = mine._level(universe, n)
+        assert scans.T.tolist() == [_scans_by_graph(g) for g in reps], (universe, n)
+        assert (pattern & d5 != 0).tolist() == [has_directed_triangle(g) for g in reps], (universe, n)
+        for x in PATTERN_ONLY_CLASSES:
+            bit = np.uint64(WORD_BIT[x])
+            assert (words >> bit & np.uint64(1)).astype(bool).tolist() == [member_by_patterns(g, x) for g in reps]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_row_scans_agree_on_random_labelled_masks(data) -> None:
+    # labelled masks, most of them no level's representative
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    kept = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    graphs = [Digraph(n, [p for p, keep in zip(pairs, row) if keep])
+              for row in data.draw(st.lists(kept, min_size=1, max_size=20))]
+    masks = np.array([g.mask for g in graphs], dtype=np.uint64)
+    assert mine._row_scans(n, masks).T.tolist() == [_scans_by_graph(g) for g in graphs]
 
 
 def test_flips_read_the_per_graph_transforms(reps_by_n) -> None:
@@ -480,9 +525,13 @@ def test_class_words_reject_a_mask_outside_the_universe() -> None:
         mine.class_words("tournaments", 3, np.array([0], dtype=np.uint64))
 
 
-def test_the_sweep_jobs_decompose_at_most_one_digraph() -> None:
-    # levels, flips and mining candidates read the listed di-co-trees; only
-    # minimal_forbidden's one-vertex level asks member, which splits one digraph
+def test_the_sweep_jobs_decompose_at_most_one_digraph(monkeypatch) -> None:
+    # levels, flips and mining candidates read the listed di-co-trees, all
+    # sizes from one listing; only minimal_forbidden's one-vertex level asks
+    # member, which splits one digraph
+    listings: list[int] = []
+    listed_by_size = mine._listed_by_size
+    monkeypatch.setattr(mine, "_listed_by_size", lambda n: listings.append(n) or listed_by_size(n))
     _tree.cache_clear()
     mine._level.cache_clear()
     mine._tree_table.cache_clear()
@@ -491,6 +540,7 @@ def test_the_sweep_jobs_decompose_at_most_one_digraph() -> None:
     for suite in ("closures", "theorems", "hierarchy"):
         verify_suite(suite, 5)
     assert _tree.cache_info().misses <= 1
+    assert listings == [6]
 
 
 def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) -> None:
@@ -498,7 +548,7 @@ def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) ->
     # listed tree gets its word back from _tree, and every candidate of the
     # DC mining level the same verdict from the table as from member, for
     # every mineable class
-    masks, words = mine._tree_table(6)
+    masks, words = mine._tree_table()[5]
     from_rows = [Digraph._of(6, _join_rows(list(rows), 6)) for rows, _ in listed_trees(6)]
     assert [_tree(g).classes for g in from_rows] == [word for _, word in listed_trees(6)]
     assert sorted(canonical_masks(6, np.array([g.mask for g in from_rows], dtype=np.uint64)).tolist()) == masks.tolist()
@@ -526,10 +576,30 @@ def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) ->
         assert (table >> bit & np.uint64(1)).astype(bool).tolist() == [member(g, x) for g in graphs], x
 
 
+def _forbid_per_graph_scans(monkeypatch) -> None:
+    """Make every per-graph two-switch, anticircuit and transitivity scan raise, and drop the
+    levels and flip words built so far, so the suites that follow build them afresh."""
+
+    def scan(*args):
+        raise AssertionError("a per-graph row scan ran")
+
+    for owner, name in ((patterns, "match_partial"), (recognize, "match_partial"), (Digraph, "is_transitive")):
+        monkeypatch.setattr(owner, name, scan)
+    mine._level.cache_clear()
+    mine._flip_words.cache_clear()
+
+
+def test_sweep_suites_run_no_per_graph_row_scan(monkeypatch) -> None:
+    # TD, FD, the two-switch and the transitivity columns come from one row pass per level
+    want = {suite: verify_suite(suite, 5).render() for suite in ("closures", "theorems", "hierarchy")}
+    _forbid_per_graph_scans(monkeypatch)
+    assert {suite: verify_suite(suite, 5).render() for suite in want} == want
+
+
 def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypatch) -> None:
     # each predicate given to _Columns.each sees a representative of its
-    # universe at most once per suite call, and the projection predicates see
-    # exactly their scope's members
+    # universe at most once per suite call, the projection predicates see
+    # exactly their scope's members, and no two-switch is scanned per graph
     runs: dict[tuple, int] = {}
     counted = {}
     real_each = mine._Columns.each
@@ -543,7 +613,7 @@ def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypat
             counted[cols, pred] = count
         return real_each(cols, counted[cols, pred], where)
 
-    seen: dict[str, set[tuple[int, int]]] = {"round trip": set(), "acyclic": set(), "two-switch": set()}
+    seen: dict[str, set[tuple[int, int]]] = {"round trip": set(), "acyclic": set()}
 
     def recorder(name, real):
         def record(g):
@@ -554,7 +624,7 @@ def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypat
     monkeypatch.setattr(mine._Columns, "each", each)
     monkeypatch.setattr(mine, "_round_trip", recorder("round trip", mine._round_trip))
     monkeypatch.setattr(Digraph, "is_acyclic", recorder("acyclic", Digraph.is_acyclic))
-    monkeypatch.setattr(mine, "has_two_switch", recorder("two-switch", mine.has_two_switch))
+    _forbid_per_graph_scans(monkeypatch)
     verify_theorems(5)
     assert runs and max(runs.values()) == 1
     runs.clear()
@@ -562,7 +632,7 @@ def test_per_graph_predicates_run_once_and_projections_only_on_members(monkeypat
         found.clear()
     verify_projections(5)
     assert runs and max(runs.values()) == 1
-    for name, x in (("round trip", ClassId.DC), ("acyclic", ClassId.OC), ("two-switch", ClassId.DT)):
+    for name, x in (("round trip", ClassId.DC), ("acyclic", ClassId.OC)):
         members = {(g.n, g.mask) for n in range(1, 6) for g in enumerate_digraphs(n) if member(g, x)}
         assert seen[name] == members, name
 
@@ -680,6 +750,11 @@ def _word(*classes: ClassId) -> int:
     return sum(1 << WORD_BIT[x] for x in classes)
 
 
+def _fresh_flip_words(monkeypatch) -> None:
+    # flip words are kept across suite calls, so a faked class_words needs an empty memo
+    monkeypatch.setattr(mine, "_flip_words", lru_cache(maxsize=64)(mine._flip_words.__wrapped__))
+
+
 def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
     # a figure claiming DC below OC, and OT incomparable with both
     monkeypatch.setattr(mine, "DIRECTED_HIERARCHY_NODES", ("DC", "OC", "OT"))
@@ -697,6 +772,7 @@ def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
         return np.where((n == 1) | (masks & np.uint64(2) != 0), np.uint64(arc01), np.uint64(everywhere))
 
     monkeypatch.setattr(mine, "class_words", labelled_words)
+    _fresh_flip_words(monkeypatch)
     monkeypatch.setattr(mine, "PATTERNS", {**PATTERNS, "D12": PATTERNS["D1"]})
     assert verify_closures(n_max=3).render() == "\n".join(_FORCED_CLOSURES)
     monkeypatch.undo()
@@ -704,4 +780,5 @@ def test_forced_fail_rows_render_exactly(monkeypatch) -> None:
     # every digraph is a member of every class
     every = _word(*ClassId)
     monkeypatch.setattr(mine, "class_words", lambda universe, n, masks: np.full(masks.size, every, dtype=np.uint64))
+    _fresh_flip_words(monkeypatch)
     assert verify_projections(n_max=3).render() == "\n".join(_FORCED_PROJECTIONS)

@@ -206,7 +206,7 @@ class Digraph:
         return UndirectedGraph._of(Digraph._of(self.n, self._mask | self.converse()._mask))
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
-        """Induced subdigraph; kept vertices are relabeled 0.. preserving order."""
+        """Induced subdigraph on a vertex set, repeats and order ignored; kept vertices are relabeled 0.. in order."""
         sub = sorted(set(map(operator.index, vertices)))
         if not sub:
             raise ValueError("induced subdigraph needs at least one vertex")
@@ -435,6 +435,7 @@ class UndirectedGraph:
         return UndirectedGraph._of(self._sym.complement())
 
     def induced(self, vertices: Iterable[int]) -> UndirectedGraph:
+        """Induced subgraph on a vertex set, read as `Digraph.induced` reads it."""
         sub = sorted(set(vertices))
         if not sub:
             raise ValueError("induced subgraph needs at least one vertex")

@@ -1,6 +1,7 @@
 """Exhaustive small-digraph enumeration, obstruction mining, and verification suites."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -21,7 +22,7 @@ from dcograph.recognize import (
     _class_id,
     member,
 )
-from dcograph.uclasses import DIRECTED, UClassId, enumerate_undirected
+from dcograph.uclasses import DIRECTED, UClassId
 
 
 # -- vectorized bit-mask machinery --------------------------------------------
@@ -127,32 +128,36 @@ _STATES: dict[str, tuple[int, ...]] = {
 
 
 @lru_cache(maxsize=len(_STATES) * 6)
-def _representatives(universe: str, n: int) -> tuple[Digraph, ...]:
-    """The n-vertex digraphs of the universe up to isomorphism (n <= 6), by ascending minimum mask.
-
-    The universe is closed under vertex deletion, so its n-vertex level is
-    `_extend` of its (n-1)-vertex level. Each representative carries the
-    minimum mask over its isomorphism class.
-    """
+def _representatives(universe: str, n: int) -> np.ndarray:
+    """The n-vertex digraphs of the universe up to isomorphism (n <= 6), as their ascending minimum masks, read-only:
+    `_extend` of the (n-1)-vertex level, since the universe is closed under vertex deletion."""
     if universe not in _STATES:
         raise ValueError(f"unknown universe {universe!r}")
     if not 1 <= n <= 6:
         raise ValueError(f"enumeration supports 1..6 vertices, got {n}")
-    if n == 1:
-        return (Digraph.edgeless(1),)
-    base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
+    masks = np.zeros(1, np.uint64) if n == 1 else _extend(n, _representatives(universe, n - 1), _STATES[universe], True)
+    masks.setflags(write=False)
+    return masks
+
+
+def _graphs(universe: str, n: int) -> list[Digraph]:
+    """`_representatives(universe, n)` as digraphs, built afresh; n that is no integer is a TypeError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer vertex count, got {n!r}") from None
     # every mask comes out of canonical_masks, which checked it
-    return tuple(Digraph._of(n, m) for m in _extend(n, base, _STATES[universe], True).tolist())
+    return [Digraph._of(n, m) for m in _representatives(universe, n).tolist()]
 
 
 def enumerate_digraphs(n: int) -> list[Digraph]:
     """All n-vertex digraphs up to isomorphism (n <= 6), canonically ordered."""
-    return list(_representatives("digraphs", n))
+    return _graphs("digraphs", n)
 
 
 def enumerate_tournaments(n: int) -> list[Digraph]:
     """All n-vertex tournaments up to isomorphism (n <= 6), canonically ordered."""
-    return list(_representatives("tournaments", n))
+    return _graphs("tournaments", n)
 
 
 def _one_vertex_extensions(n: int, base: np.ndarray, states: tuple[int, ...]) -> np.ndarray:
@@ -282,7 +287,7 @@ def _row_scans(n: int, masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=len(_STATES) * 6)
 def _level(universe: str, n: int) -> tuple[np.ndarray, ...]:
-    """The masks of `_representatives(universe, n)`, ascending, and each one's class word, pattern word and `_row_scans`.
+    """The masks `_representatives(universe, n)` and each one's class word, pattern word and `_row_scans`.
 
     Bit WORD_BIT[x] of a class word is set when the representative is in class
     x; a pattern word has the bit of each PATTERNS name occurring in it
@@ -290,7 +295,7 @@ def _level(universe: str, n: int) -> tuple[np.ndarray, ...]:
     listed di-co-trees (`_tree_table`), so no representative is split. FD is
     free of anticircuits, and TD of two-switches and of D5 (its pattern-word bit).
     """
-    masks = np.array([g.mask for g in _representatives(universe, n)], dtype=np.uint64)
+    masks = _representatives(universe, n)
     patterns, scans = pattern_words(n, masks), _row_scans(n, masks)
     td = ~scans[1] & (patterns & np.uint64(name_word(["D5"])) == 0)
     words = (_constructive_words(n, masks) | td.astype(np.uint64) << np.uint64(WORD_BIT[ClassId.TD])
@@ -496,8 +501,9 @@ def _flip_words(universe: str, n: int, flip: str | None) -> np.ndarray:
 class _Columns:
     """The graphs of a universe with at most n_max vertices (1 <= n_max <= 6), as columns over its levels.
 
-    `graphs` holds the representatives level by level, `eff` the size bound swept and `noun` the
-    universe's name in reports; `patterns`, `two_switch` and `transitive` are columns of `_level`.
+    `masks` holds the representatives' masks level by level and `sizes` their vertex counts, `eff` the size bound
+    swept and `noun` the universe's name in reports; `patterns`, `two_switch` and `transitive` are columns of `_level`.
+    A representative's `Digraph` is built only for a predicate of `each` or a printed witness.
     """
 
     def __init__(self, kind: str, n_max: int) -> None:
@@ -506,16 +512,9 @@ class _Columns:
         # tournaments are sparse enough to always sweep through 6 vertices
         self.kind, self.noun = kind, _NOUNS.get(kind, kind)
         self.eff = max(n_max, 6) if kind == "tournaments" else n_max
-        # read through the public enumerators where there is one, so profiles
-        # (perfbench traces functions by name) see the enumeration under them
-        enumerate_level = {
-            "digraphs": enumerate_digraphs,
-            "tournaments": enumerate_tournaments,
-            "undirected": enumerate_undirected,
-        }.get(kind, lambda n: _representatives(kind, n))
-        self.graphs = [g for n in range(1, self.eff + 1) for g in enumerate_level(n)]
         levels = [_level(kind, n) for n in range(1, self.eff + 1)]
-        _, _, self.patterns, scans = (np.concatenate(column, axis=-1) for column in zip(*levels))
+        self.masks, _, self.patterns, scans = (np.concatenate(column, axis=-1) for column in zip(*levels))
+        self.sizes = np.repeat(np.arange(1, self.eff + 1), [level[0].size for level in levels])
         self.two_switch, self.transitive = scans[1], ~scans[2]
 
     def has(self, x: ClassId, flip: str | None = None) -> np.ndarray:
@@ -530,9 +529,9 @@ class _Columns:
     def each(self, pred: Callable[[Digraph], bool], where: np.ndarray | None = None) -> np.ndarray:
         """Per row, pred of the representative, on the rows where `where` holds (all by default) and
         False elsewhere; pred runs once per such row."""
-        found = np.zeros(len(self.graphs), dtype=bool)
-        rows = np.arange(len(self.graphs)) if where is None else np.flatnonzero(where)
-        found[rows] = [pred(self.graphs[i]) for i in rows]
+        found = np.zeros(self.masks.size, dtype=bool)
+        rows = np.arange(self.masks.size) if where is None else np.flatnonzero(where)
+        found[rows] = [pred(Digraph._of(n, m)) for n, m in zip(self.sizes[rows].tolist(), self.masks[rows].tolist())]
         return found
 
     def row(self, subject: str, found: np.ndarray, passes_if_found: bool, if_none: str,
@@ -543,7 +542,8 @@ class _Columns:
         if not found.any():
             return CheckRow(subject, verdict, "-", if_none)
         i = int(found.argmax())
-        return CheckRow(subject, verdict, self.graphs[i].canonical_form().hex(), if_found(self.graphs[i], i))
+        g = Digraph._of(int(self.sizes[i]), int(self.masks[i]))
+        return CheckRow(subject, verdict, g.canonical_form().hex(), if_found(g, i))
 
 
 # -- class hierarchy figures ---------------------------------------------------
@@ -595,7 +595,6 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
         nodes, edges = UNDIRECTED_HIERARCHY_NODES, UNDIRECTED_HIERARCHY_EDGES
         ids = [DIRECTED[UClassId(name)] for name in nodes]
     cols = _Columns(kind, n_max)
-    total = len(cols.graphs)
     # the representatives are pairwise non-isomorphic, so a row names a class
     mem = {name: cols.has(x) for name, x in zip(nodes, ids)}
 
@@ -603,7 +602,7 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     for a, b in edges:
         report.rows.append(cols.row(
             f"{a} subset-of {b}", mem[a] & ~mem[b], False,
-            f"holds on all {total} graphs with at most {n_max} vertices",
+            f"holds on all {cols.masks.size} graphs with at most {n_max} vertices",
             lambda g, _: f"member of {a} outside {b} on {g.n} vertices"))
         report.rows.append(cols.row(
             f"{a} proper-subset {b}", mem[b] & ~mem[a], True,
@@ -728,7 +727,7 @@ def verify_theorems(n_max: int = 5) -> VerifyReport:
         for label, column in items:
             report.rows.append(cols.row(
                 f"{name}: {label} == {base_label}", base != column, False,
-                f"agree on {len(cols.graphs)} {cols.noun} with at most {cols.eff} vertices",
+                f"agree on {cols.masks.size} {cols.noun} with at most {cols.eff} vertices",
                 lambda g, i: f"{base_label}={bool(base[i])} but {label}={not base[i]} on {g.n} vertices"))
     return report
 
@@ -744,7 +743,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     for x, op in ((ClassId.DC, "complement"), (ClassId.DT, "complement"), (ClassId.DC, "converse")):
         report.rows.append(cols.row(
             f"{x.value} {op}-closed", cols.has(x) != cols.has(x, op), False,
-            f"membership matches {op} membership on all {len(cols.graphs)} digraphs",
+            f"membership matches {op} membership on all {cols.masks.size} digraphs",
             lambda g, _: f"{op} flips membership on {g.n} vertices"))
 
     for x in (ClassId.DTP, ClassId.DWQT):

@@ -101,9 +101,9 @@ DIRECTED: dict[UClassId, ClassId] = {
 }
 
 
-def member_u(g: UndirectedGraph, x: UClassId) -> bool:
-    """Membership of the symmetric digraph of g in the directed class that encodes x."""
-    return member_constructive(g.to_digraph(), DIRECTED[x])
+def member_u(g: UndirectedGraph, x: UClassId | str) -> bool:
+    """Membership of g's symmetric digraph in the directed class encoding x, a member or a value ("C")."""
+    return member_constructive(g.to_digraph(), DIRECTED[x if isinstance(x, UClassId) else UClassId(x)])
 
 
 def enumerate_undirected(n: int) -> list[UndirectedGraph]:
@@ -111,6 +111,6 @@ def enumerate_undirected(n: int) -> list[UndirectedGraph]:
 
     Read from the symmetric digraphs that the sweep engine enumerates.
     """
-    from dcograph.mine import _representatives  # mine imports this module
+    from dcograph.mine import _graphs  # mine imports this module
 
-    return [g.underlying() for g in _representatives("undirected", n)]
+    return [UndirectedGraph._of(g) for g in _graphs("undirected", n)]

@@ -198,6 +198,14 @@ def test_induced_rows_match_pair_reference(g: Digraph, data) -> None:
     assert (sub.n, sub.mask) == (len(set(vertices)), _induced_pairs(g, vertices))
 
 
+def test_induced_reads_its_argument_as_a_vertex_set() -> None:
+    # repeats and order are ignored, on both graph types
+    g = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert g.induced([2, 0, 0, 1, 2]) == g.induced([0, 1, 2]) == Digraph(3, [(0, 1), (1, 2)])
+    u = g.underlying()
+    assert u.induced([3, 1, 3, 0]) == u.induced([0, 1, 3]) == UndirectedGraph(3, [(0, 1), (0, 2)])
+
+
 def _pair_arcs(g: Digraph) -> list[tuple[int, int]]:
     """Reference arc list: one bit test per ordered pair, u ascending, then v ascending."""
     n = g.n

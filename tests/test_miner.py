@@ -86,7 +86,7 @@ def test_extension_enumeration_matches_labelled_space() -> None:
         assert [g.mask for g in enumerate_digraphs(n)] == [g.mask for g in canon], n
         for universe, inside in _UNIVERSE_PREDICATES.items():
             expected = [g.mask for g in canon if inside(g)]
-            assert [g.mask for g in _representatives(universe, n)] == expected, (universe, n)
+            assert _representatives(universe, n).tolist() == expected, (universe, n)
 
 
 def _reference_canonical(n: int, masks: list[int]) -> list[int]:
@@ -224,10 +224,9 @@ def test_every_vertex_map_matches_the_digraph_reference(n: int) -> None:
 )
 def test_orderly_filter_keeps_every_class(universe: str, n: int) -> None:
     # canonicalising every extension, unfiltered, gives the same representatives
-    base = np.array([g.mask for g in _representatives(universe, n - 1)], dtype=np.uint64)
-    extensions = mine._one_vertex_extensions(n, base, mine._STATES[universe])
+    extensions = mine._one_vertex_extensions(n, _representatives(universe, n - 1), mine._STATES[universe])
     unfiltered = mine._distinct(canonical_masks(n, extensions)).tolist()
-    assert [g.mask for g in _representatives(universe, n)] == unfiltered
+    assert _representatives(universe, n).tolist() == unfiltered
 
 
 def test_class_words_look_representatives_up_uncanonicalised(monkeypatch) -> None:
@@ -360,7 +359,7 @@ def test_oriented_counts() -> None:
     # tournaments and undirected graphs are pinned by their enumerators' tests
     reps = [_representatives("oriented", n) for n in range(1, 7)]
     assert [len(level) for level in reps] == [1, 2, 7, 42, 582, 21480]
-    assert all(g.is_oriented() for g in reps[5])
+    assert all(Digraph._of(6, m).is_oriented() for m in reps[5].tolist())
 
 
 def test_tournament_counts() -> None:
@@ -373,6 +372,53 @@ def test_enumeration_stops_at_six_vertices() -> None:
     for enumerate_level in (enumerate_digraphs, enumerate_tournaments, enumerate_undirected):
         with pytest.raises(ValueError):
             enumerate_level(7)
+
+
+def test_levels_are_read_only_mask_arrays() -> None:
+    # the public enumerators wrap the memoized masks on each call
+    public = {"digraphs": enumerate_digraphs, "tournaments": enumerate_tournaments,
+              "undirected": lambda n: [u.to_digraph() for u in enumerate_undirected(n)]}
+    for universe in mine._STATES:
+        for n in range(1, (5 if universe == "digraphs" else 6) + 1):
+            masks = _representatives(universe, n)
+            assert masks.dtype == np.uint64 and not masks.flags.writeable, (universe, n)
+            if universe in public:
+                assert masks.tolist() == [g.mask for g in public[universe](n)], (universe, n)
+    assert _representatives("digraphs", 1).tolist() == [0]
+
+
+def test_enumerators_read_n_as_an_integer() -> None:
+    # a numpy integer is read as its Python int; a float or a string is a
+    # TypeError naming n whether the level's memo is cold or warm
+    for enumerate_level in (enumerate_digraphs, enumerate_tournaments, enumerate_undirected):
+        assert [type(g.n) for g in enumerate_level(np.int64(3))] == [int] * len(enumerate_level(3))
+        for warm in (False, True):
+            _representatives.cache_clear()
+            if warm:
+                enumerate_level(3)
+            for n in (3.0, "3"):
+                with pytest.raises(TypeError, match=r"\bn\b"):
+                    enumerate_level(n)
+
+
+def test_cold_suites_wrap_digraphs_only_for_predicates_and_witnesses(monkeypatch) -> None:
+    # the levels are mask arrays: a sweep builds a Digraph for each row a
+    # per-graph predicate reads and each witness it prints, about 10,000
+    # when every representative was wrapped
+    built = [0]
+    wrap = Digraph._of.__func__
+
+    def of(cls, n, mask):
+        built[0] += 1
+        return wrap(cls, n, mask)
+
+    monkeypatch.setattr(Digraph, "_of", classmethod(of))
+    for suite in ("closures", "hierarchy"):
+        for memo in (_representatives, mine._level, mine._flip_words):
+            memo.cache_clear()
+        built[0] = 0
+        verify_suite(suite, 5)
+        assert built[0] < 1000, (suite, built[0])
 
 
 @pytest.mark.parametrize(
@@ -454,7 +500,7 @@ def test_columns_agree_with_per_graph_calls(universe: str) -> None:
     # every bit the suites read, against the per-graph calls the columns replace
     n_max, complements = _SWEPT[universe]
     for n in range(1, n_max + 1):
-        reps = list(_representatives(universe, n))
+        reps = [Digraph._of(n, m) for m in _representatives(universe, n).tolist()]
         masks, _, words = mine._level(universe, n)[:3]
         assert masks.tolist() == [g.mask for g in reps]
         assert words.tolist() == [name_word(patterns_in(g)) for g in reps], (universe, n)
@@ -478,7 +524,7 @@ def test_row_scans_agree_with_per_graph_scans(universe: str) -> None:
     # every level the sweep reads, and the 6-vertex oriented and undirected levels
     d5 = np.uint64(name_word(["D5"]))
     for n in range(1, (5 if universe == "digraphs" else 6) + 1):
-        reps = _representatives(universe, n)
+        reps = [Digraph._of(n, m) for m in _representatives(universe, n).tolist()]
         _, words, pattern, scans = mine._level(universe, n)
         assert scans.T.tolist() == [_scans_by_graph(g) for g in reps], (universe, n)
         assert (pattern & d5 != 0).tolist() == [has_directed_triangle(g) for g in reps], (universe, n)

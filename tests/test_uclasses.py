@@ -30,6 +30,15 @@ def test_enumeration_counts() -> None:
     assert [len(enumerate_undirected(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
+def test_member_u_takes_a_class_by_value() -> None:
+    # as the directed entry points: a member or its value, and an unknown value is a ValueError
+    for u in (UndirectedGraph(2), UPATTERNS["P4"]):
+        for x in UClassId:
+            assert member_u(u, x.value) == member_u(u, x), (u, x)
+    with pytest.raises(ValueError):
+        member_u(UndirectedGraph(2), "nope")
+
+
 def test_upatterns_minimality() -> None:
     for x, names in FORB_U.items():
         for name in names:

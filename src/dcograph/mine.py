@@ -140,12 +140,17 @@ def _representatives(universe: str, n: int) -> np.ndarray:
     return masks
 
 
+def _vertex_count(name: str, value: int) -> int:
+    """value as a Python int, as `operator.index` reads it; one that is no integer is a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer vertex count, got {value!r}") from None
+
+
 def _graphs(universe: str, n: int) -> list[Digraph]:
     """`_representatives(universe, n)` as digraphs, built afresh; n that is no integer is a TypeError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"n must be an integer vertex count, got {n!r}") from None
+    n = _vertex_count("n", n)
     # every mask comes out of canonical_masks, which checked it
     return [Digraph._of(n, m) for m in _representatives(universe, n).tolist()]
 
@@ -227,8 +232,6 @@ def _extend(n: int, base: np.ndarray, states: tuple[int, ...], whole: bool) -> n
     extensions whose new vertex has a maximal key (`_orderly`) are
     canonicalised: every class still arises.
     """
-    if not base.size:
-        return base
     if not whole:
         labelled = np.sort(np.concatenate([block.ravel() for _, block in _relabellings(n - 1, base)]))
     survivors: list[np.ndarray] = []
@@ -409,20 +412,19 @@ def is_minimal_obstruction(g: Digraph, x: ClassId | str) -> bool:
     return all(member(g.delete_vertex(v), x) for v in range(g.n))
 
 
-def _mine_level(x: ClassId, n: int, members: np.ndarray) -> tuple[np.ndarray, list[Digraph]]:
-    """The n-vertex members and minimal obstructions, from the (n-1)-vertex members.
-
-    members holds the sorted canonical masks of the (n-1)-vertex members. The
-    class is assumed hereditary: then every n-vertex member and every minimal
-    obstruction has all its single-vertex deletions inside the class, so both
-    are among the digraphs `_extend` builds from the members. Returns the
-    sorted canonical masks of the n-vertex members and the minimal
-    obstructions, each carrying the minimum mask over its isomorphism class.
-    Each extension's membership is one lookup in the listed di-co-trees.
-    """
-    masks = _extend(n, members, _STATES["digraphs"], False)
-    inside = (_constructive_words(n, masks) >> np.uint64(WORD_BIT[x]) & np.uint64(1)).astype(bool)
-    return masks[inside], [Digraph._of(n, m) for m in masks[~inside].tolist()]
+@lru_cache(maxsize=5)
+def _obstructions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted n-vertex candidates of all 23 constructive classes' minimal obstructions, with each one's
+    obstruction word (2 <= n <= 6), read-only. Each class lies in DC, so each deletion of an obstruction is a DC
+    member: the candidates are `_extend` of `_tree_table`. Bit WORD_BIT[x] of a word is set when the candidate is
+    outside x and each of its deletions inside, read from the table, so no class is assumed hereditary."""
+    cands = _extend(n, _tree_table()[n - 2][0], _STATES["digraphs"], False)
+    below = np.bitwise_and.reduce([_constructive_words(n - 1, canonical_masks(n - 1, _delete(n, _rows(n, cands), d)))
+                                   for d in range(n)])
+    words = below & ~_constructive_words(n, cands)
+    for column in (cands, words):
+        column.setflags(write=False)
+    return cands, words
 
 
 def minimal_forbidden(x: ClassId | str, n_max: int = 5) -> ObstructionReport:
@@ -431,24 +433,22 @@ def minimal_forbidden(x: ClassId | str, n_max: int = 5) -> ObstructionReport:
     A digraph is a minimal obstruction when it is outside the class but every
     single-vertex deletion is inside. Membership comes from the listed
     di-co-trees read through `RULES` (`_tree_table`), so the catalog under
-    test never influences the search.
-    Each size is mined from the members of the size below (`_mine_level`),
-    which assumes the class is hereditary. The class may be given by value ("DC").
+    test never influences the search. Every class reads its bit of one shared
+    pass per size (`_obstructions`), which assumes no heredity. The class may
+    be given by value ("DC"); n_max that is no integer is a TypeError.
     """
     x = _class_id(x)
     if x in PATTERN_ONLY_CLASSES:
         raise ValueError(f"{x.value} has no constructive recognizer to mine against")
+    n_max = _vertex_count("n_max", n_max)
     if not 2 <= n_max <= 6:
         raise ValueError("minimal_forbidden supports n_max in 2..6")
 
-    # level 1: the single vertex, whose canonical mask is 0
-    members = np.array([0] if member(Digraph.edgeless(1), x) else [], dtype=np.uint64)
     found: list[Digraph] = []
     for n in range(2, n_max + 1):
-        members, obstructions = _mine_level(x, n, members)
-        found.extend(obstructions)
+        cands, words = _obstructions(n)
+        found.extend(Digraph._of(n, m) for m in cands[words >> np.uint64(WORD_BIT[x]) & np.uint64(1) != 0].tolist())
 
-    found.sort(key=lambda g: (g.n, g.mask))
     found_forms = {g.canonical_form() for g in found}
     confirmed, missing, out_of_reach = [], [], []
     for name in CATALOG[x.value]:
@@ -507,6 +507,7 @@ class _Columns:
     """
 
     def __init__(self, kind: str, n_max: int) -> None:
+        n_max = _vertex_count("n_max", n_max)
         if not 1 <= n_max <= 6:
             raise ValueError(f"universes support n_max in 1..6, got {n_max}")
         # tournaments are sparse enough to always sweep through 6 vertices
@@ -602,11 +603,11 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
     for a, b in edges:
         report.rows.append(cols.row(
             f"{a} subset-of {b}", mem[a] & ~mem[b], False,
-            f"holds on all {cols.masks.size} graphs with at most {n_max} vertices",
+            f"holds on all {cols.masks.size} graphs with at most {cols.eff} vertices",
             lambda g, _: f"member of {a} outside {b} on {g.n} vertices"))
         report.rows.append(cols.row(
             f"{a} proper-subset {b}", mem[b] & ~mem[a], True,
-            f"no separating witness with at most {n_max} vertices",
+            f"no separating witness with at most {cols.eff} vertices",
             lambda g, _: f"witness in {b} but not {a} on {g.n} vertices"))
 
     # the classes below each class by a directed path: the transitive closure of the edges (Warshall)
@@ -623,7 +624,7 @@ def verify_hierarchy(n_max: int = 5, directed: bool = True) -> VerifyReport:
                 report.rows.append(cols.row(
                     f"{x} not-below {y}", mem[x] & ~mem[y], True,
                     f"claimed incomparable but no witness in {x} outside {y} "
-                    f"with at most {n_max} vertices",
+                    f"with at most {cols.eff} vertices",
                     lambda g, _: f"witness in {x} but not {y} on {g.n} vertices"))
     return report
 
@@ -749,7 +750,7 @@ def verify_closures(n_max: int = 5) -> VerifyReport:
     for x in (ClassId.DTP, ClassId.DWQT):
         report.rows.append(cols.row(
             f"{x.value} complement-not-closed", cols.has(x) & ~cols.has(x, "complement"), True,
-            f"no member with complement outside the class at n <= {n_max}",
+            f"no member with complement outside the class at n <= {cols.eff}",
             lambda g, _: f"member on {g.n} vertices whose complement leaves the class"))
 
     for label, names in (
@@ -813,7 +814,7 @@ def verify_projections(n_max: int = 5) -> VerifyReport:
         members = cols.has(scope)
         report.rows.append(cols.row(
             subject, members & ~holds, False,
-            f"holds for all {int(members.sum())} members with at most {n_max} vertices",
+            f"holds for all {int(members.sum())} members with at most {cols.eff} vertices",
             lambda g, _: f"member on {g.n} vertices violates the projection"))
     return report
 
@@ -831,6 +832,7 @@ _SUITES: dict[str, Callable[[int], VerifyReport]] = {
 
 def verify_suite(name: str, n_max: int = 5) -> VerifyReport:
     """Dispatch a named verification suite; hierarchy covers both figures."""
+    n_max = _vertex_count("n_max", n_max)
     if not 1 <= n_max <= 5:
         raise ValueError("verify_suite supports n_max in 1..5")
     if name not in _SUITES:

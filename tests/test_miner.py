@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import os
 import pkgutil
 import random
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial
+from operator import and_
 
 import numpy as np
 import pytest
@@ -35,7 +37,6 @@ from dcograph.patterns import (
 from dcograph.recognize import PATTERN_ONLY_CLASSES, WORD_BIT, ClassId, member, member_by_patterns
 from dcograph.mine import (
     MINEABLE_CLASSES,
-    _mine_level,
     _representatives,
     canonical_masks,
     enumerate_digraphs,
@@ -260,31 +261,38 @@ def test_mining_and_enumeration_leave_numpy_ma_unimported() -> None:
 
 
 def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
-    # the deletion filter looks each deletion's labelled mask up among the
-    # members' relabellings, so level n canonicalises n-vertex masks only
-    calls: list[tuple[int, int]] = []
+    # the pass looks each candidate's deletions up among the DC members'
+    # relabellings, so level n canonicalises n-vertex masks, and then each of
+    # the n deletions of its candidates once, to read their class words
+    calls: list[tuple[int, int, int]] = []
     levels: list[int] = []
-    mine_level, canonical = mine._mine_level, mine.canonical_masks
+    obstructions, canonical = mine._obstructions, mine.canonical_masks
 
-    def level(x, n, *args):
+    def level(n):
         levels.append(n)
-        return mine_level(x, n, *args)
+        return obstructions(n)
 
     def canonicalise(n, masks):
-        calls.append((levels[-1], n))
+        calls.append((levels[-1], n, np.size(masks)))
         return canonical(n, masks)
 
-    monkeypatch.setattr(mine, "_mine_level", level)
+    mine._tree_table()  # canonicalises every size once, on first use
+    obstructions.cache_clear()
+    monkeypatch.setattr(mine, "_obstructions", level)
     monkeypatch.setattr(mine, "canonical_masks", canonicalise)
     minimal_forbidden(ClassId.DC, n_max=6)
-    assert (6, 6) in calls
-    assert all(size == n for n, size in calls), sorted(set(calls))
+    assert levels == [2, 3, 4, 5, 6]
+    for n in levels:
+        sizes = [(size, rows) for at, size, rows in calls if at == n]
+        assert {size for size, _ in sizes} == {n, n - 1}, (n, sorted(set(sizes)))
+        assert [rows for size, rows in sizes if size == n - 1] == [obstructions(n)[0].size] * n, n
+    assert sum(rows for at, size, rows in calls if at == 6 and size == 5) == 8238
 
 
 def test_universes_and_classes_extend_through_one_batched_engine(monkeypatch) -> None:
-    # a whole universe's level and a class's members go through _extend,
-    # which extends at most 200 base masks at once and each of them once
-    members = np.array([g.mask for g in enumerate_digraphs(4) if member(g, ClassId.DC)], dtype=np.uint64)
+    # a whole universe's level and the DC members the obstruction pass extends
+    # go through _extend, which extends at most 200 base masks at once and
+    # each of them once
     engine: list[tuple[int, int, tuple[int, ...]]] = []
     batches: list[int] = []
     extend, one_vertex_extensions = mine._extend, mine._one_vertex_extensions
@@ -301,9 +309,10 @@ def test_universes_and_classes_extend_through_one_batched_engine(monkeypatch) ->
     monkeypatch.setattr(mine, "_one_vertex_extensions", record_batch)
     _representatives.cache_clear()
     assert len(_representatives("oriented", 6)) == 21480
-    _mine_level(ClassId.DC, 5, members)
+    mine._obstructions.cache_clear()
+    mine._obstructions(5)
     oriented, digraphs = mine._STATES["oriented"], mine._STATES["digraphs"]
-    # a universe's level is whole, so its deletions are not looked up; a class's members are not
+    # a universe's level is whole, so its deletions are not looked up; the DC members are not
     assert engine == [(2, 1, oriented, True), (3, 2, oriented, True), (4, 7, oriented, True),
                       (5, 42, oriented, True), (6, 582, oriented, True), (5, 51, digraphs, False)]
     assert max(batches) <= 200
@@ -345,13 +354,13 @@ _LEVEL_COUNTS = {
 
 
 def test_level_counts_are_pinned() -> None:
+    # members are read from the listed di-co-trees, obstructions from the pass
     assert set(_LEVEL_COUNTS) == {x.value for x in MINEABLE_CLASSES}
     for x in MINEABLE_CLASSES:
-        members, counts = np.array([0], dtype=np.uint64), ([], [])
+        bit, counts = np.uint64(WORD_BIT[x]), ([], [])
         for n in range(2, 7):
-            members, obstructions = _mine_level(x, n, members)
-            counts[0].append(members.size)
-            counts[1].append(len(obstructions))
+            counts[0].append(int((mine._tree_table()[n - 1][1] >> bit & np.uint64(1)).sum()))
+            counts[1].append(int((mine._obstructions(n)[1] >> bit & np.uint64(1)).sum()))
         assert tuple(map(tuple, counts)) == _LEVEL_COUNTS[x.value], x.value
 
 
@@ -449,19 +458,46 @@ def test_mining_reproduces_each_catalog(x: ClassId) -> None:
     assert sorted(report.out_of_reach) == sorted(beyond)
 
 
-@pytest.mark.parametrize("x", MINEABLE_CLASSES, ids=lambda x: x.value)
-def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n) -> None:
-    # the levels extend members only, so they are complete exactly when the
-    # class is hereditary; check that against every digraph up to 5 vertices
-    members = np.array([0], dtype=np.uint64)
-    assert [g.mask for g in reps_by_n[1] if member(g, x)] == [0]
+@pytest.fixture(scope="module")
+def obstruction_words(reps_by_n) -> dict[int, tuple[list[int], list[int], list[int]]]:
+    """Per size 2 <= n <= 5, every digraph's class word and the AND of its deletions' class words,
+    as `_tree` splits them, and its obstruction word in the pass."""
+    words = {}
     for n in range(2, 6):
-        members, obstructions = _mine_level(x, n, members)
-        expected = [g.mask for g in reps_by_n[n] if member(g, x)]
-        assert members.tolist() == expected, n
-        if n <= 4:
-            minimal = [g.mask for g in reps_by_n[n] if is_minimal_obstruction(g, x)]
-            assert sorted(g.mask for g in obstructions) == minimal, n
+        own = [_tree(g).classes for g in reps_by_n[n]]
+        below = [reduce(and_, (_tree(g.delete_vertex(v)).classes for v in range(n))) for g in reps_by_n[n]]
+        cands, found = mine._obstructions(n)
+        at = dict(zip(cands.tolist(), found.tolist()))
+        words[n] = own, below, [at.get(g.mask, 0) for g in reps_by_n[n]]
+    return words
+
+
+@pytest.mark.parametrize("x", MINEABLE_CLASSES, ids=lambda x: x.value)
+def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n, obstruction_words) -> None:
+    # every digraph with at most 5 vertices: the pass sets x's bit exactly when
+    # the digraph is outside x and each single-vertex deletion inside; the one
+    # vertex is in every class, so it is no obstruction
+    assert sum(map(len, reps_by_n.values())) == 9846
+    bit = WORD_BIT[x]
+    assert _tree(reps_by_n[1][0]).classes >> bit & 1
+    for n, (own, below, passed) in obstruction_words.items():
+        assert [w >> bit & 1 for w in passed] == [(~c & b) >> bit & 1 for c, b in zip(own, below)], n
+        # x is hereditary here, as `recognize.violating_occurrence` assumes:
+        # no member has a single-vertex deletion outside x
+        assert not any((c & ~b) >> bit & 1 for c, b in zip(own, below)), n
+        masks, words = mine._tree_table()[n - 1]
+        assert masks[words >> np.uint64(bit) & np.uint64(1) != 0].tolist() == [
+            g.mask for g in reps_by_n[n] if member(g, x)], n
+
+
+def test_six_vertex_members_keep_their_classes_on_deletion() -> None:
+    # heredity of every mineable class at 6 vertices: each listed DC member's
+    # class word lies within the class word of each of its deletions
+    masks, words = mine._tree_table()[5]
+    rows = mine._rows(6, masks)
+    for d in range(6):
+        deleted = mine._constructive_words(5, canonical_masks(5, mine._delete(6, rows, d)))
+        assert not (words & ~deleted).any(), d
 
 
 def test_per_digraph_memos_are_bounded() -> None:
@@ -475,7 +511,7 @@ def test_per_digraph_memos_are_bounded() -> None:
                 if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                     memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
     known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level",
-             "mine._tree_table", "mine._flip_words"}
+             "mine._tree_table", "mine._flip_words", "mine._obstructions"}
     assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
     for name, maxsize in memos.items():
         assert maxsize is not None and maxsize > 0, name
@@ -573,26 +609,25 @@ def test_class_words_reject_a_mask_outside_the_universe() -> None:
 
 def test_the_sweep_jobs_decompose_at_most_one_digraph(monkeypatch) -> None:
     # levels, flips and mining candidates read the listed di-co-trees, all
-    # sizes from one listing; only minimal_forbidden's one-vertex level asks
-    # member, which splits one digraph
+    # sizes from one listing, so no digraph is split
     listings: list[int] = []
     listed_by_size = mine._listed_by_size
     monkeypatch.setattr(mine, "_listed_by_size", lambda n: listings.append(n) or listed_by_size(n))
     _tree.cache_clear()
-    mine._level.cache_clear()
-    mine._tree_table.cache_clear()
+    for memo in (mine._level, mine._tree_table, mine._obstructions):
+        memo.cache_clear()
     for x in (ClassId.DC, ClassId.DWQT):
         minimal_forbidden(x, 6)
     for suite in ("closures", "theorems", "hierarchy"):
         verify_suite(suite, 5)
-    assert _tree.cache_info().misses <= 1
+    assert _tree.cache_info().misses == 0
     assert listings == [6]
 
 
 def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) -> None:
     # n <= 5 is exhaustive in the column and mining-level tests; at n = 6 every
     # listed tree gets its word back from _tree, and every candidate of the
-    # DC mining level the same verdict from the table as from member, for
+    # obstruction pass the same verdict from the table as from member, for
     # every mineable class
     masks, words = mine._tree_table()[5]
     from_rows = [Digraph._of(6, _join_rows(list(rows), 6)) for rows, _ in listed_trees(6)]
@@ -608,7 +643,8 @@ def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) ->
         return built[-1]
 
     monkeypatch.setattr(mine, "_extend", record)
-    _mine_level(ClassId.DC, 6, members)
+    mine._obstructions.cache_clear()
+    mine._obstructions(6)
     # at n = 6 every candidate is in DC, so add every attachment of a vertex
     # to three members, most of them outside DC
     (built_masks,) = built
@@ -723,12 +759,78 @@ def test_six_vertex_sweep_finds_the_missing_obstruction() -> None:
     assert "Q7" in report.confirmed and not report.out_of_reach
 
 
+# the sha256 of minimal_forbidden(x, 6).render() per mineable class; the
+# golden files under tests/golden pin the reports at n_max = 5
+_SIX_VERTEX_DIGESTS = {
+    "DC": "6851e884105501f16815a8eaf62c2e19c9a81a1adefe57c072b5340378b5092d",
+    "OC": "e190b178d482aa0ff1060adbe0b5d2487050ca12eea07d1602e6d625b0856c85",
+    "DTP": "fd15869998b1b8cd97e41ab1158324a5dbc77446d278878d467b30d5c1eedd96",
+    "OTP": "99e5b30b9176c0b5bd133764a7d7001d23aa3b77bfcf3713e04506408a156cfd",
+    "DCTP": "ed0a3c7b9f63dadbabffefcc8372caa408316ee0469dc49e5cd9b38be51e918e",
+    "OCTP": "d9f1dab26d0f5dc0260f9bfecc8c9e9b7e79d1c0270d6465192a7b88a356424e",
+    "DT": "bb6612a86f27ce9d1b7d2d0a2e19b0013484bfe592794b9e395b64d38f41178b",
+    "OT": "efc8fd489f80b9ae52144c3d52f5786ad91f90aa7f080da675d3a61ef447a540",
+    "DWQT": "fa206ff7156534ed34ccf71bbed4bfc416f9b69987bef81701937b0bdf157c40",
+    "OWQT": "95d0f3b77b9ed791bc89950cdf514c7cf189206814db8994809e3e82c722314b",
+    "DCWQT": "fc88ca1637bc4a402d8ac673ee506eaf6705a85c3c4d1ca619cfa91757bc9cef",
+    "OCWQT": "67d8cc847ed30532def052cdbc4f0fc8ee7b7591e73fc94ca654ed2fd345a5fc",
+    "DSC": "6f04f4a6652a9d88dbb0626cf712e19fa13e70690057e72824340b57edc088e7",
+    "OSC": "2b8768ed812afe0183d5f81e3c346cd35ae3e3459af533ba42b2b50f0adf2d18",
+    "DCSC": "cee33f3dead2e8e6b54886a7766f62e06f74232c45158297c9b4654704c6f1a2",
+    "OCSC": "54ad095d52bbdba11dfec26d62afb7dabf2bb1a5ab5f0070e4bb1ee75a013e4d",
+    "TT": "1a07269cdd06294649012b5336bec510d3d04f8188d966169cff6318e74ef427",
+    "EdgelessD": "8af522c57b7fb3992952a9bc4e87a792afb0e248cfbcf4b2b966c132e9d5b6e2",
+    "BidirComplete": "4b7d1765b8d6393f4ffac69aa0b731c80efa8d538534089882605445ddeca77c",
+    "TwoBidirCliques": "488a276657089cdd2e7bff15a09065306d570ca8bf7261bafc0cf0ad90f3ede3",
+    "BidirCompleteBipartite": "99b67a5181564418e91c68da807f5384c6bc593eeac5b9bf70a9fd1a196af332",
+    "SeriesOfStableSets": "f4078efc8bca4723142d52cfcc1258a0910e7dc4ab9c2b683322e87de2044f88",
+    "UnionOfBidirCliques": "24da087257976747384fad27c71f026165f8f30b88e066fa397760312de4ace1",
+}
+
+
+def test_six_vertex_mining_reports_are_pinned() -> None:
+    assert set(_SIX_VERTEX_DIGESTS) == {x.value for x in MINEABLE_CLASSES}
+    for x in MINEABLE_CLASSES:
+        text = minimal_forbidden(x, 6).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == _SIX_VERTEX_DIGESTS[x.value], x.value
+
+
 def test_six_vertex_catalog_entries_are_minimal() -> None:
     for class_name, names in CATALOG.items():
         x = ClassId(class_name)
         for name in names:
             if PATTERNS[name].n == 6:
                 assert is_minimal_obstruction(PATTERNS[name], x), (class_name, name)
+
+
+def _shown(report) -> tuple:
+    """What a caller sees of a report: the type of its size bound, if it keeps one, and its text."""
+    return type(getattr(report, "n_max", None)), report.render()
+
+
+@pytest.mark.parametrize(
+    ("run", "same_as"),
+    [
+        (lambda: minimal_forbidden("DC", 3.5), TypeError),
+        (lambda: minimal_forbidden("DC", "3"), TypeError),
+        (lambda: minimal_forbidden("OC", np.int64(3)), lambda: minimal_forbidden("OC", 3)),
+        (lambda: verify_suite("closures", 3.0), TypeError),
+        (lambda: verify_suite("theorems", "3"), TypeError),
+        (lambda: verify_closures(3.0), TypeError),
+        (lambda: verify_suite("hierarchy", True), lambda: verify_suite("hierarchy", 1)),
+        (lambda: verify_hierarchy(np.int64(2), directed=False), lambda: verify_hierarchy(2, directed=False)),
+    ],
+    ids=["mine-float", "mine-string", "mine-numpy", "suite-float", "suite-string", "closures-float",
+         "hierarchy-bool", "hierarchy-numpy"],
+)
+def test_mining_and_suites_read_n_max_as_an_integer(run, same_as) -> None:
+    # n_max passes through operator.index: an integer of any type reads as its
+    # Python int, in the report and its text; anything else is a TypeError naming n_max
+    if isinstance(same_as, type):
+        with pytest.raises(same_as, match=r"\bn_max\b"):
+            run()
+    else:
+        assert _shown(run()) == _shown(same_as())
 
 
 def test_mining_rejects_pattern_only_classes() -> None:

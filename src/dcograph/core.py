@@ -328,26 +328,50 @@ class Digraph:
 
 
 def _bits(s: int) -> tuple[int, ...]:
-    """The members of a vertex bit set, ascending."""
-    return tuple(v for v in range(s.bit_length()) if s >> v & 1)
+    """The members of a vertex bit set, ascending, in time linear in their number."""
+    members = []
+    while s:
+        low = s & -s
+        members.append(low.bit_length() - 1)
+        s ^= low
+    return tuple(members)
 
 
 def _component_masks(s: int, rows: list[int]) -> list[int]:
-    """Components of the graph with neighbour rows `rows` on the vertex bit set s, as bit sets by minimum vertex."""
+    """Components of the graph with neighbour rows `rows` on the vertex bit set s, as bit sets by minimum vertex.
+
+    The rows must be symmetric: u is in rows[v] exactly when v is in rows[u].
+    Bits outside s are ignored, so a row may be negative. Each round grows a
+    component from its smaller side: it ORs the rows of the frontier, or keeps
+    the unreached vertices with a neighbour in the frontier, which finds the
+    same vertices because the rows are symmetric. A component stops growing
+    once nothing is left unreached, so a split of s reads about as many rows
+    as its smaller side has vertices.
+    """
     comps: list[int] = []
     while s:
-        comp = 0
-        frontier = s & -s
-        while frontier:
-            comp |= frontier
+        frontier = comp = s & -s
+        rest = s ^ comp
+        while frontier and rest:
             nxt = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                nxt |= rows[v]
-            frontier = nxt & s & ~comp
+            if frontier.bit_count() <= rest.bit_count():
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                nxt &= rest
+            else:
+                left = rest
+                while left:
+                    low = left & -left
+                    if rows[low.bit_length() - 1] & frontier:
+                        nxt |= low
+                    left ^= low
+            frontier = nxt
+            comp |= nxt
+            rest ^= nxt
         comps.append(comp)
-        s &= ~comp
+        s = rest
     return comps
 
 

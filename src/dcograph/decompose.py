@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks
-from dcograph.construct import Expression, _compose_rows, leaf, order, series, union
+from dcograph.construct import Expression, _compose_rows, _sort_key, leaf
 
 
 class ClassId(Enum):
@@ -114,7 +114,6 @@ def _rule_bits(op: str) -> tuple[int, dict[int, int]]:
 
 
 _RULE_BITS = {op: _rule_bits(op) for op in ("union", "order", "series")}
-_BUILD = {"union": union, "order": order, "series": series}
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,16 @@ class _Tree:
     def expression(self) -> Expression | None:
         if not self.ops:
             return None
+        # no part of a maximal split carries its parent's operation, so a node
+        # is in normal form once its union or series children are sorted
         exprs: list[Expression] = [leaf()] * len(self.ops)
         for i in reversed(range(len(self.ops))):
-            if self.ops[i] != "leaf":
-                exprs[i] = _BUILD[self.ops[i]](*(exprs[c] for c in self.kids[i]))
+            op = self.ops[i]
+            if op != "leaf":
+                children = [exprs[c] for c in self.kids[i]]
+                if op != "order":
+                    children.sort(key=_sort_key)
+                exprs[i] = Expression(op, tuple(children))
         return exprs[0]
 
 
@@ -160,28 +165,47 @@ def _split(s: int, out_rows: list[int], adj: list[int], co_adj: list[int], sym: 
     auxiliary graph M with {u,v} adjacent iff the pair is symmetric (both arcs
     or neither). Cross-M-component pairs carry exactly one arc by construction;
     the components are ranked by how much of the rest one vertex of each beats,
-    and every vertex is then checked to beat exactly the later components.
+    and every vertex outside the largest component is then checked to beat
+    exactly the later components. That settles every cross pair, the largest
+    component's too, because each carries one arc.
+
+    The lowest vertex v of s skips the tests that cannot succeed: parts of a
+    union are pairwise non-adjacent, of a series pairwise joined both ways, of
+    an order joined one way. So s can be a union only if v has a non-neighbour
+    in s, a series only if v has a two-way neighbour, and an order only if v
+    has a one-way neighbour.
     """
-    parts = _component_masks(s, adj)
-    if len(parts) > 1:
-        return "union", parts
-    parts = _component_masks(s, co_adj)
-    if len(parts) > 1:
-        return "series", parts
+    low = s & -s
+    v = low.bit_length() - 1
+    if s & ~adj[v] != low:
+        parts = _component_masks(s, adj)
+        if len(parts) > 1:
+            return "union", parts
+    if s & ~co_adj[v]:
+        parts = _component_masks(s, co_adj)
+        if len(parts) > 1:
+            return "series", parts
+    if not s & ~sym[v]:
+        return "prime", [s]
     blocks = _component_masks(s, sym)
     if len(blocks) < 2:
         return "prime", [s]
     ordered = sorted(blocks, key=lambda b: -(out_rows[(b & -b).bit_length() - 1] & s & ~b).bit_count())
+    largest = max(blocks, key=int.bit_count)
     later = s
     for block in ordered:
         later &= ~block
-        if any(out_rows[u] & s & ~block != later for u in _bits(block)):
+        if block != largest and any(out_rows[u] & s & ~block != later for u in _bits(block)):
             return "prime", [s]
     return "order", ordered
 
 
 def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tuple[int, int]:
-    """Grammar-class and rest-kind bits of a node from those of its children."""
+    """Grammar-class and rest-kind bits of a node from those of its children that are not leaves.
+
+    A leaf is in every grammar class and of every rest kind, so it changes
+    neither; a node with no other child is of its operation's rest kind.
+    """
     any_bits, one_bits = _RULE_BITS[op]
     classes = any_bits
     for c in child_classes:
@@ -192,7 +216,7 @@ def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tup
             classes |= bits
         elif len(loose) == 1:
             classes |= bits & loose[0]
-    return classes, _ALL_LEAVES_REST[op] if all(r == _LEAF_REST for r in child_rests) else 0
+    return classes, 0 if child_rests else _ALL_LEAVES_REST[op]
 
 
 def _root_bits(op: str, rests: list[int], kids: range) -> int:
@@ -245,7 +269,8 @@ def _tree(g: Digraph) -> _Tree:
     rests = [_LEAF_REST] * len(ops)
     for i in reversed(range(len(ops))):
         if ops[i] != "leaf":
-            classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in kids[i]], [rests[c] for c in kids[i]])
+            inner = [c for c in kids[i] if ops[c] != "leaf"]
+            classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in inner], [rests[c] for c in inner])
     return _Tree(root, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
 
 
@@ -277,7 +302,8 @@ def _listed_by_size(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
         for op in ("union", "order", "series"):
             pool = [t for size in range(1, k) for t in sized[size] if t[0] != op]
             for kids in _child_lists(pool, k, op == "order"):
-                classes, rest = _node_bits(op, [c[2] for c in kids], [c[3] for c in kids])
+                inner = [c for c in kids if c[0] != "leaf"]
+                classes, rest = _node_bits(op, [c[2] for c in inner], [c[3] for c in inner])
                 rests = [rest] + [c[3] for c in kids]
                 word = classes | _root_bits(op, rests, range(1, len(rests)))
                 trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
@@ -301,8 +327,15 @@ def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tup
             yield (tree, *rest)
 
 
+def _require_digraph(g: object) -> None:
+    """A TypeError naming g unless g is a Digraph; the memo would otherwise hash it and fail on its own terms."""
+    if not isinstance(g, Digraph):
+        raise TypeError(f"g must be a Digraph, got {type(g).__name__}")
+
+
 def maximal_split(g: Digraph) -> Split:
     """Split into maximal parts joined by one operation, or report prime (see `_split`)."""
+    _require_digraph(g)
     if g.n < 2:
         raise ValueError("splits need at least 2 vertices")
     op, parts = _tree(g).root
@@ -311,6 +344,7 @@ def maximal_split(g: Digraph) -> Split:
 
 def di_co_tree(g: Digraph) -> Expression | None:
     """A construction expression evaluating to a digraph isomorphic to g, or None."""
+    _require_digraph(g)
     return _tree(g).expression
 
 
@@ -324,6 +358,7 @@ class CreationSequence:
 
 def creation_sequence(g: Digraph, allow_series: bool = True) -> CreationSequence | None:
     """Greedy reverse peel; digits 0 isolated, 1 out-dominating, 2 in-dominated, 3 bi-dominating."""
+    _require_digraph(g)
     outdeg = [row.bit_count() for row in g.out_rows()]
     indeg = [row.bit_count() for row in g.in_rows()]
     return _peel(g.n, outdeg, indeg, allow_series)

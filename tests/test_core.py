@@ -262,6 +262,73 @@ def test_component_views() -> None:
     assert _component_masks(everyone, [~(o & i) for o, i in zip(co.out_rows(), co.in_rows())]) == components
 
 
+def _union_find_components(s: int, adjacent) -> list[int]:
+    """Components on the vertex bit set s of the pairs that adjacent(u, v) holds for, as bit sets by minimum vertex."""
+    members = _bits(s)
+    root = {v: v for v in members}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for i, u in enumerate(members):
+        for v in members[i + 1:]:
+            if adjacent(u, v):
+                root[find(v)] = find(u)
+    comps: dict[int, int] = {}
+    for v in members:
+        comps[find(v)] = comps.get(find(v), 0) | 1 << v
+    return sorted(comps.values(), key=lambda c: c & -c)
+
+
+@given(st.integers(min_value=1, max_value=64), st.sampled_from([0.02, 0.06, 0.2, 0.5, 0.9]), st.data())
+def test_component_masks_agree_with_union_find(n: int, density: float, data) -> None:
+    # symmetric rows, as given and negated: the di-co-tree passes ~(out & in)
+    # and ~(out ^ in), whose bits outside the set split must not count
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    s = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert _component_masks(s, rows) == _union_find_components(s, lambda u, v: rows[u] >> v & 1)
+    negated = [~row for row in rows]
+    assert _component_masks(s, negated) == _union_find_components(s, lambda u, v: not rows[u] >> v & 1)
+
+
+class _CountingRows(list):
+    """Neighbour rows that count how often one is read."""
+
+    def __init__(self, rows: list[int]) -> None:
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("isolated", [0, 63])
+def test_component_masks_grow_from_the_smaller_side(isolated: int) -> None:
+    # a 63-vertex bidirectional clique beside one isolated vertex: reading the
+    # rows of every reached vertex reads all 64; growing from the smaller side
+    # reads one clique row and checks the one vertex left against the frontier
+    everyone = (1 << 64) - 1
+    clique = everyone & ~(1 << isolated)
+    rows = _CountingRows([0 if v == isolated else clique & ~(1 << v) for v in range(64)])
+    assert _component_masks(everyone, rows) == sorted([clique, 1 << isolated])
+    assert rows.reads <= 4, rows.reads
+
+
+def test_bits_lists_the_members_ascending() -> None:
+    assert _bits(0) == ()
+    assert _bits(0b1011) == (0, 1, 3)
+    assert _bits(1 << 63 | 1) == (0, 63)
+
+
 @given(digraphs())
 def test_edge_list_round_trip(g: Digraph) -> None:
     assert parse_edge_list(format_edge_list(g)) == g

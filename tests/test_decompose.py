@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcograph.construct import evaluate, leaf, order, parse_expression, series, union
+from dcograph.construct import OPS, compose, evaluate, leaf, order, parse_expression, series, union
 from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag, _join_rows
 from dcograph.decompose import (
     CLASS_BIT,
+    Split,
     creation_sequence,
     creation_sequence_raw,
     di_co_tree,
@@ -63,6 +65,130 @@ def test_order_split_respects_arc_direction() -> None:
     split = maximal_split(g)
     assert split.op == "order"
     assert split.parts == ((2,), (0,), (1,))
+
+
+def _reference_split(g: Digraph) -> Split:
+    """The maximal split by its definition: one breadth-first search per auxiliary graph, then every cross pair of an order."""
+    n = g.n
+    arc = [[g.has_arc(u, v) for v in range(n)] for u in range(n)]
+
+    def components(adjacent) -> list[tuple[int, ...]]:
+        seen: set[int] = set()
+        comps = []
+        for start in range(n):
+            if start in seen:
+                continue
+            seen.add(start)
+            comp, queue = [start], deque([start])
+            while queue:
+                u = queue.popleft()
+                for v in range(n):
+                    if v not in seen and adjacent(u, v):
+                        seen.add(v)
+                        comp.append(v)
+                        queue.append(v)
+            comps.append(tuple(sorted(comp)))
+        return comps
+
+    for op, adjacent in (
+        ("union", lambda u, v: arc[u][v] or arc[v][u]),
+        ("series", lambda u, v: not (arc[u][v] and arc[v][u])),
+    ):
+        parts = components(adjacent)
+        if len(parts) > 1:
+            return Split(op, tuple(parts))
+    blocks = components(lambda u, v: arc[u][v] == arc[v][u])
+    # in an order the first block has arcs into every other block, the next into all but one, ...
+    ranked = sorted(blocks, key=lambda b: -sum(any(arc[u][v] for u in b for v in c) for c in blocks if c != b))
+    for i, b in enumerate(ranked):
+        if not all(arc[u][v] and not arc[v][u] for c in ranked[i + 1:] for u in b for v in c):
+            return Split("prime", (tuple(range(n)),))
+    if len(ranked) > 1:
+        return Split("order", tuple(ranked))
+    return Split("prime", (tuple(range(n)),))
+
+
+def test_split_agrees_with_the_reference_up_to_five_vertices(reps_by_n) -> None:
+    # every digraph with at most 5 vertices, its converse and its complement
+    for n in range(1, 6):
+        for g in reps_by_n[n]:
+            for h in (g, g.converse(), g.complement()):
+                if n == 1:
+                    with pytest.raises(ValueError):
+                        maximal_split(h)
+                else:
+                    assert maximal_split(h) == _reference_split(h), h
+
+
+def _random_tree(rng: random.Random, k: int):
+    if k == 1:
+        return leaf()
+    cuts = sorted(rng.sample(range(1, k), rng.randint(1, min(k - 1, 3))))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, k])]
+    return rng.choice((union, order, series))(*(_random_tree(rng, s) for s in sizes))
+
+
+@st.composite
+def _split_inputs(draw) -> Digraph:
+    """6 to 64 vertices, relabelled: members with one arc flipped, creation chains, members beside a planted directed triangle."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = draw(st.integers(min_value=6, max_value=MAX_VERTICES))
+    kind = draw(st.sampled_from(["flipped", "chain", "planted"]))
+    if kind == "flipped":
+        g = evaluate(_random_tree(rng, n))
+        g = Digraph(n, set(g.arcs) ^ {tuple(rng.sample(range(n), 2))})
+    elif kind == "chain":
+        g = replay("1" + "".join(rng.choice("0123") for _ in range(n - 1)))
+    else:
+        g = compose(rng.choice(OPS), evaluate(_random_tree(rng, n - 3)), Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+@given(_split_inputs())
+def test_split_agrees_with_the_reference_past_five_vertices(g: Digraph) -> None:
+    # the root split, and the split of each part, which is how the di-co-tree recurses
+    split = maximal_split(g)
+    assert split == _reference_split(g)
+    for part in split.parts:
+        if split.op != "prime" and len(part) > 1:
+            h = g.induced(part)
+            assert maximal_split(h) == _reference_split(h), part
+
+
+def test_an_order_defect_against_the_largest_block_is_prime() -> None:
+    # order(edgeless 4, v, v) with one arc between the largest block and a
+    # smaller one reversed: every pair stays one-way, so the blocks stay, and
+    # only the smaller blocks' rows, which the order check reads, show it
+    g = evaluate(order(union(leaf(), leaf(), leaf(), leaf()), leaf(), leaf()))
+    assert maximal_split(g) == Split("order", ((0, 1, 2, 3), (4,), (5,)))
+    for u in range(4):
+        for v in (4, 5):
+            flipped = Digraph(6, set(g.arcs) ^ {(u, v), (v, u)})
+            assert maximal_split(flipped) == Split("prime", (tuple(range(6)),)), (u, v)
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("series(v, union(v, v))", Split("series", ((0,), (1, 2)))),
+        ("series(order(v, v), order(v, v))", Split("series", ((0, 1), (2, 3)))),
+        ("order(v, union(v, v))", Split("order", ((0,), (1, 2)))),
+        ("order(series(v, v), union(v, v))", Split("order", ((0, 1), (2, 3)))),
+    ],
+)
+def test_a_lowest_vertex_adjacent_to_all_still_splits(text: str, expected: Split) -> None:
+    # vertex 0 has no non-neighbour, so only the union test may be skipped
+    assert maximal_split(evaluate(parse_expression(text))) == expected
+
+
+@pytest.mark.parametrize("call", [maximal_split, di_co_tree, creation_sequence])
+@pytest.mark.parametrize("value", ["0 1", [(0, 1)], None, 3], ids=["str", "list", "none", "int"])
+def test_a_non_digraph_is_a_type_error_naming_g(call, value) -> None:
+    # a string used to end in "'str' object has no attribute 'n'", a list in "unhashable type: 'list'"
+    with pytest.raises(TypeError, match=r"^g must be a Digraph, got "):
+        call(value)
 
 
 def test_di_co_tree_round_trip_on_small_members(reps_small, reps_by_n) -> None:

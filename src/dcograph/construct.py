@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from dcograph.core import MAX_VERTICES, Digraph, _join_rows
+from dcograph.core import MAX_VERTICES, Digraph, _join_rows, _vertex_count
 
 OPS = ("union", "order", "series")
 
@@ -207,52 +207,55 @@ def parse_expression(text: str) -> Expression:
 
 def transitive_tournament(n: int) -> Digraph:
     """T_n: arc (u, v) whenever u < v."""
-    _check_param(n)
+    (n,) = _check_param(n)
     return _digraph(_compose_rows("order", [(0,)] * n))
 
 
 def edgeless(n: int) -> Digraph:
-    _check_param(n)
+    (n,) = _check_param(n)
     return Digraph(n)
 
 
 def bidirectional_complete(n: int) -> Digraph:
     """K_n with every edge replaced by both arcs."""
-    _check_param(n)
+    (n,) = _check_param(n)
     return _digraph(_compose_rows("series", [(0,)] * n))
 
 
 def oriented_path(n: int) -> Digraph:
     """Arcs 0 -> 1 -> ... -> n-1."""
-    _check_param(n)
+    (n,) = _check_param(n)
     return Digraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def oriented_cycle(n: int) -> Digraph:
     """Arcs around a single directed cycle; needs n >= 3 to stay loop- and digon-free."""
+    (n,) = _check_param(n)
     if n < 3:
         raise ValueError(f"oriented cycle needs n >= 3, got {n}")
-    _check_param(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def bidir_complete_bipartite(a: int, b: int) -> Digraph:
     """Both arcs between every left-right pair, none inside the sides."""
-    _check_param(a, b)
+    a, b = _check_param(a, b)
     return _digraph(_compose_rows("series", [(0,) * a, (0,) * b]))
 
 
 def oriented_complete_bipartite(a: int, b: int) -> Digraph:
     """One arc left-to-right between every left-right pair."""
-    _check_param(a, b)
+    a, b = _check_param(a, b)
     return _digraph(_compose_rows("order", [(0,) * a, (0,) * b]))
 
 
-def _check_param(*sizes: int) -> None:
+def _check_param(*sizes: int) -> list[int]:
+    """The family sizes as Python ints; one that is no integer is a TypeError naming it."""
+    counts = [_vertex_count("family size", size) for size in sizes]
     # checked before any arc list is built, so a huge size cannot exhaust memory
-    if min(sizes) < 1 or sum(sizes) > MAX_VERTICES:
-        total = " + ".join(map(str, sizes))
+    if min(counts) < 1 or sum(counts) > MAX_VERTICES:
+        total = " + ".join(map(str, counts))
         raise ValueError(f"family sizes must be >= 1 and total <= {MAX_VERTICES}, got {total}")
+    return counts
 
 
 # CLI-facing registry: name -> (callable, parameter count)

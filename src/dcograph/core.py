@@ -179,6 +179,7 @@ class Digraph:
         return bin(self._mask | 1 << self.n * self.n)[3:]
 
     def _column(self, v: int) -> str:
+        v = operator.index(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self._text()[self.n - 1 - v::self.n]
@@ -226,6 +227,7 @@ class Digraph:
         return Digraph._of(k, _join_rows(rows, k))
 
     def delete_vertex(self, v: int) -> Digraph:
+        v = operator.index(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         if self.n == 1:
@@ -325,6 +327,14 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {list(self.arcs)!r})"
+
+
+def _vertex_count(name: str, value: int) -> int:
+    """value as a Python int, as `operator.index` reads it; one that is no integer is a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer vertex count, got {value!r}") from None
 
 
 def _bits(s: int) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks
+from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks, _vertex_count
 from dcograph.construct import Expression, _compose_rows, _sort_key, leaf
 
 
@@ -126,34 +126,33 @@ class Split:
 
 @dataclass
 class _Tree:
-    """The di-co-tree of one digraph in breadth-first order, read bottom-up.
+    """The inner nodes of one digraph's di-co-tree in breadth-first order, read bottom-up.
 
-    Node 0 is the root and each node's children are the consecutive nodes
-    `kids[i]`. `classes` has bit CLASS_BIT[x] set iff the digraph is in the
-    constructive class x: the grammar classes are read bottom-up, TT and the
-    micro classes from the root. A digraph with a prime node anywhere keeps
-    only its root split: it is in no constructive class and has no tree.
+    Node 0 is the root. A node is its operation and its children in split
+    order: a later node's index, or -1 for a leaf, which reads the extra last
+    entry of a per-node list. `classes` has bit CLASS_BIT[x] set iff the
+    digraph is in the constructive class x: the grammar classes bottom-up, TT
+    and the micro classes from the root. A digraph with a prime node anywhere
+    keeps only its root split: it is in no constructive class and has no
+    nodes. The one-vertex digraph has no nodes either and is in every class.
     """
 
     root: tuple[str, tuple[int, ...]]  # the root split: its operation and its parts as vertex bit sets
     classes: int
-    ops: tuple[str, ...]
-    kids: tuple[range, ...]
+    nodes: tuple[tuple[str, tuple[int, ...]], ...]
 
     @cached_property
     def expression(self) -> Expression | None:
-        if not self.ops:
+        if not self.classes:
             return None
         # no part of a maximal split carries its parent's operation, so a node
         # is in normal form once its union or series children are sorted
-        exprs: list[Expression] = [leaf()] * len(self.ops)
-        for i in reversed(range(len(self.ops))):
-            op = self.ops[i]
-            if op != "leaf":
-                children = [exprs[c] for c in self.kids[i]]
-                if op != "order":
-                    children.sort(key=_sort_key)
-                exprs[i] = Expression(op, tuple(children))
+        exprs: list[Expression] = [leaf()] * (len(self.nodes) + 1)
+        for i, (op, kids) in reversed(list(enumerate(self.nodes))):
+            children = [exprs[c] for c in kids]
+            if op != "order":
+                children.sort(key=_sort_key)
+            exprs[i] = Expression(op, tuple(children))
         return exprs[0]
 
 
@@ -219,12 +218,11 @@ def _node_bits(op: str, child_classes: list[int], child_rests: list[int]) -> tup
     return classes, 0 if child_rests else _ALL_LEAVES_REST[op]
 
 
-def _root_bits(op: str, rests: list[int], kids: range) -> int:
-    """TT and micro-class bits from the root's operation and the rest kinds of the root and its children."""
-    rest = rests[0]
+def _root_bits(op: str, rest: int, child_rests: list[int]) -> int:
+    """TT and micro-class bits from the root's operation and rest kind and its children's (`_LEAF_REST` for a leaf)."""
     # parts of a union of cliques (a series of stable sets): 1 if the root is one itself
-    cliques = 1 if rest & 4 else len(kids) if op == "union" and all(rests[c] & 4 for c in kids) else 0
-    stables = 1 if rest & 2 else len(kids) if op == "series" and all(rests[c] & 2 for c in kids) else 0
+    cliques = 1 if rest & 4 else len(child_rests) if op == "union" and all(r & 4 for r in child_rests) else 0
+    stables = 1 if rest & 2 else len(child_rests) if op == "series" and all(r & 2 for r in child_rests) else 0
     held = {
         ClassId.TT: rest & 8,
         ClassId.EDGELESS: rest & 2,
@@ -240,6 +238,8 @@ def _root_bits(op: str, rests: list[int], kids: range) -> int:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _tree(g: Digraph) -> _Tree:
     """Decompose g once; every split, membership and certificate question reads this."""
+    if g.n == 1:
+        return _Tree(("leaf", ()), (1 << len(CLASS_BIT)) - 1, ())  # one vertex is in every constructive class
     out_rows, in_rows = g.out_rows(), g.in_rows()
     # neighbour rows of the underlying graph, of its complement, and of M;
     # bits outside the set being split are masked off there
@@ -247,31 +247,30 @@ def _tree(g: Digraph) -> _Tree:
     co_adj = [~(o & i) for o, i in zip(out_rows, in_rows)]
     sym = [~(o ^ i) for o, i in zip(out_rows, in_rows)]
 
-    ops: list[str] = []
-    kids: list[range] = []
+    nodes: list[tuple[str, tuple[int, ...]]] = []
     sets = [(1 << g.n) - 1]
-    for s in sets:  # grows as it goes: children follow their parent
-        if s & s - 1 == 0:
-            ops.append("leaf")
-            kids.append(range(0))
-            continue
+    for s in sets:  # grows as it goes: each inner node's vertex set, children after their parent
         op, parts = _split(s, out_rows, adj, co_adj, sym)
-        ops.append(op)
-        kids.append(range(len(sets), len(sets) + len(parts)))
-        sets.extend(parts)
+        if not nodes:
+            root = (op, tuple(parts))
         if op == "prime":
-            break
-    root = (ops[0], tuple(sets[c] for c in kids[0]))
-    if ops[-1] == "prime":
-        return _Tree(root, 0, (), ())
+            return _Tree(root, 0, ())
+        kids = []
+        for part in parts:
+            if part & part - 1:
+                kids.append(len(sets))
+                sets.append(part)
+            else:
+                kids.append(-1)
+        nodes.append((op, tuple(kids)))
 
-    classes = [(1 << len(GRAMMAR_CLASSES)) - 1] * len(ops)
-    rests = [_LEAF_REST] * len(ops)
-    for i in reversed(range(len(ops))):
-        if ops[i] != "leaf":
-            inner = [c for c in kids[i] if ops[c] != "leaf"]
-            classes[i], rests[i] = _node_bits(ops[i], [classes[c] for c in inner], [rests[c] for c in inner])
-    return _Tree(root, classes[0] | _root_bits(ops[0], rests, kids[0]), tuple(ops), tuple(kids))
+    classes = [(1 << len(GRAMMAR_CLASSES)) - 1] * (len(nodes) + 1)
+    rests = [_LEAF_REST] * (len(nodes) + 1)
+    for i, (op, kids) in reversed(list(enumerate(nodes))):
+        inner = [c for c in kids if c >= 0]
+        classes[i], rests[i] = _node_bits(op, [classes[c] for c in inner], [rests[c] for c in inner])
+    op, kids = nodes[0]
+    return _Tree(root, classes[0] | _root_bits(op, rests[0], [rests[c] for c in kids]), tuple(nodes))
 
 
 def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -296,7 +295,7 @@ def _listed_by_size(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
         raise ValueError(f"a di-co-tree has at least 1 leaf, got {n}")
     # per leaf count, each tree as (operation, out-rows, grammar bits, rest bits, class word)
     grammar = (1 << len(GRAMMAR_CLASSES)) - 1
-    sized = [[], [("leaf", (0,), grammar, _LEAF_REST, grammar | _root_bits("leaf", [_LEAF_REST], range(0)))]]
+    sized = [[], [("leaf", (0,), grammar, _LEAF_REST, (1 << len(CLASS_BIT)) - 1)]]
     for k in range(2, n + 1):
         trees = []
         for op in ("union", "order", "series"):
@@ -304,8 +303,7 @@ def _listed_by_size(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
             for kids in _child_lists(pool, k, op == "order"):
                 inner = [c for c in kids if c[0] != "leaf"]
                 classes, rest = _node_bits(op, [c[2] for c in inner], [c[3] for c in inner])
-                rests = [rest] + [c[3] for c in kids]
-                word = classes | _root_bits(op, rests, range(1, len(rests)))
+                word = classes | _root_bits(op, rest, [c[3] for c in kids])
                 trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
         sized.append(trees)
     return [[(t[1], t[4]) for t in trees] for trees in sized]
@@ -372,6 +370,7 @@ def creation_sequence_raw(
     A repeated arc is counted twice. n < 1, a loop, or an endpoint outside
     0..n-1 is a ValueError, and an endpoint that is no integer a TypeError.
     """
+    n = _vertex_count("n", n)
     if n < 1:
         raise ValueError(f"a creation sequence needs at least 1 vertex, got {n}")
     outdeg = [0] * n

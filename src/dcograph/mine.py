@@ -1,7 +1,6 @@
 """Exhaustive small-digraph enumeration, obstruction mining, and verification suites."""
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -10,7 +9,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from dcograph.construct import evaluate
-from dcograph.core import Digraph, _full_offdiag, _join_rows, mask_array
+from dcograph.core import Digraph, _full_offdiag, _join_rows, _vertex_count, mask_array
 from dcograph.decompose import _listed_by_size, di_co_tree
 from dcograph.patterns import CATALOG, PATTERNS, name_word, pattern_words
 from dcograph.recognize import (
@@ -138,14 +137,6 @@ def _representatives(universe: str, n: int) -> np.ndarray:
     masks = np.zeros(1, np.uint64) if n == 1 else _extend(n, _representatives(universe, n - 1), _STATES[universe], True)
     masks.setflags(write=False)
     return masks
-
-
-def _vertex_count(name: str, value: int) -> int:
-    """value as a Python int, as `operator.index` reads it; one that is no integer is a TypeError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer vertex count, got {value!r}") from None
 
 
 def _graphs(universe: str, n: int) -> list[Digraph]:

@@ -3,7 +3,9 @@
 Each of the 23 constructive classes (the 16 grammar classes, TT and the six
 micro classes) is one bit of the memoized di-co-tree's `classes` word, so a
 digraph is split once whichever of them is asked. TD and FD have no
-construction and are decided by patterns on out-rows.
+construction and are decided by patterns on out-rows. Every function that
+takes a digraph g raises `decompose._require_digraph`'s TypeError on anything
+else.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from dcograph.decompose import (
     MICRO_CLASSES,
     RULES,
     ClassId,
+    _require_digraph,
     _tree,
     di_co_tree,
 )
@@ -71,6 +74,7 @@ def _class_id(x: ClassId | str) -> ClassId:
 
 def member_constructive(g: Digraph, x: ClassId | str) -> bool:
     """Membership via the class's construction: one bit of the digraph's one di-co-tree."""
+    _require_digraph(g)
     x = _class_id(x)
     bit = CLASS_BIT.get(x)
     if bit is None:
@@ -98,6 +102,7 @@ def member_by_patterns(g: Digraph, x: ClassId | str) -> bool:
 
     TD is free of two-switches and of D5; FD needs only its anticircuit scan, as D1 and K2bidir each hold one.
     """
+    _require_digraph(g)
     x = _class_id(x)
     if x in PATTERN_ONLY_CLASSES:
         return match_partial(g, _PARTIAL[x]) is None and not (x is ClassId.TD and has_directed_triangle(g))
@@ -122,6 +127,7 @@ _CATALOG_WORD: dict[ClassId, int] = {x: name_word(CATALOG[x.value]) for x in CLA
 
 def class_word(g: Digraph, classes: Container[ClassId] | None = None) -> int:
     """Every class g is in, as one word with bit WORD_BIT[x] set per class x; TD and FD only if in classes."""
+    _require_digraph(g)
     word = _tree(g).classes
     for x in PATTERN_ONLY_CLASSES:
         if (classes is None or x in classes) and member_by_patterns(g, x):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import dcograph.cli as cli
+import make_golden
 from dcograph.construct import evaluate, parse_expression
 from dcograph.patterns import ANTICIRCUIT, PATTERNS, TWO_SWITCH
 from dcograph.recognize import ClassId, RouteDisagreement
@@ -61,16 +62,8 @@ def test_classify_witness_is_the_shrunk_obstruction() -> None:
     )
 
 
-def _expression(leaves: int, depth: int = 0) -> str:
-    if leaves == 1:
-        return "v"
-    left = max(1, leaves // 3)
-    op = ("union", "order", "series")[depth % 3]
-    return f"{op}({_expression(left, depth + 1)}, {_expression(leaves - left, depth + 1)})"
-
-
 def test_classify_certificates_at_sixty_four_vertices() -> None:
-    text = _expression(64)
+    text = make_golden.expression(64)
     g = evaluate(parse_expression(text))
     assert g.n == 64
     proc = run_cli("classify", "--certificates", "--expr", text)
@@ -98,6 +91,11 @@ def test_classify_certificates_at_sixty_four_vertices() -> None:
         assert (s == p or not g.has_arc(p, s)) and (q == r or not g.has_arc(r, q))
         assert name != TWO_SWITCH.name or len(set(w)) == 4
     assert witnesses > 0
+
+
+def test_tree_commands_match_the_golden_file() -> None:
+    # classify --certificates, decompose and creation-seq on every pattern file and the 64-leaf expression
+    assert make_golden.cli_trees() == (make_golden.GOLDEN / "cli_trees.txt").read_text(encoding="ascii")
 
 
 def test_classify_membership_certificate_is_an_expression() -> None:
@@ -204,7 +202,7 @@ def test_outputs_are_byte_identical_across_runs() -> None:
 
 
 def test_classify_reads_a_formatted_list_like_an_annotated_one() -> None:
-    text = format_edge_list(evaluate(parse_expression(_expression(64))))
+    text = format_edge_list(evaluate(parse_expression(make_golden.expression(64))))
     header, *body = text.splitlines()
     annotated = "# 64 vertices\r\n" + header + "\r\n" + "".join(f"{line}  # arc\r\n" for line in body)
     plain = run_cli("classify", stdin=text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,12 +13,18 @@ from hypothesis import strategies as st
 from dcograph.construct import (
     Expression,
     ExpressionError,
+    bidir_complete_bipartite,
+    bidirectional_complete,
     compose,
+    edgeless,
     evaluate,
     format_expression,
     generate_family,
     leaf,
     order,
+    oriented_complete_bipartite,
+    oriented_cycle,
+    oriented_path,
     parse_expression,
     series,
     transitive_tournament,
@@ -257,6 +264,40 @@ def test_family_size_is_checked_before_any_arc_list(args) -> None:
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+_FAMILY_SIZES = [
+    # (family, sizes, the size named in a TypeError or None if the sizes are integers)
+    (transitive_tournament, (3.0,), "3.0"),
+    (edgeless, ("3",), "'3'"),
+    (bidirectional_complete, (None,), "None"),
+    (oriented_path, (2.5,), "2.5"),
+    (oriented_cycle, ("4",), "'4'"),
+    (oriented_cycle, (4.0,), "4.0"),
+    (bidir_complete_bipartite, (2, 2.0), "2.0"),
+    (oriented_complete_bipartite, ("1", 2), "'1'"),
+    (transitive_tournament, (np.int64(3),), None),
+    (edgeless, (np.uint8(3),), None),
+    (bidirectional_complete, (np.intp(3),), None),
+    (oriented_path, (np.int32(3),), None),
+    (oriented_cycle, (np.int64(4),), None),
+    (bidir_complete_bipartite, (np.int64(2), np.uint8(2)), None),
+    (oriented_complete_bipartite, (np.int16(1), 2), None),
+]
+
+
+@pytest.mark.parametrize(
+    ("family", "sizes", "named"), _FAMILY_SIZES, ids=[f"{f.__name__}{sizes!r}" for f, sizes, _ in _FAMILY_SIZES]
+)
+def test_family_sizes_read_as_integers(family, sizes: tuple, named: str | None) -> None:
+    # a float size used to end in "can't multiply sequence by non-int", a string in "'<' not supported"
+    if named is not None:
+        with pytest.raises(TypeError) as info:
+            family(*sizes)
+        assert str(info.value) == f"family size must be an integer vertex count, got {named}"
+        return
+    g = family(*sizes)
+    assert g == family(*map(int, sizes)) and type(g.n) is int and type(g.mask) is int
 
 
 def test_family_sizes_up_to_the_cap() -> None:

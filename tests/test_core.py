@@ -88,6 +88,7 @@ def test_numpy_integers_read_as_the_python_ints_they_equal(n: int) -> None:
         picked = np.arange(0, n, 2, dtype=kind)
         assert h.induced(picked) == g.induced(range(0, n, 2)) and type(h.induced(picked).mask) is int
         assert h.delete_vertex(kind(0)) == g.delete_vertex(0)
+        assert h.in_row(kind(1)) == g.in_row(1) and h.in_degree(kind(1)) == g.in_degree(1)
         perm = list(range(1, n)) + [0]
         assert h.relabel(np.array(perm, dtype=kind)) == g.relabel(perm)
         assert repr(h.relabel(np.array(perm, dtype=kind))) == repr(g.relabel(perm))
@@ -102,6 +103,16 @@ def test_numpy_integers_read_as_the_python_ints_they_equal(n: int) -> None:
             UndirectedGraph(n, [bad])
     with pytest.raises(TypeError):
         Digraph(float(n))
+
+
+@pytest.mark.parametrize("vertex", [0.5, 1.0, "1", None], ids=["half", "float-one", "str", "none"])
+def test_a_vertex_that_is_no_integer_is_a_type_error(vertex) -> None:
+    # delete_vertex(0.5) used to return the digraph unchanged and delete_vertex(1.0)
+    # deleted vertex 1; in_row and in_degree ended in "slice indices must be integers"
+    g = Digraph(3, [(0, 1), (1, 2)])
+    for call in (g.delete_vertex, g.in_row, g.in_degree, g.out_row, g.out_degree):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(vertex)
 
 
 _NON_INTEGER_ENDPOINTS = [

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcograph.construct import OPS, compose, evaluate, leaf, order, parse_expression, series, union
-from dcograph.core import MAX_VERTICES, Digraph, _full_offdiag, _join_rows
+from dcograph import decompose
+from dcograph.construct import OPS, Expression, compose, evaluate, leaf, order, parse_expression, series, union
+from dcograph.core import MAX_VERTICES, Digraph, UndirectedGraph, _full_offdiag, _join_rows
 from dcograph.decompose import (
     CLASS_BIT,
+    CreationSequence,
     Split,
     creation_sequence,
     creation_sequence_raw,
@@ -26,7 +28,17 @@ from dcograph.decompose import (
 )
 from dcograph.mine import canonical_masks
 from dcograph.patterns import PATTERNS
-from dcograph.recognize import GRAMMAR_CLASSES, ClassId, member_constructive
+from dcograph.recognize import (
+    GRAMMAR_CLASSES,
+    ClassId,
+    class_word,
+    classify,
+    constructive_certificate,
+    member,
+    member_by_patterns,
+    member_constructive,
+    violating_occurrence,
+)
 
 
 def test_split_identifies_each_operation() -> None:
@@ -183,10 +195,60 @@ def test_a_lowest_vertex_adjacent_to_all_still_splits(text: str, expected: Split
     assert maximal_split(evaluate(parse_expression(text))) == expected
 
 
-@pytest.mark.parametrize("call", [maximal_split, di_co_tree, creation_sequence])
-@pytest.mark.parametrize("value", ["0 1", [(0, 1)], None, 3], ids=["str", "list", "none", "int"])
+def _inner_nodes(e: Expression) -> int:
+    return 0 if e.kind == "leaf" else 1 + sum(_inner_nodes(c) for c in e.children)
+
+
+def test_the_tree_keeps_and_splits_its_inner_nodes_only(monkeypatch) -> None:
+    # a leaf is a -1 child of its parent: no node of its own, and no split
+    rng = random.Random(37)
+    inputs = [evaluate(_random_tree(rng, n)) for n in (1, 2, 3, 8, 17, 33, 64, 64, 64)]
+    inputs.append(replay("1" + "".join(rng.choice("0123") for _ in range(63))))
+    splits = 0
+    split = decompose._split
+
+    def counted(*args):
+        nonlocal splits
+        splits += 1
+        return split(*args)
+
+    monkeypatch.setattr(decompose, "_split", counted)
+    for g in inputs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        decompose._tree.cache_clear()
+        splits = 0
+        tree = decompose._tree(g)
+        assert len(tree.nodes) == splits == _inner_nodes(di_co_tree(g)), g
+        # breadth-first: every child that is no leaf comes later; there are n leaves
+        assert all(c == -1 or i < c for i, (_, kids) in enumerate(tree.nodes) for c in kids)
+        assert sum(kids.count(-1) for _, kids in tree.nodes) == (g.n if g.n > 1 else 0)
+
+
+_TAKES_G = {
+    "maximal_split": maximal_split,
+    "di_co_tree": di_co_tree,
+    "creation_sequence": creation_sequence,
+    "member": lambda g: member(g, ClassId.DC),
+    "member-TD": lambda g: member(g, ClassId.TD),
+    "member_constructive": lambda g: member_constructive(g, ClassId.OC),
+    "member_by_patterns": lambda g: member_by_patterns(g, ClassId.DTP),
+    "member_by_patterns-FD": lambda g: member_by_patterns(g, ClassId.FD),
+    "constructive_certificate": lambda g: constructive_certificate(g, ClassId.DT),
+    "class_word": class_word,
+    "classify": classify,
+    "violating_occurrence": lambda g: violating_occurrence(g, ClassId.TT),
+}
+
+
+@pytest.mark.parametrize("call", list(_TAKES_G.values()), ids=list(_TAKES_G))
+@pytest.mark.parametrize(
+    "value", ["0 1", [(0, 1)], None, 3, UndirectedGraph(2, [(0, 1)])], ids=["str", "list", "none", "int", "undirected"]
+)
 def test_a_non_digraph_is_a_type_error_naming_g(call, value) -> None:
-    # a string used to end in "'str' object has no attribute 'n'", a list in "unhashable type: 'list'"
+    # a string used to end in "'str' object has no attribute 'n'" (or 'out_rows' in the
+    # recognizers), a list in "unhashable type: 'list'"
     with pytest.raises(TypeError, match=r"^g must be a Digraph, got "):
         call(value)
 
@@ -285,6 +347,22 @@ def test_raw_recognizer_names_a_non_integer_arc(arc: tuple) -> None:
     with pytest.raises(TypeError) as info:
         creation_sequence_raw(3, [(0, 1), arc])
     assert str(info.value) == f"arc ({arc[0]!r}, {arc[1]!r}) needs integer endpoints"
+
+
+@pytest.mark.parametrize(
+    ("n", "named"),
+    [(3.0, "3.0"), ("3", "'3'"), (None, "None"), (np.int64(3), None), (np.uint8(3), None), (np.intp(3), None)],
+    ids=["float", "str", "none", "int64", "uint8", "intp"],
+)
+def test_raw_recognizer_reads_its_vertex_count_as_an_integer(n, named: str | None) -> None:
+    # 3.0 used to end in "can't multiply sequence by non-int", '3' in "'<' not supported"
+    arcs = [(1, 0), (2, 0), (2, 1)]
+    if named is None:
+        assert creation_sequence_raw(n, arcs) == creation_sequence_raw(int(n), arcs) == CreationSequence("122", (2, 1, 0))
+        return
+    with pytest.raises(TypeError) as info:
+        creation_sequence_raw(n, arcs)
+    assert str(info.value) == f"n must be an integer vertex count, got {named}"
 
 
 def test_raw_recognizer_counts_a_repeated_arc_twice() -> None:

@@ -114,10 +114,6 @@ class Digraph:
         object.__setattr__(g, "_mask", mask)
         return g
 
-    @classmethod
-    def edgeless(cls, n: int) -> Digraph:
-        return cls(n)
-
     @property
     def mask(self) -> int:
         return self._mask
@@ -537,6 +533,11 @@ def _read_formatted(text: str) -> Digraph | None:
     return Digraph._of(n, mask)
 
 
+# a numeral as the line reader reads it, without int()'s underscores, plus
+# sign and non-ASCII digits; a negative endpoint is worded as out of range
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
 def _parse_lines(text: str) -> Digraph:
     """Read the edge-list format line by line, naming the line of the first error."""
     n: int | None = None
@@ -549,20 +550,18 @@ def _parse_lines(text: str) -> Digraph:
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
                 raise EdgeListError(f"line {lineno}: expected header 'n <count>', got {raw!r}")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise EdgeListError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
+            if not _NUMERAL.fullmatch(fields[1]):
+                raise EdgeListError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
+            n = int(fields[1])
             if not 1 <= n <= MAX_VERTICES:
                 raise EdgeListError(f"line {lineno}: vertex count must be in 1..{MAX_VERTICES}, got {n}")
             rows = [0] * n
             continue
         if len(fields) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: arc endpoints must be integers, got {raw!r}") from None
+        if not all(map(_NUMERAL.fullmatch, fields)):
+            raise EdgeListError(f"line {lineno}: arc endpoints must be integers, got {raw!r}")
+        u, v = map(int, fields)
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(f"line {lineno}: arc ({u}, {v}) out of range for n={n}")
         if u == v:

@@ -286,27 +286,27 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
     them; its class bits come from its children's through `_node_bits` and
     `_root_bits`, as in `_tree`.
     """
-    return _listed_by_size(n)[n]
-
-
-def _listed_by_size(n: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """`listed_trees(k)` at index k for every k from 1 to n (index 0 is empty), from one listing."""
+    n = _vertex_count("n", n)
     if n < 1:
         raise ValueError(f"a di-co-tree has at least 1 leaf, got {n}")
-    # per leaf count, each tree as (operation, out-rows, grammar bits, rest bits, class word)
-    grammar = (1 << len(GRAMMAR_CLASSES)) - 1
-    sized = [[], [("leaf", (0,), grammar, _LEAF_REST, (1 << len(CLASS_BIT)) - 1)]]
-    for k in range(2, n + 1):
-        trees = []
-        for op in ("union", "order", "series"):
-            pool = [t for size in range(1, k) for t in sized[size] if t[0] != op]
-            for kids in _child_lists(pool, k, op == "order"):
-                inner = [c for c in kids if c[0] != "leaf"]
-                classes, rest = _node_bits(op, [c[2] for c in inner], [c[3] for c in inner])
-                word = classes | _root_bits(op, rest, [c[3] for c in kids])
-                trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
-        sized.append(trees)
-    return [[(t[1], t[4]) for t in trees] for trees in sized]
+    return [(rows, word) for _, rows, _, _, word in _listed(n)]
+
+
+@lru_cache(maxsize=6)  # the sizes the miner reads
+def _listed(k: int) -> tuple[tuple, ...]:
+    """The trees with k leaves, each as (operation, out-rows, grammar bits, rest bits, class word), from the
+    smaller sizes' entries; one entry per size, so a caller lists only the sizes up to the largest it reads."""
+    if k == 1:
+        return (("leaf", (0,), (1 << len(GRAMMAR_CLASSES)) - 1, _LEAF_REST, (1 << len(CLASS_BIT)) - 1),)
+    smaller = [t for size in range(1, k) for t in _listed(size)]
+    trees = []
+    for op in ("union", "order", "series"):
+        for kids in _child_lists([t for t in smaller if t[0] != op], k, op == "order"):
+            inner = [c for c in kids if c[0] != "leaf"]
+            classes, rest = _node_bits(op, [c[2] for c in inner], [c[3] for c in inner])
+            word = classes | _root_bits(op, rest, [c[3] for c in kids])
+            trees.append((op, _compose_rows(op, [c[1] for c in kids]), classes, rest, word))
+    return tuple(trees)
 
 
 def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tuple, ...]]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from dcograph.construct import evaluate
 from dcograph.core import Digraph, _full_offdiag, _join_rows, _vertex_count, mask_array
-from dcograph.decompose import _listed_by_size, di_co_tree
+from dcograph.decompose import di_co_tree, listed_trees
 from dcograph.patterns import CATALOG, PATTERNS, name_word, pattern_words
 from dcograph.recognize import (
     ClassId,
@@ -97,6 +97,7 @@ def canonical_masks(n: int, masks: np.ndarray) -> np.ndarray:
 
     A mask that has no n-vertex digraph is a ValueError (`core.mask_array`).
     """
+    n = _vertex_count("n", n)
     if not 1 <= n <= 6:
         raise ValueError(f"bulk canonicalization supports 1..6 vertices, got {n}")
     masks = mask_array(n, masks)
@@ -241,26 +242,23 @@ def _extend(n: int, base: np.ndarray, states: tuple[int, ...], whole: bool) -> n
     return _distinct(np.concatenate(survivors))
 
 
-@lru_cache(maxsize=1)
-def _tree_table() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The sorted canonical masks of the n-vertex members of DC, one per listed di-co-tree, with each one's
-    class word over the 23 constructive classes, at index n - 1 for each n <= 6, all from one listing.
-
-    No digraph is split. A mask absent from a table is in no constructive class, as their members are in DC.
-    """
-    tables = []
-    for n, listed in enumerate(_listed_by_size(6)[1:], 1):
-        masks = canonical_masks(n, np.array([_join_rows(list(rows), n) for rows, _ in listed], dtype=np.uint64))
-        order = np.argsort(masks)
-        tables.append((masks[order], np.array([word for _, word in listed], dtype=np.uint64)[order]))
-        for column in tables[-1]:
-            column.setflags(write=False)
-    return tuple(tables)
+@lru_cache(maxsize=6)
+def _tree_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted canonical masks of the n-vertex members of DC (n <= 6), one per listed di-co-tree, with each
+    one's class word over the 23 constructive classes, read-only. No digraph is split. A mask absent from the
+    table is in no constructive class, as their members are in DC."""
+    listed = listed_trees(n)
+    masks = canonical_masks(n, np.array([_join_rows(list(rows), n) for rows, _ in listed], dtype=np.uint64))
+    order = np.argsort(masks)
+    columns = (masks[order], np.array([word for _, word in listed], dtype=np.uint64)[order])
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _constructive_words(n: int, masks: np.ndarray) -> np.ndarray:
     """The constructive class word of each canonical n-vertex mask, by one `searchsorted` into `_tree_table`."""
-    table, words = _tree_table()[n - 1]
+    table, words = _tree_table(n)
     at = np.minimum(np.searchsorted(table, masks), table.size - 1)
     return np.where(table[at] == masks, words[at], np.uint64(0))
 
@@ -310,6 +308,7 @@ def class_words(universe: str, n: int, masks: np.ndarray) -> np.ndarray:
     digraph (`core.mask_array`), is a ValueError. The words are shaped as masks.
     The sweeps read every membership here.
     """
+    n = _vertex_count("n", n)
     reps, words = _level(universe, n)[:2]
     given = mask_array(n, masks)
     masks = given.reshape(-1)
@@ -409,7 +408,7 @@ def _obstructions(n: int) -> tuple[np.ndarray, np.ndarray]:
     obstruction word (2 <= n <= 6), read-only. Each class lies in DC, so each deletion of an obstruction is a DC
     member: the candidates are `_extend` of `_tree_table`. Bit WORD_BIT[x] of a word is set when the candidate is
     outside x and each of its deletions inside, read from the table, so no class is assumed hereditary."""
-    cands = _extend(n, _tree_table()[n - 2][0], _STATES["digraphs"], False)
+    cands = _extend(n, _tree_table(n - 1)[0], _STATES["digraphs"], False)
     below = np.bitwise_and.reduce([_constructive_words(n - 1, canonical_masks(n - 1, _delete(n, _rows(n, cands), d)))
                                    for d in range(n)])
     words = below & ~_constructive_words(n, cands)

@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-Each file holds what `dcograph` prints on stdout: `mine --nmax 5` for each
-mineable class, `verify --nmax 5` for each suite, and `cli_trees.txt`, the
-commands that read the di-co-tree (`classify --certificates`, `decompose`,
-`creation-seq`) on every `patterns/*.edges` file and on a 64-leaf
-expression, each run headed by its arguments and closed by its exit code.
+Each file holds what `dcograph` prints on stdout: `mine --nmax 5` and
+`mine --nmax 6` for each mineable class, `verify --nmax 5` for each suite,
+and `cli_trees.txt`, the commands that read the di-co-tree (`classify
+--certificates`, `decompose`, `creation-seq`) on every `patterns/*.edges`
+file and on a 64-leaf expression, each run headed by its arguments and
+closed by its exit code.
 On unchanged code the files come out byte for byte as committed; a change
 meant to alter output reruns this script and shows the diff.
 """
@@ -55,9 +56,15 @@ def cli_trees() -> str:
     return "".join(blocks)
 
 
+def six_vertex_mining() -> dict[str, str]:
+    """Each `mine_<class>_6.txt` file name with the text `mine --nmax 6` prints for that class."""
+    return {f"mine_{x.value}_6.txt": run(["mine", "--class", x.value, "--nmax", "6"])[0] for x in MINEABLE_CLASSES}
+
+
 def golden_texts() -> dict[str, str]:
     """Each file name in tests/golden/ with the text it should hold."""
     texts = {f"mine_{x.value}.txt": run(["mine", "--class", x.value, "--nmax", "5"])[0] for x in MINEABLE_CLASSES}
+    texts.update(six_vertex_mining())
     texts.update({f"verify_{name}.txt": run(["verify", "--suite", name, "--nmax", "5"])[0] for name in _SUITES})
     texts["cli_trees.txt"] = cli_trees()
     return texts

@@ -362,6 +362,12 @@ def test_edge_list_parser_accepts_comments_and_blanks() -> None:
         "n 2\n0 2\n",
         "n 2\n1 1\n",
         "n 2\n0 1\n0 1\n",
+        # numerals int() reads but format_edge_list never writes
+        "n 1_0\n0 1\n",
+        "n +3\n",
+        "n 2\n\u0660 \u0661\n",
+        "n 12\n1_0 1\n",
+        "n 3\n+0 1\n",
     ],
 )
 def test_edge_list_parser_rejects_malformed_input(text: str) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import os
 import pkgutil
@@ -13,6 +12,8 @@ from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial
 from operator import and_
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcograph
-from dcograph import mine, patterns, recognize
+from dcograph import decompose, mine, patterns, recognize
 from dcograph.core import Digraph, _full_offdiag, _join_rows
 from dcograph.decompose import _tree, listed_trees
 from dcograph.patterns import (
@@ -276,7 +277,8 @@ def test_mining_canonicalises_only_at_the_level_size(monkeypatch) -> None:
         calls.append((levels[-1], n, np.size(masks)))
         return canonical(n, masks)
 
-    mine._tree_table()  # canonicalises every size once, on first use
+    for n in range(1, 7):
+        mine._tree_table(n)  # canonicalises its size once, on first use
     obstructions.cache_clear()
     monkeypatch.setattr(mine, "_obstructions", level)
     monkeypatch.setattr(mine, "canonical_masks", canonicalise)
@@ -359,7 +361,7 @@ def test_level_counts_are_pinned() -> None:
     for x in MINEABLE_CLASSES:
         bit, counts = np.uint64(WORD_BIT[x]), ([], [])
         for n in range(2, 7):
-            counts[0].append(int((mine._tree_table()[n - 1][1] >> bit & np.uint64(1)).sum()))
+            counts[0].append(int((mine._tree_table(n)[1] >> bit & np.uint64(1)).sum()))
             counts[1].append(int((mine._obstructions(n)[1] >> bit & np.uint64(1)).sum()))
         assert tuple(map(tuple, counts)) == _LEVEL_COUNTS[x.value], x.value
 
@@ -485,7 +487,7 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n, obstruct
         # x is hereditary here, as `recognize.violating_occurrence` assumes:
         # no member has a single-vertex deletion outside x
         assert not any((c & ~b) >> bit & 1 for c, b in zip(own, below)), n
-        masks, words = mine._tree_table()[n - 1]
+        masks, words = mine._tree_table(n)
         assert masks[words >> np.uint64(bit) & np.uint64(1) != 0].tolist() == [
             g.mask for g in reps_by_n[n] if member(g, x)], n
 
@@ -493,7 +495,7 @@ def test_mining_levels_agree_with_the_definition(x: ClassId, reps_by_n, obstruct
 def test_six_vertex_members_keep_their_classes_on_deletion() -> None:
     # heredity of every mineable class at 6 vertices: each listed DC member's
     # class word lies within the class word of each of its deletions
-    masks, words = mine._tree_table()[5]
+    masks, words = mine._tree_table(6)
     rows = mine._rows(6, masks)
     for d in range(6):
         deleted = mine._constructive_words(5, canonical_masks(5, mine._delete(6, rows, d)))
@@ -510,8 +512,8 @@ def test_per_digraph_memos_are_bounded() -> None:
             for value in vars(owner).values():
                 if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                     memos[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
-    known = {"core._canonize", "patterns._key_table", "decompose._tree", "mine._perm_tables", "mine._level",
-             "mine._tree_table", "mine._flip_words", "mine._obstructions"}
+    known = {"core._canonize", "patterns._key_table", "decompose._tree", "decompose._listed", "mine._perm_tables",
+             "mine._level", "mine._tree_table", "mine._flip_words", "mine._obstructions"}
     assert {f"dcograph.{name}" for name in known} <= memos.keys(), sorted(memos)
     for name, maxsize in memos.items():
         assert maxsize is not None and maxsize > 0, name
@@ -607,21 +609,45 @@ def test_class_words_reject_a_mask_outside_the_universe() -> None:
         mine.class_words("tournaments", 3, np.array([0], dtype=np.uint64))
 
 
-def test_the_sweep_jobs_decompose_at_most_one_digraph(monkeypatch) -> None:
-    # levels, flips and mining candidates read the listed di-co-trees, all
-    # sizes from one listing, so no digraph is split
-    listings: list[int] = []
-    listed_by_size = mine._listed_by_size
-    monkeypatch.setattr(mine, "_listed_by_size", lambda n: listings.append(n) or listed_by_size(n))
-    _tree.cache_clear()
-    for memo in (mine._level, mine._tree_table, mine._obstructions):
+# the listing memo as the package defines it, before any test wraps it
+_LISTED = decompose._listed
+
+
+def _record_listing(monkeypatch) -> Callable[[], tuple[list[int], int]]:
+    """Clear the listing memo and the memos built from it. The returned call gives the sizes read from the
+    listing memo since, ascending, and how many of those reads listed a size."""
+    read: set[int] = set()
+    monkeypatch.setattr(decompose, "_listed", lambda k: read.add(k) or _LISTED(k))
+    for memo in (_LISTED, mine._tree_table, mine._level, mine._flip_words, mine._obstructions):
         memo.cache_clear()
+    return lambda: (sorted(read), _LISTED.cache_info().misses)
+
+
+def test_the_sweep_jobs_decompose_at_most_one_digraph(monkeypatch) -> None:
+    # levels, flips and mining candidates read the listed di-co-trees, each
+    # size listed once, so no digraph is split
+    listing = _record_listing(monkeypatch)
+    _tree.cache_clear()
     for x in (ClassId.DC, ClassId.DWQT):
         minimal_forbidden(x, 6)
     for suite in ("closures", "theorems", "hierarchy"):
         verify_suite(suite, 5)
     assert _tree.cache_info().misses == 0
-    assert listings == [6]
+    assert listing() == ([1, 2, 3, 4, 5, 6], 6)
+
+
+def test_small_runs_list_only_the_sizes_they_read(monkeypatch) -> None:
+    # one listing and one tree table per size: a cold mine at n_max = 3 lists
+    # the trees of 1-3 leaves, and a suite over digraphs of at most 5 vertices
+    # none of the 1,373 six-leaf trees
+    for x in MINEABLE_CLASSES:
+        listing = _record_listing(monkeypatch)
+        minimal_forbidden(x, 3)
+        assert listing() == ([1, 2, 3], 3), x
+    for suite in ("closures", "hierarchy", "projections"):
+        listing = _record_listing(monkeypatch)
+        verify_suite(suite, 5)
+        assert listing() == ([1, 2, 3, 4, 5], 5), suite
 
 
 def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) -> None:
@@ -629,7 +655,7 @@ def test_the_tree_table_agrees_with_the_splitter_at_six_vertices(monkeypatch) ->
     # listed tree gets its word back from _tree, and every candidate of the
     # obstruction pass the same verdict from the table as from member, for
     # every mineable class
-    masks, words = mine._tree_table()[5]
+    masks, words = mine._tree_table(6)
     from_rows = [Digraph._of(6, _join_rows(list(rows), 6)) for rows, _ in listed_trees(6)]
     assert [_tree(g).classes for g in from_rows] == [word for _, word in listed_trees(6)]
     assert sorted(canonical_masks(6, np.array([g.mask for g in from_rows], dtype=np.uint64)).tolist()) == masks.tolist()
@@ -759,40 +785,15 @@ def test_six_vertex_sweep_finds_the_missing_obstruction() -> None:
     assert "Q7" in report.confirmed and not report.out_of_reach
 
 
-# the sha256 of minimal_forbidden(x, 6).render() per mineable class; the
-# golden files under tests/golden pin the reports at n_max = 5
-_SIX_VERTEX_DIGESTS = {
-    "DC": "6851e884105501f16815a8eaf62c2e19c9a81a1adefe57c072b5340378b5092d",
-    "OC": "e190b178d482aa0ff1060adbe0b5d2487050ca12eea07d1602e6d625b0856c85",
-    "DTP": "fd15869998b1b8cd97e41ab1158324a5dbc77446d278878d467b30d5c1eedd96",
-    "OTP": "99e5b30b9176c0b5bd133764a7d7001d23aa3b77bfcf3713e04506408a156cfd",
-    "DCTP": "ed0a3c7b9f63dadbabffefcc8372caa408316ee0469dc49e5cd9b38be51e918e",
-    "OCTP": "d9f1dab26d0f5dc0260f9bfecc8c9e9b7e79d1c0270d6465192a7b88a356424e",
-    "DT": "bb6612a86f27ce9d1b7d2d0a2e19b0013484bfe592794b9e395b64d38f41178b",
-    "OT": "efc8fd489f80b9ae52144c3d52f5786ad91f90aa7f080da675d3a61ef447a540",
-    "DWQT": "fa206ff7156534ed34ccf71bbed4bfc416f9b69987bef81701937b0bdf157c40",
-    "OWQT": "95d0f3b77b9ed791bc89950cdf514c7cf189206814db8994809e3e82c722314b",
-    "DCWQT": "fc88ca1637bc4a402d8ac673ee506eaf6705a85c3c4d1ca619cfa91757bc9cef",
-    "OCWQT": "67d8cc847ed30532def052cdbc4f0fc8ee7b7591e73fc94ca654ed2fd345a5fc",
-    "DSC": "6f04f4a6652a9d88dbb0626cf712e19fa13e70690057e72824340b57edc088e7",
-    "OSC": "2b8768ed812afe0183d5f81e3c346cd35ae3e3459af533ba42b2b50f0adf2d18",
-    "DCSC": "cee33f3dead2e8e6b54886a7766f62e06f74232c45158297c9b4654704c6f1a2",
-    "OCSC": "54ad095d52bbdba11dfec26d62afb7dabf2bb1a5ab5f0070e4bb1ee75a013e4d",
-    "TT": "1a07269cdd06294649012b5336bec510d3d04f8188d966169cff6318e74ef427",
-    "EdgelessD": "8af522c57b7fb3992952a9bc4e87a792afb0e248cfbcf4b2b966c132e9d5b6e2",
-    "BidirComplete": "4b7d1765b8d6393f4ffac69aa0b731c80efa8d538534089882605445ddeca77c",
-    "TwoBidirCliques": "488a276657089cdd2e7bff15a09065306d570ca8bf7261bafc0cf0ad90f3ede3",
-    "BidirCompleteBipartite": "99b67a5181564418e91c68da807f5384c6bc593eeac5b9bf70a9fd1a196af332",
-    "SeriesOfStableSets": "f4078efc8bca4723142d52cfcc1258a0910e7dc4ab9c2b683322e87de2044f88",
-    "UnionOfBidirCliques": "24da087257976747384fad27c71f026165f8f30b88e066fa397760312de4ace1",
-}
+# the text `dcograph mine --class X --nmax 6` prints, one file per mineable
+# class, written by tests/make_golden.py
+_GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_six_vertex_mining_reports_are_pinned() -> None:
-    assert set(_SIX_VERTEX_DIGESTS) == {x.value for x in MINEABLE_CLASSES}
     for x in MINEABLE_CLASSES:
-        text = minimal_forbidden(x, 6).render()
-        assert hashlib.sha256(text.encode()).hexdigest() == _SIX_VERTEX_DIGESTS[x.value], x.value
+        text = (_GOLDEN / f"mine_{x.value}_6.txt").read_text(encoding="ascii")
+        assert minimal_forbidden(x, 6).render() + "\n" == text, x.value
 
 
 def test_six_vertex_catalog_entries_are_minimal() -> None:
@@ -804,30 +805,44 @@ def test_six_vertex_catalog_entries_are_minimal() -> None:
 
 
 def _shown(report) -> tuple:
-    """What a caller sees of a report: the type of its size bound, if it keeps one, and its text."""
-    return type(getattr(report, "n_max", None)), report.render()
+    """What a caller sees of a result: the type of its size bound, if it keeps one, and its text if it renders one,
+    else the result itself."""
+    return type(getattr(report, "n_max", None)), report.render() if hasattr(report, "render") else report
+
+
+_ONE = np.array([0], dtype=np.uint64)
 
 
 @pytest.mark.parametrize(
     ("run", "same_as"),
     [
-        (lambda: minimal_forbidden("DC", 3.5), TypeError),
-        (lambda: minimal_forbidden("DC", "3"), TypeError),
+        (lambda: minimal_forbidden("DC", 3.5), "n_max"),
+        (lambda: minimal_forbidden("DC", "3"), "n_max"),
         (lambda: minimal_forbidden("OC", np.int64(3)), lambda: minimal_forbidden("OC", 3)),
-        (lambda: verify_suite("closures", 3.0), TypeError),
-        (lambda: verify_suite("theorems", "3"), TypeError),
-        (lambda: verify_closures(3.0), TypeError),
+        (lambda: verify_suite("closures", 3.0), "n_max"),
+        (lambda: verify_suite("theorems", "3"), "n_max"),
+        (lambda: verify_closures(3.0), "n_max"),
         (lambda: verify_suite("hierarchy", True), lambda: verify_suite("hierarchy", 1)),
         (lambda: verify_hierarchy(np.int64(2), directed=False), lambda: verify_hierarchy(2, directed=False)),
+        (lambda: listed_trees("2"), "n"),
+        (lambda: listed_trees(1.0), "n"),
+        (lambda: listed_trees(np.int64(3)), lambda: listed_trees(3)),
+        (lambda: mine.class_words("digraphs", "3", _ONE), "n"),
+        (lambda: mine.class_words("digraphs", np.int64(3), _ONE).tolist(),
+         lambda: mine.class_words("digraphs", 3, _ONE).tolist()),
+        (lambda: canonical_masks(2.0, _ONE), "n"),
+        (lambda: canonical_masks(np.int64(2), _ONE).tolist(), lambda: canonical_masks(2, _ONE).tolist()),
     ],
     ids=["mine-float", "mine-string", "mine-numpy", "suite-float", "suite-string", "closures-float",
-         "hierarchy-bool", "hierarchy-numpy"],
+         "hierarchy-bool", "hierarchy-numpy", "listed-string", "listed-float", "listed-numpy", "words-string",
+         "words-numpy", "canonical-float", "canonical-numpy"],
 )
 def test_mining_and_suites_read_n_max_as_an_integer(run, same_as) -> None:
-    # n_max passes through operator.index: an integer of any type reads as its
-    # Python int, in the report and its text; anything else is a TypeError naming n_max
-    if isinstance(same_as, type):
-        with pytest.raises(same_as, match=r"\bn_max\b"):
+    # n_max, and the vertex count n of the tree lister and the bulk readers,
+    # pass through operator.index: an integer of any type reads as its Python
+    # int, in the result and its text; anything else is a TypeError naming it
+    if isinstance(same_as, str):
+        with pytest.raises(TypeError, match=rf"^{same_as} must be an integer vertex count, got "):
             run()
     else:
         assert _shown(run()) == _shown(same_as())

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from dcograph.core import MAX_VERTICES, Digraph, _join_rows, _vertex_count
+from dcograph.core import MAX_VERTICES, Digraph, _require, _vertex_count
 
 OPS = ("union", "order", "series")
 
@@ -122,8 +122,10 @@ def _compose_rows(kind: str, children: list[Sequence[int]]) -> tuple[int, ...]:
 
 
 def _digraph(rows: Sequence[int]) -> Digraph:
-    """The digraph with these out-rows; more than MAX_VERTICES of them is a ValueError."""
-    return Digraph.from_mask(len(rows), _join_rows(rows, len(rows)))
+    """The digraph with these `_compose_rows` out-rows; more than MAX_VERTICES of them is a ValueError."""
+    if len(rows) > MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {len(rows)}")
+    return Digraph._of_rows(rows)
 
 
 def evaluate(e: Expression) -> Digraph:
@@ -149,7 +151,8 @@ def format_expression(e: Expression) -> str:
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse the grammar `expr := "v" | op "(" expr ("," expr)+ ")"`."""
+    """Parse the grammar `expr := "v" | op "(" expr ("," expr)+ ")"`; text that is no str is a TypeError."""
+    _require("text", text, str)
     pos = 0
 
     def skip_ws() -> None:

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,12 @@ def mask_array(n: int, masks: object) -> np.ndarray:
 _BIT = tuple(1 << v for v in range(MAX_VERTICES))
 
 
+@lru_cache(maxsize=MAX_VERTICES)
+def _words(n: int) -> struct.Struct:
+    """The layout of an n-vertex digraph's row words: n little-endian uint64, one per vertex."""
+    return struct.Struct(f"<{n}Q")
+
+
 def _join_rows(rows: list[int], n: int) -> int:
     """The bit matrix whose row u is rows[u], assembled in one pass."""
     mask = 0
@@ -59,24 +66,62 @@ def _join_rows(rows: list[int], n: int) -> int:
     return mask
 
 
-class Digraph:
-    """A digraph on vertices 0..n-1 with arcs stored as one bit per ordered pair.
+def _word_int(words: bytes) -> int:
+    """Row words as one int: word u is bits 64u..64u+63."""
+    return int.from_bytes(words, "little")
 
-    Bit u*n+v is set iff the arc (u, v) is present, so row u of the n x n bit
-    matrix is u's out-neighbourhood and column v is v's in-neighbourhood.
-    Columns are read from the matrix's binary text (`_text`) by one slice
-    each, so the converse is one transpose of that text. Instances are
-    immutable; all operations return new values.
+
+@lru_cache(maxsize=MAX_VERTICES)
+def _offdiag_words(n: int) -> int:
+    """Every arc of n vertices in the row-word layout of `_word_int`: bits 0..n-1 of word u but bit u."""
+    return _word_int(_words(n).pack(*[(1 << n) - 1 ^ 1 << u for u in range(n)]))
+
+
+def _swap_mask(k: int) -> int:
+    """The bits (u, v) of a 64 x 64 row-word matrix with bit k of u clear and bit k of v set."""
+    half = sum(1 << v for v in range(64) if v & k)
+    return _word_int(_words(64).pack(*[0 if u & k else half for u in range(64)]))
+
+
+_SWAP = {k: _swap_mask(k) for k in (1, 2, 4, 8, 16, 32)}
+
+
+def _transpose(words: bytes, n: int) -> bytes:
+    """The row words of the transposed n x n matrix: in-rows from out-rows and back.
+
+    Each round swaps bit (u, v) with bit (u + k, v - k), 63k places up, for
+    the pairs `_SWAP[k]` selects; the rounds k = P/2, ..., 2, 1 transpose
+    every aligned P x P block, P the least power of two >= n. Rows and
+    columns n and above are zero, so the top-left n x n block is the transpose.
+    """
+    x = _word_int(words)
+    k = 1 << (n - 1).bit_length() >> 1
+    while k:
+        t = (x ^ x >> 63 * k) & _SWAP[k]
+        x ^= t ^ t << 63 * k
+        k >>= 1
+    return x.to_bytes(8 * n, "little")
+
+
+class Digraph:
+    """A digraph on vertices 0..n-1, held as its out-rows and its in-rows.
+
+    Row u of the n x n bit matrix is u's out-neighbourhood (bit v set iff the
+    arc (u, v) is present) and column v is v's in-neighbourhood. Both sides
+    are kept as row words, n little-endian uint64 (`_out`, `_in`), so reading
+    every row is one unpack and the converse swaps the two. A builder that
+    has the in-rows at hand stores them; otherwise they come from one
+    `_transpose` on first request. `mask`, bit u*n+v per arc, is derived.
+    Instances are immutable; all operations return new values.
     """
 
-    __slots__ = ("n", "_mask")
+    __slots__ = ("n", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         n = operator.index(n)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        self.n = n
-        rows = [0] * n
+        rows, cols = [0] * n, [0] * n
         for u, v in arcs:
             try:
                 if not (0 <= u < n and 0 <= v < n):
@@ -84,14 +129,19 @@ class Digraph:
                 if u == v:
                     raise ValueError(f"loop ({u}, {u}) not allowed")
                 rows[u] |= _BIT[v]
+                cols[v] |= _BIT[u]
             except TypeError:
                 raise TypeError(f"arc ({u!r}, {v!r}) needs integer endpoints") from None
-        object.__setattr__(self, "_mask", _join_rows(rows, n))
+        words = _words(n)
+        self._fill(n, words.pack(*rows), words.pack(*cols))
+
+    def _fill(self, n: int, out: bytes, into: bytes | None) -> Digraph:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", into)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name == "n" and not hasattr(self, "_mask"):
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("Digraph is immutable")
 
     @classmethod
@@ -109,14 +159,29 @@ class Digraph:
     @classmethod
     def _of(cls, n: int, mask: int) -> Digraph:
         """Wrap a mask that is valid by construction, without checking it."""
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "_mask", mask)
-        return g
+        full = (1 << n) - 1
+        return cls._of_rows([mask >> u * n & full for u in range(n)])
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[int], cols: Sequence[int] | None = None) -> Digraph:
+        """Wrap out-rows (and in-rows, if given) that are valid by construction: 1..64 rows, no loop bit."""
+        words = _words(len(rows))
+        return cls._wrap(len(rows), words.pack(*rows), None if cols is None else words.pack(*cols))
+
+    @classmethod
+    def _wrap(cls, n: int, out: bytes, into: bytes | None = None) -> Digraph:
+        """Wrap row words that are valid by construction; in-words None are transposed on first request."""
+        return cls.__new__(cls)._fill(n, out, into)
+
+    def _in_words(self) -> bytes:
+        if self._in is None:
+            object.__setattr__(self, "_in", _transpose(self._out, self.n))
+        return self._in
 
     @property
     def mask(self) -> int:
-        return self._mask
+        """The bit matrix as one int, bit u*n+v per arc (u, v): the out-rows joined."""
+        return _join_rows(self.out_rows(), self.n)
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -131,76 +196,71 @@ class Digraph:
 
     @property
     def arc_count(self) -> int:
-        return self._mask.bit_count()
+        return _word_int(self._out).bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
         u, v = operator.index(u), operator.index(v)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        return bool(self._mask >> u * self.n + v & 1)
+        return bool(self._out[8 * u + (v >> 3)] >> (v & 7) & 1)
 
     def out_row(self, u: int) -> int:
         """Out-neighbourhood of u as an n-bit mask."""
-        u = operator.index(u)
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
-        return self._mask >> u * self.n & (1 << self.n) - 1
+        return _words(1).unpack_from(self._out, 8 * self._vertex(u))[0]
 
     def in_row(self, v: int) -> int:
         """In-neighbourhood of v as an n-bit mask."""
-        return int(self._column(v), 2)
+        return _words(1).unpack_from(self._in_words(), 8 * self._vertex(v))[0]
 
     def out_rows(self) -> list[int]:
         """Every out-neighbourhood, row u of the bit matrix for u = 0..n-1."""
-        n, full, mask = self.n, (1 << self.n) - 1, self._mask
-        return [mask >> u * n & full for u in range(n)]
+        return list(_words(self.n).unpack(self._out))
 
     def in_rows(self) -> list[int]:
         """Every in-neighbourhood, column v of the bit matrix for v = 0..n-1."""
-        n, text = self.n, self._text()
-        return [int(text[n - 1 - v::n], 2) for v in range(n)]
+        return list(_words(self.n).unpack(self._in_words()))
 
     def out_degree(self, u: int) -> int:
         return self.out_row(u).bit_count()
 
     def in_degree(self, v: int) -> int:
-        return self._column(v).count("1")
+        return self.in_row(v).bit_count()
 
-    def _text(self) -> str:
-        """The bit matrix as n*n binary digits, highest bit first.
-
-        Digit (n-1-u)*n + (n-1-v) is pair (u, v), so the slice [n-1-v::n] is
-        column v with row n-1 first: the binary text of v's in-row.
-        """
-        return bin(self._mask | 1 << self.n * self.n)[3:]
-
-    def _column(self, v: int) -> str:
+    def _vertex(self, v: int) -> int:
         v = operator.index(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self._text()[self.n - 1 - v::self.n]
+        return v
 
     # -- unary transforms ---------------------------------------------------
 
+    def _from_ints(self, out: int, into: int | None = None) -> Digraph:
+        """The n-vertex digraph whose out-rows (and in-rows, if given) are these `_word_int` values."""
+        size = 8 * self.n
+        into_words = None if into is None else into.to_bytes(size, "little")
+        return Digraph._wrap(self.n, out.to_bytes(size, "little"), into_words)
+
     def complement(self) -> Digraph:
-        return Digraph._of(self.n, self._mask ^ _full_offdiag(self.n))
+        return self._from_ints(_word_int(self._out) ^ _offdiag_words(self.n))
 
     def converse(self) -> Digraph:
-        """The transpose: the matrix text's columns, joined in order, are the transposed text."""
-        n, text = self.n, self._text()
-        return Digraph._of(n, int("".join([text[a::n] for a in range(n)]), 2))
+        """The transpose: the in-rows become the out-rows and the out-rows the in-rows."""
+        return Digraph._wrap(self.n, self._in_words(), self._out)
 
     def sym_part(self) -> Digraph:
         """Spanning subdigraph keeping exactly the arcs whose reverse is also present."""
-        return Digraph._of(self.n, self._mask & self.converse()._mask)
+        both = _word_int(self._out) & _word_int(self._in_words())
+        return self._from_ints(both, both)
 
     def asym_part(self) -> Digraph:
         """Spanning subdigraph keeping exactly the arcs whose reverse is absent."""
-        return Digraph._of(self.n, self._mask & ~self.converse()._mask)
+        out, into = _word_int(self._out), _word_int(self._in_words())
+        return self._from_ints(out & ~into, into & ~out)
 
     def underlying(self) -> UndirectedGraph:
         """Forget orientations: edge {u,v} iff at least one of the two arcs exists."""
-        return UndirectedGraph._of(Digraph._of(self.n, self._mask | self.converse()._mask))
+        either = _word_int(self._out) | _word_int(self._in_words())
+        return UndirectedGraph._of(self._from_ints(either, either))
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
         """Induced subdigraph on a vertex set, repeats and order ignored; kept vertices are relabeled 0.. in order."""
@@ -209,23 +269,21 @@ class Digraph:
             raise ValueError("induced subdigraph needs at least one vertex")
         if sub[0] < 0 or sub[-1] >= self.n:
             raise ValueError(f"vertices {sub} out of range for n={self.n}")
-        n, k = self.n, len(sub)
+        k, out = len(sub), self.out_rows()
         rank = dict(zip(sub, range(k)))
         keep = sum(1 << v for v in sub)
         rows = [0] * k
         for i, u in enumerate(sub):
             # each arc u->v into a kept v lands at column rank[v] of row i
-            row = self._mask >> u * n & keep
+            row = out[u] & keep
             while row:
                 low = row & -row
                 rows[i] |= 1 << rank[low.bit_length() - 1]
                 row ^= low
-        return Digraph._of(k, _join_rows(rows, k))
+        return Digraph._of_rows(rows)
 
     def delete_vertex(self, v: int) -> Digraph:
-        v = operator.index(v)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        v = self._vertex(v)
         if self.n == 1:
             raise ValueError("cannot delete the last vertex")
         return self.induced(u for u in range(self.n) if u != v)
@@ -238,22 +296,22 @@ class Digraph:
         rows = [0] * self.n
         for u, v in self.arcs:
             rows[p[u]] |= 1 << p[v]
-        return Digraph._of(self.n, _join_rows(rows, self.n))
+        return Digraph._of_rows(rows)
 
     # -- predicates ---------------------------------------------------------
 
     def is_edgeless(self) -> bool:
-        return self._mask == 0
+        return not _word_int(self._out)
 
     def is_bidirectional_complete(self) -> bool:
-        return self._mask == _full_offdiag(self.n)
+        return _word_int(self._out) == _offdiag_words(self.n)
 
     def is_oriented(self) -> bool:
-        return self._mask & self.converse()._mask == 0
+        return not _word_int(self._out) & _word_int(self._in_words())
 
     def is_tournament(self) -> bool:
-        conv = self.converse()._mask
-        return self._mask & conv == 0 and self._mask | conv == _full_offdiag(self.n)
+        out, into = _word_int(self._out), _word_int(self._in_words())
+        return not out & into and out | into == _offdiag_words(self.n)
 
     def is_transitive(self) -> bool:
         """Whenever (u,v) and (v,w) are arcs with u != w, (u,w) is an arc too."""
@@ -290,25 +348,27 @@ class Digraph:
 
     def canonical_form(self) -> bytes:
         """Deterministic bytes equal for two digraphs iff they are isomorphic (n <= 8)."""
-        return _canonize(self.n, self._mask)[0]
+        return _canonize(self.n, self.mask)[0]
 
     def isomorphism_to(self, other: Digraph) -> tuple[int, ...] | None:
         """A vertex bijection carrying self onto other, or None."""
+        _require("other", other, Digraph)
         if self.n != other.n:
             return None
-        ca, oa = _canonize(self.n, self._mask)
-        cb, ob = _canonize(other.n, other._mask)
+        ca, oa = _canonize(self.n, self.mask)
+        cb, ob = _canonize(other.n, other.mask)
         if ca != cb:
             return None
         mapping = [0] * self.n
         for i in range(self.n):
             mapping[oa[i]] = ob[i]
         # a check that `python -O` keeps: a wrong canonical order must not pass as an isomorphism
-        if self.relabel(mapping)._mask != other._mask:
+        if self.relabel(mapping) != other:
             raise RuntimeError(f"canonical orders of {self!r} and {other!r} do not give an isomorphism")
         return tuple(mapping)
 
     def isomorphic_to(self, other: Digraph) -> bool:
+        _require("other", other, Digraph)
         return self.n == other.n and self.canonical_form() == other.canonical_form()
 
     # -- dunder -------------------------------------------------------------
@@ -316,13 +376,20 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self._mask == other._mask
+        # the out-words hold n as their length, 8n bytes
+        return self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self._mask))
+        return hash(self._out)
 
     def __repr__(self) -> str:
         return f"Digraph({self.n}, {list(self.arcs)!r})"
+
+
+def _require(name: str, value: object, kind: type) -> None:
+    """A TypeError naming the argument unless value is a kind; without it a wrong type fails on some attribute."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _vertex_count(name: str, value: int) -> int:
@@ -437,7 +504,7 @@ class UndirectedGraph:
                 rows[v] |= _BIT[u]
             except TypeError:
                 raise TypeError(f"edge ({u!r}, {v!r}) needs integer endpoints") from None
-        object.__setattr__(self, "_sym", Digraph._of(n, _join_rows(rows, n)))
+        object.__setattr__(self, "_sym", Digraph._of_rows(rows, rows))
 
     @classmethod
     def _of(cls, sym: Digraph) -> UndirectedGraph:
@@ -495,26 +562,32 @@ class UndirectedGraph:
 
 # the exact text `format_edge_list` writes. It admits no blank body, which
 # np.fromstring reads as [0], and no numeral past two ASCII digits, which it
-# would saturate at 2**63 - 1.
-_FORMATTED = re.compile(r"n ([0-9]{1,2})\n(?:[0-9]{1,2} [0-9]{1,2}\n)*")
+# would saturate at 2**63 - 1. The quantifiers are possessive: a numeral or
+# a line, once read, is never given back, which cannot change a full match.
+_FORMATTED = re.compile(r"n ([0-9]{1,2}+)\n(?:[0-9]{1,2}+ [0-9]{1,2}+\n)*+")
 
 
 def parse_edge_list(text: str) -> Digraph:
     """Parse the plain-text digraph format.
 
     Line 1 is `n <count>`; every later non-empty line is `u v` for one arc.
-    `#` starts a comment. Duplicate arcs and loops are rejected.
+    `#` starts a comment. Duplicate arcs and loops are rejected; text that is
+    no str is a TypeError.
 
     Text in the exact form `format_edge_list` writes is read in one numpy pass;
     any other text, and every invalid one, goes to the line reader, which
     alone words the errors.
     """
+    _require("text", text, str)
     g = _read_formatted(text)
     return _parse_lines(text) if g is None else g
 
 
 def _read_formatted(text: str) -> Digraph | None:
-    """The digraph of a valid `format_edge_list` text, or None for any other text."""
+    """The digraph of a valid `format_edge_list` text, or None for any other text.
+
+    The arcs are set in an n x 64 bit matrix whose packed rows are the out-words.
+    """
     found = _FORMATTED.fullmatch(text)
     if found is None:
         return None
@@ -522,15 +595,16 @@ def _read_formatted(text: str) -> Digraph | None:
     if not 1 <= n <= MAX_VERTICES:
         return None
     ends = np.fromstring(text[found.end(1) + 1 :], np.intp, -1, " ")
-    bits = np.zeros((n, n), np.uint8)
+    bits = np.zeros((n, 64), np.uint8)
     try:
         bits[ends[::2], ends[1::2]] = 1
-    except IndexError:  # an endpoint is n or more
+    except IndexError:  # a tail is n or more, or a head 64 or more
         return None
-    mask = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    if mask.bit_count() != ends.size >> 1 or mask & _full_offdiag(n) != mask:  # a repeated arc or a loop
+    out = np.packbits(bits, axis=-1, bitorder="little").tobytes()
+    arcs = _word_int(out)
+    if arcs & ~_offdiag_words(n) or arcs.bit_count() != ends.size >> 1:  # a loop, a head n or more, a repeat
         return None
-    return Digraph._of(n, mask)
+    return Digraph._wrap(n, out)
 
 
 # a numeral as the line reader reads it, without int()'s underscores, plus
@@ -571,7 +645,7 @@ def _parse_lines(text: str) -> Digraph:
         rows[u] |= 1 << v
     if n is None:
         raise EdgeListError("empty input: missing 'n <count>' header")
-    return Digraph._of(n, _join_rows(rows, n))
+    return Digraph._of_rows(rows)
 
 
 def format_edge_list(g: Digraph) -> str:

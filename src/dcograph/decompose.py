@@ -6,7 +6,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks, _vertex_count
+from dcograph.core import _MEMO_SIZE, MAX_VERTICES, Digraph, _bits, _component_masks, _require, _vertex_count
 from dcograph.construct import Expression, _compose_rows, _sort_key, leaf
 
 
@@ -327,8 +327,7 @@ def _child_lists(pool: list[tuple], k: int, ordered: bool) -> Iterator[tuple[tup
 
 def _require_digraph(g: object) -> None:
     """A TypeError naming g unless g is a Digraph; the memo would otherwise hash it and fail on its own terms."""
-    if not isinstance(g, Digraph):
-        raise TypeError(f"g must be a Digraph, got {type(g).__name__}")
+    _require("g", g, Digraph)
 
 
 def maximal_split(g: Digraph) -> Split:

@@ -627,7 +627,7 @@ def _source_elimination(g: Digraph) -> bool:
     # sink elimination is this on the converse
     cur = g
     while cur.n > 1:
-        hits = [v for v in range(cur.n) if cur.out_degree(v) == cur.n - 1]
+        hits = [v for v, row in enumerate(cur.out_rows()) if row.bit_count() == cur.n - 1]
         if not hits:
             return False
         cur = cur.delete_vertex(hits[0])

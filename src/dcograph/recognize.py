@@ -125,9 +125,19 @@ WORD_BIT: dict[ClassId, int] = {
 _CATALOG_WORD: dict[ClassId, int] = {x: name_word(CATALOG[x.value]) for x in CLASS_BIT}
 
 
+def _require_collection(classes: object) -> None:
+    """A TypeError for a bare string, which is a collection of its characters and not of the class it names."""
+    if isinstance(classes, str):
+        raise TypeError(f"classes must be a collection of classes, not the string {classes!r}; try [{classes!r}]")
+
+
 def class_word(g: Digraph, classes: Container[ClassId] | None = None) -> int:
-    """Every class g is in, as one word with bit WORD_BIT[x] set per class x; TD and FD only if in classes."""
+    """Every class g is in, as one word with bit WORD_BIT[x] set per class x; TD and FD only if in classes.
+
+    A bare string for classes is a TypeError, as in `classify`.
+    """
     _require_digraph(g)
+    _require_collection(classes)
     word = _tree(g).classes
     for x in PATTERN_ONLY_CLASSES:
         if (classes is None or x in classes) and member_by_patterns(g, x):
@@ -169,8 +179,7 @@ def classify(g: Digraph, classes: Iterable[ClassId | str] | None = None) -> set[
     A class may be given by its value ("DC"); an unknown one is a ValueError, and
     a bare string for classes is a TypeError.
     """
-    if isinstance(classes, str):
-        raise TypeError(f"classes must be a collection of classes, not the string {classes!r}; try [{classes!r}]")
+    _require_collection(classes)
     chosen = list(ClassId) if classes is None else [_class_id(x) for x in classes]
     word = class_word(g, chosen)
     checked = [x for x in chosen if x in _CATALOG_WORD]

@@ -6,8 +6,9 @@ Each file holds what `dcograph` prints on stdout: `mine --nmax 5` and
 `mine --nmax 6` for each mineable class, `verify --nmax 5` for each suite,
 and `cli_trees.txt`, the commands that read the di-co-tree (`classify
 --certificates`, `decompose`, `creation-seq`) on every `patterns/*.edges`
-file and on a 64-leaf expression, each run headed by its arguments and
-closed by its exit code.
+file, on a 64-leaf expression and on that expression's digraph written as a
+relabelled edge list and read from stdin, each run headed by its arguments
+and closed by its exit code.
 On unchanged code the files come out byte for byte as committed; a change
 meant to alter output reruns this script and shows the diff.
 """
@@ -16,9 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import sys
 from pathlib import Path
+from typing import Iterator
 
 from dcograph import cli
+from dcograph.construct import evaluate, parse_expression
+from dcograph.core import format_edge_list
 from dcograph.mine import _SUITES, MINEABLE_CLASSES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,25 +39,44 @@ def expression(leaves: int, depth: int = 0) -> str:
     return f"{op}({expression(left, depth + 1)}, {expression(leaves - left, depth + 1)})"
 
 
-def run(argv: list[str]) -> tuple[str, int]:
-    """The stdout and exit code of `dcograph argv`, run in this process."""
+def run(argv: list[str], stdin: str = "") -> tuple[str, int]:
+    """The stdout and exit code of `dcograph argv` with this text on stdin, run in this process."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), _stdin(stdin):
         code = cli.main(argv)
     return out.getvalue(), code
 
 
+@contextlib.contextmanager
+def _stdin(text: str) -> Iterator[None]:
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        yield
+    finally:
+        sys.stdin = saved
+
+
+def relabelled_edge_list(leaves: int) -> str:
+    """`expression(leaves)`'s digraph as a formatted edge list, vertex i renamed 7i + 3 mod leaves."""
+    # a bijection whenever 7 does not divide leaves
+    g = evaluate(parse_expression(expression(leaves)))
+    return format_edge_list(g.relabel([(7 * i + 3) % leaves for i in range(leaves)]))
+
+
 def cli_trees() -> str:
-    """The text of cli_trees.txt: every tree-reading command on every pattern file and the 64-leaf expression."""
-    inputs = [[f"patterns/{path.name}"] for path in sorted((ROOT / "patterns").glob("*.edges"))]
-    inputs.append(["--expr", expression(64)])
+    """The text of cli_trees.txt: every tree-reading command on every pattern file, the 64-leaf
+    expression, and its relabelled edge list on stdin, which the bulk edge-list reader reads."""
+    inputs = [([f"patterns/{path.name}"], "") for path in sorted((ROOT / "patterns").glob("*.edges"))]
+    inputs.append((["--expr", expression(64)], ""))
+    inputs.append((["-"], relabelled_edge_list(64)))
     blocks = []
-    for source in inputs:
+    for source, stdin in inputs:
         # pattern files are opened from the repository root, whatever the working directory
-        opened = [str(ROOT / source[0])] if source[0] != "--expr" else source
+        opened = [str(ROOT / source[0])] if source[0].startswith("patterns/") else source
         for command in (["classify", "--certificates"], ["decompose"], ["creation-seq"]):
-            stdout, code = run(command + opened)
-            blocks.append(f"$ dcograph {' '.join(command + source)}\n{stdout}exit {code}\n")
+            stdout, code = run(command + opened, stdin)
+            head = f"$ dcograph {' '.join(command + source)}" + (" < relabelled expression(64)" if stdin else "")
+            blocks.append(f"{head}\n{stdout}exit {code}\n")
     return "".join(blocks)
 
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcograph import construct
+from dcograph.construct import FAMILIES, OPS, compose, evaluate, parse_expression
 from dcograph.core import (
     Digraph,
     EdgeListError,
@@ -20,6 +22,7 @@ from dcograph.core import (
     _component_masks,
     _full_offdiag,
     _parse_lines,
+    _read_formatted,
     format_edge_list,
     parse_edge_list,
     to_dot,
@@ -135,6 +138,127 @@ def test_a_non_integer_endpoint_is_a_type_error_naming_its_arc(call, message: st
 def test_complement_and_converse_are_involutions(g: Digraph) -> None:
     assert g.complement().complement() == g
     assert g.converse().converse() == g
+
+
+def _assert_pair_reference(g: Digraph, n: int, arcs: list[tuple[int, int]]) -> None:
+    """g against a reference built from its arc list, one membership test per ordered pair."""
+    present = set(arcs)
+    assert g.n == n
+    # in-rows first: most builders leave them to be transposed on this first request
+    assert g.in_rows() == [sum(1 << u for u in range(n) if (u, v) in present) for v in range(n)]
+    assert g.out_rows() == [sum(1 << v for v in range(n) if (u, v) in present) for u in range(n)]
+    assert g.mask == sum(1 << u * n + v for u, v in present)
+    assert g.arcs == tuple(sorted(present))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    assert [g.has_arc(u, v) for u, v in pairs] == [pair in present for pair in pairs]
+    assert [g.in_degree(v) for v in range(n)] == [sum((u, v) in present for u in range(n)) for v in range(n)]
+    twin = Digraph(n, sorted(present))
+    assert g == twin and hash(g) == hash(twin)
+    if n > 1:
+        assert g != Digraph(n, sorted(present ^ {(n - 1, 0)}))
+    assert g.converse().converse() == g and g.converse().converse().in_rows() == g.in_rows()
+
+
+def _random_expression(rnd: random.Random, leaves: int) -> construct.Expression:
+    if leaves == 1:
+        return construct.leaf()
+    cut = rnd.randint(1, leaves - 1)
+    return getattr(construct, rnd.choice(OPS))(_random_expression(rnd, cut), _random_expression(rnd, leaves - cut))
+
+
+def _cross_arcs(op: str, blocks: list[range]) -> list[tuple[int, int]]:
+    """The arcs op adds between consecutive vertex blocks, by the definition: none, earlier to later, or both ways."""
+    arcs = []
+    for i, a in enumerate(blocks):
+        for b in blocks[i + 1 :]:
+            arcs += [(u, v) for u in a for v in b] if op != "union" else []
+            arcs += [(v, u) for u in a for v in b] if op == "series" else []
+    return arcs
+
+
+def _expression_arcs(e: construct.Expression, start: int = 0) -> list[tuple[int, int]]:
+    """The arcs of e, leaves numbered depth-first from start."""
+    if e.is_leaf:
+        return []
+    arcs, blocks = [], []
+    for child in e.children:
+        arcs += _expression_arcs(child, start)
+        blocks.append(range(start, start + child.leaf_count))
+        start += child.leaf_count
+    return arcs + _cross_arcs(e.kind, blocks)
+
+
+def _family_arcs(name: str, sizes: list[int]) -> list[tuple[int, int]]:
+    n = sum(sizes)
+    if name in ("bidir-complete-bipartite", "oriented-complete-bipartite"):
+        a = sizes[0]
+        return _cross_arcs("series" if name.startswith("bidir") else "order", [range(a), range(a, n)])
+    return {
+        "tt": [(u, v) for u in range(n) for v in range(u + 1, n)],
+        "edgeless": [],
+        "bidir-complete": [(u, v) for u in range(n) for v in range(n) if u != v],
+        "path": [(u, u + 1) for u in range(n - 1)],
+        "cycle": [(u, (u + 1) % n) for u in range(n)],
+    }[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.data())
+def test_every_builder_agrees_with_a_pair_reference(n: int, density: float, data) -> None:
+    rnd = data.draw(st.randoms(use_true_random=False))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rnd.random() < density]
+    shuffled = rnd.sample(arcs, len(arcs))
+    text = format_edge_list(Digraph(n, arcs))
+    built = [
+        Digraph(n, shuffled),
+        Digraph.from_mask(n, sum(1 << u * n + v for u, v in arcs)),
+        _read_formatted(text),
+        _parse_lines(text),
+    ]
+    for g in built:
+        _assert_pair_reference(g, n, arcs)
+    g, present = built[1], set(arcs)
+    keep = sorted(set(data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1))))
+    rank = {v: i for i, v in enumerate(keep)}
+    _assert_pair_reference(g.induced(keep), len(keep), [(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank])
+    perm = rnd.sample(range(n), n)
+    _assert_pair_reference(g.relabel(perm), n, [(perm[u], perm[v]) for u, v in arcs])
+    _assert_pair_reference(g.converse(), n, [(v, u) for u, v in arcs])
+    absent = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in present]
+    _assert_pair_reference(g.complement(), n, absent)
+    _assert_pair_reference(g.sym_part(), n, [(u, v) for u, v in arcs if (v, u) in present])
+    _assert_pair_reference(g.asym_part(), n, [(u, v) for u, v in arcs if (v, u) not in present])
+    _assert_pair_reference(g.underlying().to_digraph(), n, sorted(present | {(v, u) for u, v in arcs}))
+
+    e = _random_expression(rnd, n)
+    _assert_pair_reference(evaluate(e), n, _expression_arcs(e))
+    # compose an expression's digraph with a first block of g: k + (n - k) vertices, or 1 + 1
+    k = rnd.randint(1, n - 1) if n > 1 else 1
+    left, right = _random_expression(rnd, k), range(max(n - k, 1))
+    right_arcs = [(u + k, v + k) for u, v in arcs if u in right and v in right]
+    op = rnd.choice(OPS)
+    expected = _expression_arcs(left) + right_arcs + _cross_arcs(op, [range(k), range(k, k + len(right))])
+    _assert_pair_reference(compose(op, evaluate(left), g.induced(right)), k + len(right), expected)
+    name = rnd.choice(sorted(FAMILIES))
+    sizes = [max(n, 3)] if FAMILIES[name][1] == 1 else [k, len(right)]
+    _assert_pair_reference(construct.generate_family(name, *sizes), sum(sizes), _family_arcs(name, sizes))
+
+
+def test_a_digraph_holds_at_most_twice_the_bytes_of_its_mask() -> None:
+    # the out-words and in-words, 8n bytes each, against the one n*n-bit mask int they replaced
+    g = Digraph(64, [(u, v) for u in range(64) for v in range(64) if u != v])
+    g.in_rows()  # both sides filled
+    stored = sum(sys.getsizeof(getattr(g, name)) for name in Digraph.__slots__)
+    assert stored <= 2 * sys.getsizeof(g.mask)
+
+
+@pytest.mark.parametrize("other", ["0 1", None, UndirectedGraph(2, [(0, 1)])], ids=["str", "none", "undirected"])
+def test_isomorphism_to_a_non_digraph_is_a_type_error(other) -> None:
+    # a string used to end in "'str' object has no attribute 'n'"
+    g = Digraph(2, [(0, 1)])
+    for call in (g.isomorphism_to, g.isomorphic_to):
+        with pytest.raises(TypeError, match=rf"^other must be a Digraph, got {type(other).__name__}$"):
+            call(other)
 
 
 @given(digraphs())
@@ -461,6 +585,40 @@ def edge_list_texts(draw) -> str:
 @given(edge_list_texts())
 def test_bulk_reader_agrees_with_the_line_reader(text: str) -> None:
     assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 63, 64])
+def test_bulk_and_line_readers_agree_on_padded_numerals(n: int) -> None:
+    # leading zeros up to two digits stay on the bulk path; three or more digits go to the line reader
+    rng = random.Random(n)
+    g = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3])
+    body = [line.split() for line in format_edge_list(g).splitlines()[1:]]
+
+    def padded(width: int) -> str:
+        return "".join([f"n {n:0{width}d}\n"] + [f"{int(u):0{width}d} {int(v):0{width}d}\n" for u, v in body])
+
+    for width in (1, 2, 3, 5):
+        assert _outcome(parse_edge_list, padded(width)) == _outcome(_parse_lines, padded(width)) == ("digraph", g)
+    assert _read_formatted(padded(2)) == g and _read_formatted(padded(3)) is None
+    # a head from n up to 63 lands in a row word's spare bits, one of 64 or more outside the word
+    spare = [f"n {n}\n0 {n}\n", f"n {n}\n0 99\n"] + ([f"n {n}\n0 63\n"] if n < 64 else [])
+    wide = [f"n {n}\n{n} 0\n", f"n {n}\n0 100\n", f"n {n}\n100 0\n", f"n {n}\n000 0{n}\n", f"n 0{n + 100}\n"]
+    repeated = [f"n {n}\n0 {n - 1:03d}\n0 {n - 1}\n"]  # a loop when n is 1
+    for text in spare + wide + repeated:
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+        assert _outcome(parse_edge_list, text)[0] == "error", text
+
+
+@pytest.mark.parametrize(
+    ("parse", "text"),
+    [(parse_edge_list, b"n 1\n"), (parse_expression, b"v"), (parse_edge_list, None), (parse_expression, ["v"])],
+    ids=["edge-list-bytes", "expression-bytes", "edge-list-none", "expression-list"],
+)
+def test_a_text_that_is_no_str_is_a_type_error(parse, text) -> None:
+    # bytes used to end in the regex's "cannot use a string pattern on a bytes-like
+    # object", or in "'int' object has no attribute 'isspace'"
+    with pytest.raises(TypeError, match=rf"^text must be a str, got {type(text).__name__}$"):
+        parse(text)
 
 
 @pytest.mark.parametrize(

@@ -309,6 +309,16 @@ def test_classify_rejects_a_bare_class_string() -> None:
         classify(Digraph(3, [(0, 1), (0, 2), (1, 2)]), "DC")
 
 
+def test_class_word_rejects_a_bare_class_string_as_classify_does() -> None:
+    # "TD" used to end in "'in <string>' requires string as left operand, not ClassId"
+    g = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(TypeError, match=r"'TD'.*\['TD'\]") as by_word:
+        recognize.class_word(g, "TD")
+    with pytest.raises(TypeError) as by_classify:
+        classify(g, "TD")
+    assert str(by_word.value) == str(by_classify.value)
+
+
 def test_route_disagreement_carries_context() -> None:
     exc = RouteDisagreement(ClassId.DC, Digraph(1), True, False)
     assert "DC" in str(exc) and "constructive=True" in str(exc)

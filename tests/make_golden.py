@@ -6,9 +6,10 @@ Each file holds what `dcograph` prints on stdout: `mine --nmax 5` and
 `mine --nmax 6` for each mineable class, `verify --nmax 5` for each suite,
 and `cli_trees.txt`, the commands that read the di-co-tree (`classify
 --certificates`, `decompose`, `creation-seq`) on every `patterns/*.edges`
-file, on a 64-leaf expression and on that expression's digraph written as a
-relabelled edge list and read from stdin, each run headed by its arguments
-and closed by its exit code.
+file, on a 64-leaf expression, on that expression's digraph written as a
+relabelled edge list and read from stdin, and on expression texts that are
+not in normal form (`UNNORMAL_TEXTS`), each run headed by its arguments and
+closed by its exit code.
 On unchanged code the files come out byte for byte as committed; a change
 meant to alter output reruns this script and shows the diff.
 """
@@ -39,6 +40,27 @@ def expression(leaves: int, depth: int = 0) -> str:
     return f"{op}({expression(left, depth + 1)}, {expression(leaves - left, depth + 1)})"
 
 
+def caterpillar(leaves: int, depth: int = 0) -> str:
+    """A construction expression nested leaves - 1 deep: each node cycles union, order and series by depth
+    and lists its subtree before its leaf, so no union or series node has its children sorted."""
+    if leaves == 1:
+        return "v"
+    return f"{('union', 'order', 'series')[depth % 3]}({caterpillar(leaves - 1, depth + 1)}, v)"
+
+
+# texts the parser must bring to normal form: unsorted union and series
+# children, children with their parent's operation, odd whitespace, and a
+# 64-leaf expression nested 63 deep
+UNNORMAL_TEXTS = (
+    "union(series(v, v), v)",
+    "series(order(v, v, v), union(v, v), v)",
+    "order(order(v, v), v, order(v, union(v, v)))",
+    "union(union(v, order(v, v)), series(v, v), union(v, v))",
+    "  series (v ,\tunion( v,v ) ,  order(v , v) )\t",
+    caterpillar(64),
+)
+
+
 def run(argv: list[str], stdin: str = "") -> tuple[str, int]:
     """The stdout and exit code of `dcograph argv` with this text on stdin, run in this process."""
     out = io.StringIO()
@@ -65,10 +87,12 @@ def relabelled_edge_list(leaves: int) -> str:
 
 def cli_trees() -> str:
     """The text of cli_trees.txt: every tree-reading command on every pattern file, the 64-leaf
-    expression, and its relabelled edge list on stdin, which the bulk edge-list reader reads."""
+    expression, its relabelled edge list on stdin, which the bulk edge-list reader reads, and
+    the texts that are not in normal form."""
     inputs = [([f"patterns/{path.name}"], "") for path in sorted((ROOT / "patterns").glob("*.edges"))]
     inputs.append((["--expr", expression(64)], ""))
     inputs.append((["-"], relabelled_edge_list(64)))
+    inputs.extend((["--expr", text], "") for text in UNNORMAL_TEXTS)
     blocks = []
     for source, stdin in inputs:
         # pattern files are opened from the repository root, whatever the working directory

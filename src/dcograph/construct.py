@@ -1,10 +1,14 @@
 """Expression language for building digraphs from vertices by union, order, and series.
 
-`_compose_rows` is the one composition kernel: `evaluate`, `compose`, the
-named families and `decompose.listed_trees` build out-rows through it.
+`_cross` says which arcs a composition adds: `evaluate` reads it top-down,
+and `_compose_rows`, through which `compose`, the named families and
+`decompose.listed_trees` build out-rows, reads it bottom-up.
 """
 from __future__ import annotations
 
+import re
+import sys
+from itertools import islice
 from typing import Iterable, Sequence
 
 from dcograph.core import MAX_VERTICES, Digraph, _require, _vertex_count
@@ -101,22 +105,30 @@ def series(*children: Expression) -> Expression:
     return _node("series", children)
 
 
-def _compose_rows(kind: str, children: list[Sequence[int]]) -> tuple[int, ...]:
-    """The out-rows of a union/order/series of the children's out-rows, each child's vertices after the previous child's.
+def _cross(kind: str, span: int, start: int, stop: int) -> int:
+    """The vertices of a node's bit set span that the node joins each vertex of its child on start..stop-1 to.
 
     This is the only place that says which arcs a node adds: none under
-    union; under order every arc from a child to each later child; under
+    union; under order an arc to every vertex of each later child; under
     series both arcs between every two children. A kind outside OPS is an
     ExpressionError.
     """
-    if kind not in OPS:
-        raise ExpressionError(f"unknown composition {kind!r}; expected one of {', '.join(OPS)}")
+    if kind == "order":
+        return span >> stop << stop
+    if kind == "series":
+        return span & ~((1 << stop) - (1 << start))
+    if kind == "union":
+        return 0
+    raise ExpressionError(f"unknown composition {kind!r}; expected one of {', '.join(OPS)}")
+
+
+def _compose_rows(kind: str, children: list[Sequence[int]]) -> tuple[int, ...]:
+    """The out-rows of a union/order/series of the children's out-rows, each child's vertices after the previous child's."""
     full = (1 << sum(map(len, children))) - 1
     joined: list[int] = []
     for rows in children:
-        start, end = len(joined), len(joined) + len(rows)
-        later = full >> end << end
-        cross = later if kind == "order" else later | (1 << start) - 1 if kind == "series" else 0
+        start, stop = len(joined), len(joined) + len(rows)
+        cross = _cross(kind, full, start, stop)
         joined.extend([row << start | cross for row in rows])
     return tuple(joined)
 
@@ -129,80 +141,129 @@ def _digraph(rows: Sequence[int]) -> Digraph:
 
 
 def evaluate(e: Expression) -> Digraph:
-    """Build the digraph an expression denotes; leaves number depth-first left to right."""
+    """Build the digraph an expression denotes; leaves number depth-first left to right.
+
+    One top-down walk: a node with vertices start..stop-1 and children in
+    sequence gives each child its own range, and a leaf's out-row is the OR
+    of what `_cross` gives each of its ancestors' children on the path to it.
+    An expression in normal form (every node with at least 2 children, none
+    of its own kind, union and series children sorted by `_sort_key`) is the
+    di-co-tree of its digraph, so the digraph keeps it as its seed and
+    `decompose` splits nothing. A node without children is an ExpressionError.
+    """
+    _require("e", e, Expression)
     total = e.leaf_count
     if total > MAX_VERTICES:
         raise ExpressionError(f"expression evaluates to {total} vertices, cap is {MAX_VERTICES}")
-
-    def rows(node: Expression) -> tuple[int, ...]:
-        return (0,) if node.is_leaf else _compose_rows(node.kind, [rows(c) for c in node.children])
-
-    return _digraph(rows(e))
+    rows = [0] * total
+    normal = True
+    stack = [(e, 0, 0)]  # a node, its first vertex, and the vertices its ancestors join each of its vertices to
+    while stack:
+        node, start, cross = stack.pop()
+        kind, children = node.kind, node.children
+        if kind == "leaf":
+            rows[start] = cross
+            continue
+        if not children:
+            raise ExpressionError(f"{kind} needs at least 1 child")
+        span = (1 << start + node.leaf_count) - (1 << start)
+        if normal:
+            normal = len(children) > 1 and all(c.kind != kind for c in children)
+            if kind != "order" and normal:
+                keys = [_sort_key(c) for c in children]
+                normal = keys == sorted(keys)
+        for child in children:
+            stop = start + child.leaf_count
+            stack.append((child, start, cross | _cross(kind, span, start, stop)))
+            start = stop
+    return Digraph._of_rows(rows, seed=e if normal else None)
 
 
 def compose(op: str, a: Digraph, b: Digraph) -> Digraph:
     """Binary union/order/series of two digraphs: a's vertices first, then b's shifted."""
+    _require("a", a, Digraph)
+    _require("b", b, Digraph)
     return _digraph(_compose_rows(op, [a.out_rows(), b.out_rows()]))
 
 
 def format_expression(e: Expression) -> str:
     """Canonical text form, `op(child, child, ...)` with leaves as `v`."""
+    _require("e", e, Expression)
     return e._text
 
 
+# one token of expression text after any whitespace: an operation name or one
+# character, and the empty token once the text is used up
+_TOKEN = re.compile(r"\s*+(union|order|series|.|\Z)", re.DOTALL)
+
+# text nested deeper than this is an ExpressionError, raised as the scan
+# reaches that depth and before any node is built
+_MAX_DEPTH = 900
+
+
 def parse_expression(text: str) -> Expression:
-    """Parse the grammar `expr := "v" | op "(" expr ("," expr)+ ")"`; text that is no str is a TypeError."""
+    """Parse the grammar `expr := "v" | op "(" expr ("," expr)+ ")"`; text that is no str is a TypeError.
+
+    One regular-expression scan splits the text into tokens, and a stack of
+    the open operations reads them left to right: a node is built, through
+    `_node`, when its `)` is read. An error names the position of the token
+    it is found at, which is worked out only then.
+    """
     _require("text", text, str)
-    pos = 0
+    tokens = _TOKEN.findall(text)
+    stack: list[tuple[str, list[Expression]]] = []
+    i = 0
+    while True:
+        token = tokens[i]  # an expression starts here
+        if token == "v":
+            node = _LEAF
+            i += 1
+        elif token in OPS:
+            if tokens[i + 1] != "(":
+                raise _token_error(text, i + 1, f"expected '(', found {_found(tokens[i + 1])}")
+            if len(stack) == _MAX_DEPTH:
+                raise ExpressionError("expression is nested too deeply")
+            stack.append((sys.intern(token), []))  # every node shares the one string of its operation's name
+            i += 2
+            continue
+        elif token:
+            raise _token_error(text, i, f"expected 'v' or one of {OPS}, found {token!r}")
+        else:
+            raise _token_error(text, i, "expected expression, found end of input")
+        # node is whole: it joins the innermost open operation, which a ',' keeps open and a ')' closes
+        while stack:
+            op, children = stack[-1]
+            children.append(node)
+            token = tokens[i]
+            i += 1
+            if token == ",":
+                break
+            if token != ")":
+                raise _token_error(text, i - 1, f"expected ')', found {_found(token)}")
+            if len(children) < 2:
+                raise _token_error(text, i - 1, f"{op} needs at least 2 arguments", 1)
+            stack.pop()
+            node = _node(op, children)
+        else:
+            if tokens[i]:
+                pos = _token_start(text, i)
+                raise ExpressionError(f"position {pos}: trailing input {text[pos:]!r}")
+            return node
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
 
-    def fail(msg: str) -> ExpressionError:
-        return ExpressionError(f"position {pos}: {msg}")
+def _found(token: str) -> str:
+    """How an error names the token where a `(`, `,` or `)` was expected: its first character, quoted."""
+    return repr(token[:1] or "end of input")
 
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            found = text[pos] if pos < len(text) else "end of input"
-            raise fail(f"expected {ch!r}, found {found!r}")
-        pos += 1
 
-    def parse_expr() -> Expression:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise fail("expected expression, found end of input")
-        if text[pos] == "v":
-            pos += 1
-            return _LEAF
-        for op in OPS:
-            if text.startswith(op, pos):
-                pos += len(op)
-                expect("(")
-                children = [parse_expr()]
-                skip_ws()
-                while pos < len(text) and text[pos] == ",":
-                    pos += 1
-                    children.append(parse_expr())
-                    skip_ws()
-                expect(")")
-                if len(children) < 2:
-                    raise fail(f"{op} needs at least 2 arguments")
-                return _node(op, children)
-        raise fail(f"expected 'v' or one of {OPS}, found {text[pos]!r}")
+def _token_start(text: str, index: int) -> int:
+    """Where the index-th token of text starts, past its leading whitespace."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start(1)
 
-    try:
-        result = parse_expr()
-    except RecursionError:
-        raise ExpressionError("expression is nested too deeply") from None
-    skip_ws()
-    if pos < len(text):
-        raise fail(f"trailing input {text[pos:]!r}")
-    return result
+
+def _token_error(text: str, index: int, message: str, past: int = 0) -> ExpressionError:
+    """The error found at the index-th token of text, or past characters after its start."""
+    return ExpressionError(f"position {_token_start(text, index) + past}: {message}")
 
 
 # -- named digraph families ---------------------------------------------------

@@ -112,10 +112,13 @@ class Digraph:
     every row is one unpack and the converse swaps the two. A builder that
     has the in-rows at hand stores them; otherwise they come from one
     `_transpose` on first request. `mask`, bit u*n+v per arc, is derived.
-    Instances are immutable; all operations return new values.
+    `_seed` is the normal-form expression `construct.evaluate` built the
+    digraph from, which is its di-co-tree, or None; every other builder and
+    transform leaves it None. Instances are immutable; all operations return
+    new values.
     """
 
-    __slots__ = ("n", "_out", "_in")
+    __slots__ = ("n", "_out", "_in", "_seed")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()) -> None:
         n = operator.index(n)
@@ -135,10 +138,11 @@ class Digraph:
         words = _words(n)
         self._fill(n, words.pack(*rows), words.pack(*cols))
 
-    def _fill(self, n: int, out: bytes, into: bytes | None) -> Digraph:
+    def _fill(self, n: int, out: bytes, into: bytes | None, seed: object = None) -> Digraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", into)
+        object.__setattr__(self, "_seed", seed)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -163,10 +167,10 @@ class Digraph:
         return cls._of_rows([mask >> u * n & full for u in range(n)])
 
     @classmethod
-    def _of_rows(cls, rows: Sequence[int], cols: Sequence[int] | None = None) -> Digraph:
+    def _of_rows(cls, rows: Sequence[int], cols: Sequence[int] | None = None, seed: object = None) -> Digraph:
         """Wrap out-rows (and in-rows, if given) that are valid by construction: 1..64 rows, no loop bit."""
         words = _words(len(rows))
-        return cls._wrap(len(rows), words.pack(*rows), None if cols is None else words.pack(*cols))
+        return cls.__new__(cls)._fill(len(rows), words.pack(*rows), None if cols is None else words.pack(*cols), seed)
 
     @classmethod
     def _wrap(cls, n: int, out: bytes, into: bytes | None = None) -> Digraph:
@@ -389,7 +393,8 @@ class Digraph:
 def _require(name: str, value: object, kind: type) -> None:
     """A TypeError naming the argument unless value is a kind; without it a wrong type fails on some attribute."""
     if not isinstance(value, kind):
-        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def _vertex_count(name: str, value: int) -> int:

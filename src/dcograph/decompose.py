@@ -124,6 +124,10 @@ class Split:
     parts: tuple[tuple[int, ...], ...]
 
 
+# an inner node of a di-co-tree: its operation and its children, each a later node's index or -1 for a leaf
+_Node = tuple[str, tuple[int, ...]]
+
+
 @dataclass
 class _Tree:
     """The inner nodes of one digraph's di-co-tree in breadth-first order, read bottom-up.
@@ -135,16 +139,21 @@ class _Tree:
     and the micro classes from the root. A digraph with a prime node anywhere
     keeps only its root split: it is in no constructive class and has no
     nodes. The one-vertex digraph has no nodes either and is in every class.
+    A digraph's seed (see `_seed_nodes`) is kept as `seed` and is its
+    expression; any other expression is rebuilt from the nodes.
     """
 
     root: tuple[str, tuple[int, ...]]  # the root split: its operation and its parts as vertex bit sets
     classes: int
-    nodes: tuple[tuple[str, tuple[int, ...]], ...]
+    nodes: tuple[_Node, ...]
+    seed: Expression | None = None
 
     @cached_property
     def expression(self) -> Expression | None:
         if not self.classes:
             return None
+        if self.seed is not None:
+            return self.seed
         # no part of a maximal split carries its parent's operation, so a node
         # is in normal form once its union or series children are sorted
         exprs: list[Expression] = [leaf()] * (len(self.nodes) + 1)
@@ -235,11 +244,11 @@ def _root_bits(op: str, rest: int, child_rests: list[int]) -> int:
     return sum(1 << CLASS_BIT[x] for x, h in held.items() if h)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _tree(g: Digraph) -> _Tree:
-    """Decompose g once; every split, membership and certificate question reads this."""
-    if g.n == 1:
-        return _Tree(("leaf", ()), (1 << len(CLASS_BIT)) - 1, ())  # one vertex is in every constructive class
+def _split_nodes(g: Digraph) -> tuple[tuple[str, tuple[int, ...]], list[_Node] | None]:
+    """g's root split and the inner nodes of its di-co-tree in breadth-first order, each found by `_split`.
+
+    The nodes are None if some node is prime.
+    """
     out_rows, in_rows = g.out_rows(), g.in_rows()
     # neighbour rows of the underlying graph, of its complement, and of M;
     # bits outside the set being split are masked off there
@@ -247,14 +256,14 @@ def _tree(g: Digraph) -> _Tree:
     co_adj = [~(o & i) for o, i in zip(out_rows, in_rows)]
     sym = [~(o ^ i) for o, i in zip(out_rows, in_rows)]
 
-    nodes: list[tuple[str, tuple[int, ...]]] = []
+    nodes: list[_Node] = []
     sets = [(1 << g.n) - 1]
     for s in sets:  # grows as it goes: each inner node's vertex set, children after their parent
         op, parts = _split(s, out_rows, adj, co_adj, sym)
         if not nodes:
             root = (op, tuple(parts))
         if op == "prime":
-            return _Tree(root, 0, ())
+            return root, None
         kids = []
         for part in parts:
             if part & part - 1:
@@ -263,6 +272,53 @@ def _tree(g: Digraph) -> _Tree:
             else:
                 kids.append(-1)
         nodes.append((op, tuple(kids)))
+    return root, nodes
+
+
+def _seed_nodes(seed: Expression) -> tuple[tuple[str, tuple[int, ...]], list[_Node]]:
+    """The root split and the inner nodes of a seed, listed as `_split_nodes` lists them, read off the expression.
+
+    A seed is an expression in normal form, and its digraph numbers its
+    leaves depth-first. It is the di-co-tree: a child of a union is a leaf
+    or an order or series, so it is connected; a child of a series has a
+    connected complement; and the children of an order are exactly the
+    components of M, each pair across two of them joined one way, ranked in
+    expression order. So each node's children are its maximal split's parts,
+    in the order `_split` gives them (union and series parts by lowest
+    vertex, order parts by rank), and a breadth-first walk lists the nodes as
+    the split path does.
+    """
+    parts, start = [], 0
+    for child in seed.children:
+        stop = start + child.leaf_count
+        parts.append((1 << stop) - (1 << start))
+        start = stop
+    nodes: list[_Node] = []
+    queue = [seed]
+    for node in queue:  # grows as it goes, children after their parent
+        kids = []
+        for child in node.children:
+            if child.kind == "leaf":
+                kids.append(-1)
+            else:
+                kids.append(len(queue))
+                queue.append(child)
+        nodes.append((node.kind, tuple(kids)))
+    return (seed.kind, tuple(parts)), nodes
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tree(g: Digraph) -> _Tree:
+    """Decompose g once; every split, membership and certificate question reads this.
+
+    The nodes of a digraph with a seed are read off it, and no set is split.
+    """
+    if g.n == 1:
+        return _Tree(("leaf", ()), (1 << len(CLASS_BIT)) - 1, ())  # one vertex is in every constructive class
+    seed = g._seed
+    root, nodes = _split_nodes(g) if seed is None else _seed_nodes(seed)
+    if nodes is None:
+        return _Tree(root, 0, ())
 
     classes = [(1 << len(GRAMMAR_CLASSES)) - 1] * (len(nodes) + 1)
     rests = [_LEAF_REST] * (len(nodes) + 1)
@@ -270,7 +326,7 @@ def _tree(g: Digraph) -> _Tree:
         inner = [c for c in kids if c >= 0]
         classes[i], rests[i] = _node_bits(op, [classes[c] for c in inner], [rests[c] for c in inner])
     op, kids = nodes[0]
-    return _Tree(root, classes[0] | _root_bits(op, rests[0], [rests[c] for c in kids]), tuple(nodes))
+    return _Tree(root, classes[0] | _root_bits(op, rests[0], [rests[c] for c in kids]), tuple(nodes), seed)
 
 
 def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -281,9 +337,8 @@ def listed_trees(n: int) -> list[tuple[tuple[int, ...], int]]:
     order. A maximal decomposition is unique up to the order of union and
     series children, so the listed trees are the n-vertex members of DC, one
     per isomorphism class. Each node's out-rows come from its children's
-    through `construct._compose_rows`, the one composition kernel, so leaves
-    are numbered depth-first, left to right, as `construct.evaluate` numbers
-    them; its class bits come from its children's through `_node_bits` and
+    through `construct._compose_rows`, so leaves are numbered depth-first,
+    left to right, as `construct.evaluate` numbers them; its class bits come from its children's through `_node_bits` and
     `_root_bits`, as in `_tree`.
     """
     n = _vertex_count("n", n)

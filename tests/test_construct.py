@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import expression_reference
 from dcograph.construct import (
+    OPS,
     Expression,
     ExpressionError,
     bidir_complete_bipartite,
@@ -204,6 +207,99 @@ def test_unknown_composition_kind_is_rejected() -> None:
         compose("xor", Digraph(1), Digraph(1))
     with pytest.raises(ExpressionError, match="xor"):
         evaluate(Expression("xor", (leaf(), leaf())))
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        (lambda: evaluate("v"), TypeError, "e must be an Expression, got str"),
+        (lambda: format_expression("v"), TypeError, "e must be an Expression, got str"),
+        (lambda: compose("union", "a", Digraph(1)), TypeError, "a must be a Digraph, got str"),
+        (lambda: compose("order", Digraph(1), "b"), TypeError, "b must be a Digraph, got str"),
+        (lambda: evaluate(Expression("union", ())), ExpressionError, "union needs at least 1 child"),
+        (lambda: evaluate(Expression("order", (leaf(), Expression("series", ())))), ExpressionError,
+         "series needs at least 1 child"),
+    ],
+    ids=["evaluate-str", "format_expression-str", "compose-a-str", "compose-b-str", "empty-root", "empty-child"],
+)
+def test_a_bad_argument_is_named(call, error: type, message: str) -> None:
+    # a string used to end in "'str' object has no attribute ...", and an
+    # empty union in Digraph(0, []), which classify then read out of range
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+# every whitespace the parser skips is str.isspace's, Unicode included
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u3000", max_size=2)
+
+# the tokens of a text in the grammar
+_TOKENS = st.recursive(
+    st.just(["v"]),
+    lambda inner: st.builds(
+        lambda op, args: [op, "(", *args[0], *[t for arg in args[1:] for t in (",", *arg)], ")"],
+        st.sampled_from(OPS),
+        st.lists(inner, min_size=2, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _expression_texts(draw) -> str:
+    """Expression text with random whitespace, kept as it is or with one mutation."""
+    tokens = list(draw(_TOKENS))
+    i = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+    mutation = draw(st.sampled_from(["none", "drop", "double", "swap", "trailing", "unknown", "bare", "unary"]))
+    if mutation == "unary":  # the first argument "v" from i on goes with its comma
+        at = next((j for j in range(i, len(tokens) - 1) if tokens[j : j + 2] == [",", "v"]), None)
+        if at is not None:
+            del tokens[at : at + 2]
+    elif mutation == "drop":
+        del tokens[i]
+    elif mutation == "double":
+        tokens.insert(i, tokens[i])
+    elif mutation == "swap" and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    elif mutation == "trailing":
+        tokens.append(draw(st.sampled_from(["v", ")", ",", "(", "x", "union(v, v)"])))
+    elif mutation == "unknown":
+        tokens.insert(i, draw(st.sampled_from(["w", "unio", "orders", "Series", "vv", "x1", "\u00e9"])))
+    elif mutation == "bare":
+        tokens.insert(i, "(")
+    spaces = draw(st.lists(_SPACE, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(space + token for space, token in zip(spaces, tokens)) + spaces[-1]
+
+
+def _outcome(parse, text: str) -> tuple[str, str]:
+    try:
+        return "parsed", format_expression(parse(text))
+    except ExpressionError as exc:
+        return "error", str(exc)
+
+
+@given(_expression_texts())
+def test_parser_agrees_with_the_reference(text: str) -> None:
+    # the same expression, or the same error at the same position, byte for byte
+    assert _outcome(parse_expression, text) == _outcome(expression_reference.parse_expression, text)
+
+
+def test_hostile_nesting_ends_fast_without_quadratic_text() -> None:
+    # every node built on the way down would hold the text of all below it
+    text = "union(v, series(v, " * 5000 + "v" + "))" * 5000
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError) as info:
+        parse_expression(text)
+    assert time.perf_counter() - start < 1.0
+    assert _outcome(expression_reference.parse_expression, text) == ("error", str(info.value))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpressionError):
+            parse_expression(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * len(text)
 
 
 def test_family_transitive_tournament() -> None:

@@ -12,8 +12,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dcograph import decompose
-from dcograph.construct import OPS, Expression, compose, evaluate, leaf, order, parse_expression, series, union
-from dcograph.core import MAX_VERTICES, Digraph, UndirectedGraph, _full_offdiag, _join_rows
+from dcograph.construct import (
+    OPS,
+    Expression,
+    compose,
+    evaluate,
+    format_expression,
+    leaf,
+    order,
+    parse_expression,
+    series,
+    union,
+)
+from dcograph.core import (
+    MAX_VERTICES,
+    Digraph,
+    UndirectedGraph,
+    _full_offdiag,
+    _join_rows,
+    format_edge_list,
+    parse_edge_list,
+)
 from dcograph.decompose import (
     CLASS_BIT,
     CreationSequence,
@@ -224,6 +243,95 @@ def test_the_tree_keeps_and_splits_its_inner_nodes_only(monkeypatch) -> None:
         # breadth-first: every child that is no leaf comes later; there are n leaves
         assert all(c == -1 or i < c for i, (_, kids) in enumerate(tree.nodes) for c in kids)
         assert sum(kids.count(-1) for _, kids in tree.nodes) == (g.n if g.n > 1 else 0)
+
+
+def _counted_splits(monkeypatch) -> list[int]:
+    """A one-entry list that counts `_split` calls from now on, with the tree memo emptied."""
+    count = [0]
+    split = decompose._split
+
+    def counted(*args):
+        count[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(decompose, "_split", counted)
+    decompose._tree.cache_clear()
+    return count
+
+
+def _assert_seed_is_the_split_tree(e: Expression) -> None:
+    """The tree read off e's seed is the tree that splitting e's digraph finds."""
+    g = evaluate(e)
+    assert g._seed is e
+    seeded = decompose._tree.__wrapped__(g)
+    split = decompose._tree.__wrapped__(Digraph._of_rows(g.out_rows()))
+    assert split.seed is None
+    assert (seeded.root, seeded.classes, seeded.nodes) == (split.root, split.classes, split.nodes), e
+    assert seeded.expression is e and split.expression == e
+
+
+def test_every_listed_tree_is_its_own_seed() -> None:
+    # each DC member up to 7 vertices (9,451 trees), as the expression its split finds
+    for n in range(1, 8):
+        for rows, _ in listed_trees(n):
+            _assert_seed_is_the_split_tree(decompose._tree.__wrapped__(Digraph._of_rows(rows)).expression)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=MAX_VERTICES))
+def test_a_random_expression_is_its_own_seed(seed: int, leaves: int) -> None:
+    _assert_seed_is_the_split_tree(_random_tree(random.Random(seed), leaves))
+
+
+@pytest.mark.parametrize(
+    ("e", "tree"),
+    [
+        (Expression("order", (union(leaf(), leaf()),)), "union(v, v)"),
+        (Expression("series", (Expression("order", (leaf(), series(leaf(), leaf()))),)), "order(v, series(v, v))"),
+        (Expression("union", (Expression("union", (leaf(), leaf())), leaf())), "union(v, v, v)"),
+        (Expression("order", (leaf(), Expression("order", (leaf(), union(leaf(), leaf()))), leaf())),
+         "order(v, v, union(v, v), v)"),
+        (Expression("series", (leaf(), Expression("series", (union(leaf(), leaf()), leaf())))), "series(v, v, union(v, v))"),
+        (Expression("union", (series(leaf(), leaf()), leaf())), "union(v, series(v, v))"),
+        (Expression("series", (order(leaf(), leaf(), leaf()), union(leaf(), leaf()), leaf())),
+         "series(v, union(v, v), order(v, v, v))"),
+    ],
+    ids=["unary", "unary-root", "same-kind-union", "same-kind-order", "same-kind-series", "unsorted-union",
+         "unsorted-series"],
+)
+def test_an_expression_out_of_normal_form_is_split(monkeypatch, e: Expression, tree: str) -> None:
+    # a unary node, a child of its parent's kind or unsorted children: no seed, and the split finds the tree
+    splits = _counted_splits(monkeypatch)
+    g = evaluate(e)
+    assert g._seed is None
+    assert format_expression(di_co_tree(g)) == tree
+    assert splits[0] > 0
+
+
+def test_a_derived_digraph_carries_no_seed() -> None:
+    g = evaluate(parse_expression("order(union(v, series(v, v)), v, series(v, union(v, v)))"))
+    assert g._seed is not None
+    derived = [
+        g.converse(), g.complement(), g.sym_part(), g.asym_part(), g.underlying().to_digraph(),
+        g.induced(range(g.n)), g.relabel(range(g.n)), g.delete_vertex(0), Digraph._of_rows(g.out_rows()),
+        Digraph.from_mask(g.n, g.mask), Digraph(g.n, g.arcs), parse_edge_list(format_edge_list(g)),
+        compose("union", g, Digraph(1)),
+    ]
+    assert [h for h in derived if h._seed is not None] == []
+
+
+def test_a_seeded_request_splits_nothing(monkeypatch) -> None:
+    # the calls a certifying request makes, on a 64-leaf expression read from its text
+    splits = _counted_splits(monkeypatch)
+    e = _random_tree(random.Random(40), 64)
+    g = evaluate(parse_expression(format_expression(e)))
+    assert g._seed == e
+    assert maximal_split(g).op == e.kind
+    assert di_co_tree(g) is g._seed
+    creation_sequence(g)
+    members = classify(g, GRAMMAR_CLASSES)
+    assert ClassId.DC in members
+    assert all(constructive_certificate(g, x) is g._seed for x in members)
+    assert splits[0] == 0
 
 
 _TAKES_G = {

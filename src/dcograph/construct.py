@@ -252,7 +252,7 @@ def parse_expression(text: str) -> Expression:
 
 
 def _found(token: str) -> str:
-    """How an error names the token where a `(`, `,` or `)` was expected: its first character, quoted."""
+    """How an error names the token where a `(` or `)` was expected: its first character, quoted."""
     return repr(token[:1] or "end of input")
 
 

@@ -218,33 +218,6 @@ def _inner_nodes(e: Expression) -> int:
     return 0 if e.kind == "leaf" else 1 + sum(_inner_nodes(c) for c in e.children)
 
 
-def test_the_tree_keeps_and_splits_its_inner_nodes_only(monkeypatch) -> None:
-    # a leaf is a -1 child of its parent: no node of its own, and no split
-    rng = random.Random(37)
-    inputs = [evaluate(_random_tree(rng, n)) for n in (1, 2, 3, 8, 17, 33, 64, 64, 64)]
-    inputs.append(replay("1" + "".join(rng.choice("0123") for _ in range(63))))
-    splits = 0
-    split = decompose._split
-
-    def counted(*args):
-        nonlocal splits
-        splits += 1
-        return split(*args)
-
-    monkeypatch.setattr(decompose, "_split", counted)
-    for g in inputs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        g = g.relabel(perm)
-        decompose._tree.cache_clear()
-        splits = 0
-        tree = decompose._tree(g)
-        assert len(tree.nodes) == splits == _inner_nodes(di_co_tree(g)), g
-        # breadth-first: every child that is no leaf comes later; there are n leaves
-        assert all(c == -1 or i < c for i, (_, kids) in enumerate(tree.nodes) for c in kids)
-        assert sum(kids.count(-1) for _, kids in tree.nodes) == (g.n if g.n > 1 else 0)
-
-
 def _counted_splits(monkeypatch) -> list[int]:
     """A one-entry list that counts `_split` calls from now on, with the tree memo emptied."""
     count = [0]
@@ -257,6 +230,25 @@ def _counted_splits(monkeypatch) -> list[int]:
     monkeypatch.setattr(decompose, "_split", counted)
     decompose._tree.cache_clear()
     return count
+
+
+def test_the_tree_keeps_and_splits_its_inner_nodes_only(monkeypatch) -> None:
+    # a leaf is a -1 child of its parent: no node of its own, and no split
+    rng = random.Random(37)
+    inputs = [evaluate(_random_tree(rng, n)) for n in (1, 2, 3, 8, 17, 33, 64, 64, 64)]
+    inputs.append(replay("1" + "".join(rng.choice("0123") for _ in range(63))))
+    splits = _counted_splits(monkeypatch)
+    for g in inputs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        decompose._tree.cache_clear()
+        splits[0] = 0
+        tree = decompose._tree(g)
+        assert len(tree.nodes) == splits[0] == _inner_nodes(di_co_tree(g)), g
+        # breadth-first: every child that is no leaf comes later; there are n leaves
+        assert all(c == -1 or i < c for i, (_, kids) in enumerate(tree.nodes) for c in kids)
+        assert sum(kids.count(-1) for _, kids in tree.nodes) == (g.n if g.n > 1 else 0)
 
 
 def _assert_seed_is_the_split_tree(e: Expression) -> None:
